@@ -2,8 +2,8 @@
 
 Builds a small two-cell network, solves the minimum-power allocation for
 a fixed grouping, and verifies the pieces against each other: the decode
-order statistic, the closed-form group power vs. the per-user recursion,
-and the achieved rates vs. the QoS targets.
+order statistic, each group's power from the coupled solve vs. the sum of
+its per-user recursion, and the achieved rates vs. the QoS targets.
 """
 
 import numpy as np
@@ -12,12 +12,11 @@ from noma_grouping import (
     achieved_rates,
     draw_channel_gains,
     generate_scenario,
-    group_power_closed_form,
     initial_grouping,
     default_config,
-    per_user_powers,
     solve_all_powers,
     total_power,
+    user_powers,
 )
 
 config = default_config(num_users=10, num_channels=3, num_bs=2, seed=0)
@@ -36,16 +35,14 @@ print(f"feasible: {solution.feasible}, fixed-point iterations: {solution.fixed_p
 print(f"total transmit power: {total_power(solution):.4e} W")
 
 print("\nper-group decode orders (first decoded first) and power split:")
-rates = scenario.spectral_rates()
+pow2r = np.exp2(scenario.spectral_rates()).tolist()
 for (m, g), order in sorted(solution.sic_order.items()):
     if not order:
         continue
-    members = list(order)
-    closed = group_power_closed_form(members, solution.ccinr, rates)
-    recursed = per_user_powers(members, solution.ccinr, rates)
+    recursed = user_powers(order, solution.ccinr.s, pow2r)
     print(
-        f"  BS {m} ch {g}: order {members}  group power {closed:.3e} W "
-        f"(= sum of {[f'{recursed[n]:.2e}' for n in members]})"
+        f"  BS {m} ch {g}: order {list(order)}  group power {solution.group_power[m, g]:.3e} W "
+        f"(= sum of {[f'{recursed[n]:.2e}' for n in order]})"
     )
 
 achieved = achieved_rates(gains, grouping, solution, scenario.noise_power_w, config.bandwidth_hz)

@@ -7,6 +7,9 @@ the graph, runs both detectors, applies the loop, and shows the predicted
 delta matching the recomputed one.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from noma_grouping import (
@@ -37,8 +40,11 @@ finite = np.isfinite(adjacency)
 print(f"graph: {graph.num_nodes} nodes ({graph.num_real} real), "
       f"{int(finite.sum())} edges, most negative {adjacency[finite].min():.3e} W")
 
-dump_adjacency_csv(graph, "/tmp/league_graph.csv")
-print("adjacency dumped to /tmp/league_graph.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    dump_path = Path(tmp) / "league_graph.csv"
+    dump_adjacency_csv(graph, dump_path)
+    lines = dump_path.read_text().splitlines()
+print(f"adjacency dump: {len(lines) - 1} edge rows, columns {lines[0]}")
 
 
 def describe(node):

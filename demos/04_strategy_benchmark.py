@@ -2,9 +2,13 @@
 
 Runs matched-seed trials of the two game strategies against the SCCD and
 Gale-Shapley references on a small sweep, prints the summary table, and
-writes the deterministic CSV. Infeasible outcomes (a strategy's grouping
-cannot meet the QoS targets at any power) stay in the table.
+writes the deterministic CSV into a temporary directory. Infeasible
+outcomes (a strategy's grouping cannot meet the QoS targets at any power)
+stay in the table.
 """
+
+import tempfile
+from pathlib import Path
 
 from noma_grouping import ExperimentSpec, StrategyKind, run_experiment, summarize
 from noma_grouping.harness import watts_to_dbm
@@ -22,10 +26,12 @@ spec = ExperimentSpec(
     num_channels_list=[3],
     num_bs_list=[2],
     rate_ranges_bps=[(60e3, 400e3)],
-    output_path="/tmp/strategy_benchmark.csv",
 )
 
-results = run_experiment(spec)
+with tempfile.TemporaryDirectory() as tmp:
+    spec.output_path = str(Path(tmp) / "strategy_benchmark.csv")
+    results = run_experiment(spec)
+    csv_lines = Path(spec.output_path).read_text().splitlines()
 summary = summarize(results)
 
 print(f"{'sweep':>5} {'strategy':<16} {'feasible':>9} {'mean power':>12} {'mean I (W)':>12}")
@@ -51,4 +57,4 @@ for a in strategies:
             cells.append(f"{rate:5.2f}")
     print(f"  {a:<16} {' '.join(cells)}")
 
-print(f"\nwrote {len(results)} rows to {spec.output_path}")
+print(f"\nthe CSV holds {len(csv_lines) - 1} rows; header: {csv_lines[0]}")

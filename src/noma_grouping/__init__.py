@@ -13,19 +13,17 @@ from .scenario import (
 )
 from .power import (
     CcinrTable,
-    ChannelSystem,
     Grouping,
     InfeasibleSolutionError,
     PowerSolution,
     achieved_rates,
-    build_channel_system,
+    assemble_coupling,
     ccinr,
-    group_power_closed_form,
-    per_user_powers,
-    sic_order,
+    decode_orders,
     solve_all_powers,
-    solve_channel_powers,
+    solve_coupling,
     total_power,
+    user_powers,
 )
 from .graph import (
     EbaBudgetExhausted,
@@ -36,7 +34,6 @@ from .graph import (
     apply_league,
     build_graph,
     dump_adjacency_csv,
-    edge_weight,
     find_negative_loop_eba,
     find_negative_loop_fga,
 )
@@ -54,7 +51,6 @@ from .baselines import (
     enumerate_leagues,
     exhaustive_best_grouping,
     gale_shapley_grouping,
-    reference_sic_orders,
     sccd_grouping,
 )
 from .harness import (

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .graph import NEG_DELTA_FLOOR_W, League, VirtualUser
+from .graph import NEG_DELTA_FLOOR_W, League, league_nodes
 from .power import (
     Grouping,
     InfeasibleSolutionError,
@@ -115,23 +115,7 @@ def gale_shapley_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
     return Grouping(channel_of=channel_of, bs_of=scenario.association.copy())
 
 
-def reference_sic_orders(group_members, own_gains, target_rates) -> dict:
-    """The two comparison decode orders for one group.
-
-    channel_gain decodes the weakest own-BS gain first (the single-cell
-    convention); rate_descending decodes the highest target rate first.
-    Ties fall back to ascending user id.
-    """
-    members = list(group_members)
-    return {
-        "channel_gain": sorted(members, key=lambda n: (own_gains[n], n)),
-        "rate_descending": sorted(members, key=lambda n: (-target_rates[n], n)),
-    }
-
-
-def exhaustive_best_grouping(
-    gains: ChannelGains, scenario: Scenario, limit: int = EXHAUSTIVE_LIMIT
-):
+def exhaustive_best_grouping(gains: ChannelGains, scenario: Scenario):
     """Global optimum of the grouping problem by full enumeration.
 
     Walks every per-user channel assignment jointly across the BSs and
@@ -139,9 +123,9 @@ def exhaustive_best_grouping(
     """
     cfg = scenario.config
     count = cfg.num_channels ** cfg.num_users
-    if count > limit:
+    if count > EXHAUSTIVE_LIMIT:
         raise InstanceTooLargeError(
-            f"{count} assignments exceed the exhaustive limit of {limit}"
+            f"{count} assignments exceed the exhaustive limit of {EXHAUSTIVE_LIMIT}"
         )
     bs_of = scenario.association.copy()
     best_grouping = None
@@ -164,7 +148,6 @@ def enumerate_leagues(
     scenario: Scenario,
     grouping: Grouping,
     max_len: int,
-    budget: int = LEAGUE_ENUM_BUDGET,
 ):
     """Every improving league up to max_len, validated by full re-solve.
 
@@ -182,38 +165,31 @@ def enumerate_leagues(
     checked = 0
 
     for m in range(cfg.num_bs):
-        real = [int(n) for n in np.flatnonzero(grouping.bs_of == m)]
-        nodes = real + [VirtualUser(g) for g in range(cfg.num_channels)]
-        node_groups = [int(grouping.channel_of[n]) for n in real] + list(
-            range(cfg.num_channels)
-        )
+        nodes, node_groups = league_nodes(grouping, m, cfg.num_channels)
         v = len(nodes)
 
         def _evaluate(path: list[int]) -> None:
             nonlocal checked
             checked += 1
-            if checked > budget:
+            if checked > LEAGUE_ENUM_BUDGET:
                 raise InstanceTooLargeError(
-                    f"more than {budget} candidate cycles; instance too large"
+                    f"more than {LEAGUE_ENUM_BUDGET} candidate cycles; instance too large"
                 )
-            cycle = [nodes[i] for i in path]
-            if all(isinstance(x, VirtualUser) for x in cycle):
+            league = League(
+                cycle=[nodes[i] for i in path],
+                predicted_delta_w=math.nan,
+                groups=tuple(node_groups[i] for i in path),
+            )
+            moves = league.moves()
+            if not moves:
                 return
-            groups = tuple(node_groups[i] for i in path)
-            moves = []
-            for k, node in enumerate(cycle):
-                if not isinstance(node, VirtualUser):
-                    moves.append((int(node), groups[(k + 1) % len(groups)]))
-            candidate = grouping.with_moves(moves)
-            solution = solve_all_powers(gains, candidate, scenario)
+            solution = solve_all_powers(gains, grouping.with_moves(moves), scenario)
             if not solution.feasible:
                 return
             delta = total_power_or_inf(solution) - base_total
             if delta < -NEG_DELTA_FLOOR_W:
-                kind = "shift" if any(isinstance(x, VirtualUser) for x in cycle) else "exchange"
-                leagues.append(
-                    League(kind=kind, cycle=cycle, predicted_delta_w=float(delta), groups=groups)
-                )
+                league.predicted_delta_w = float(delta)
+                leagues.append(league)
 
         def _extend(start: int, path: list[int], used: set) -> None:
             if len(path) >= 2:

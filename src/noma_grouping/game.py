@@ -18,10 +18,8 @@ import numpy as np
 
 from . import baselines
 from .graph import (
-    EBA_DEFAULT_BUDGET,
     NEG_DELTA_FLOOR_W,
     EbaBudgetExhausted,
-    VirtualUser,
     apply_league,
     build_graph,
     fga_candidates,
@@ -104,16 +102,6 @@ def action_effect(gains: ChannelGains, scenario: Scenario, grouping: Grouping, a
     return math.inf
 
 
-def league_to_action(league, bs: int) -> Action:
-    """Real users' moves of a league, as one action of the owning BS."""
-    size = len(league.cycle)
-    moves = []
-    for k, node in enumerate(league.cycle):
-        if not isinstance(node, VirtualUser):
-            moves.append((int(node), league.groups[(k + 1) % size]))
-    return Action(bs=bs, moves=moves)
-
-
 def is_nash_equilibrium(
     gains: ChannelGains, scenario: Scenario, grouping: Grouping, max_league_len: int
 ) -> bool:
@@ -126,7 +114,6 @@ def run_game(
     scenario: Scenario,
     finder: str = "fga",
     alpha: float = 5.0,
-    eba_budget: int = EBA_DEFAULT_BUDGET,
     start_grouping: Grouping | None = None,
 ):
     """Best-response sweeps until a full sweep accepts no action.
@@ -158,7 +145,7 @@ def run_game(
             league_graph = build_graph(gains, scenario, grouping, m)
             if finder == "eba":
                 try:
-                    league = find_negative_loop_eba(league_graph, budget=eba_budget)
+                    league = find_negative_loop_eba(league_graph)
                 except EbaBudgetExhausted:
                     trace.eba_budget_exhaustions += 1
                     candidates = fga_candidates(league_graph, alpha)
@@ -178,7 +165,7 @@ def run_game(
                     trace.iterations.append(
                         TraceStep(
                             bs=m,
-                            action=league_to_action(league, m),
+                            action=Action(bs=m, moves=league.moves()),
                             total_power_before_w=before_w,
                             total_power_after_w=after_w,
                         )

@@ -56,10 +56,35 @@ class League:
     cycle containing a virtual node acts as a shift of the real users.
     """
 
-    kind: str
     cycle: list
     predicted_delta_w: float
     groups: tuple = ()
+
+    @property
+    def kind(self) -> str:
+        """"shift" when a virtual node is on the cycle, else "exchange"."""
+        return "shift" if any(isinstance(x, VirtualUser) for x in self.cycle) else "exchange"
+
+    def moves(self) -> list[tuple[int, int]]:
+        """(user, target channel) pairs: each real user takes the next node's group."""
+        size = len(self.cycle)
+        return [
+            (int(node), self.groups[(k + 1) % size])
+            for k, node in enumerate(self.cycle)
+            if not isinstance(node, VirtualUser)
+        ]
+
+
+def league_nodes(grouping: Grouping, bs: int, num_channels: int) -> tuple[list, list[int]]:
+    """Nodes of one BS's league graph and the group of each.
+
+    The BS's real users come first (ascending id), then one VirtualUser
+    per subchannel.
+    """
+    real = [int(n) for n in np.flatnonzero(grouping.bs_of == bs)]
+    ch = grouping.channel_of
+    nodes = real + [VirtualUser(g) for g in range(num_channels)]
+    return nodes, [int(ch[n]) for n in real] + list(range(num_channels))
 
 
 class LeagueGraph:
@@ -71,9 +96,6 @@ class LeagueGraph:
 
     def __init__(self, gains: ChannelGains, scenario: Scenario, grouping: Grouping, bs: int):
         self.bs = int(bs)
-        self.gains = gains
-        self.scenario = scenario
-        self.grouping = grouping
         cfg = scenario.config
         self.num_channels = cfg.num_channels
         self._num_bs = cfg.num_bs
@@ -81,11 +103,8 @@ class LeagueGraph:
         self._pow2r = np.exp2(scenario.spectral_rates()).tolist()
         self._lists = gains.as_lists()
 
-        real = [int(n) for n in np.flatnonzero(grouping.bs_of == self.bs)]
-        self.nodes: list = real + [VirtualUser(g) for g in range(self.num_channels)]
-        ch = grouping.channel_of
-        self.node_groups: list[int] = [int(ch[n]) for n in real] + list(range(self.num_channels))
-        self.num_real = len(real)
+        self.nodes, self.node_groups = league_nodes(grouping, self.bs, self.num_channels)
+        self.num_real = len(self.nodes) - self.num_channels
 
         self._base_members = [
             grouping.members_by_bs(g, self._num_bs) for g in range(self.num_channels)
@@ -107,11 +126,14 @@ class LeagueGraph:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def group_of(self, i: int) -> int:
-        return self.node_groups[i]
-
     def weight(self, i: int, j: int) -> float:
-        """Edge weight i -> j in watts; inf for self/same-group pairs."""
+        """Edge weight i -> j in watts, computed once and cached.
+
+        The change of node j's subchannel's total power across all cells
+        when node i joins it and node j leaves it; inf for self and
+        same-group pairs and when either state is infeasible, 0 between
+        two virtual nodes.
+        """
         w = self._adj[i, j]
         if math.isnan(w):
             w = self._compute_weight(i, j)
@@ -124,8 +146,7 @@ class LeagueGraph:
         if np.any(np.isnan(self._adj)):
             for i in range(v):
                 for j in range(v):
-                    if math.isnan(self._adj[i, j]):
-                        self._adj[i, j] = self._compute_weight(i, j)
+                    self.weight(i, j)
         return self._adj
 
     def _compute_weight(self, i: int, j: int) -> float:
@@ -161,60 +182,20 @@ class LeagueGraph:
         return math.fsum(res.powers) - base_total
 
 
-def edge_weight(gains: ChannelGains, scenario: Scenario, grouping: Grouping, n, n_to) -> float:
-    """Weight of moving n into n_to's subchannel while n_to leaves it.
-
-    n and n_to are user ids or VirtualUser markers of the same BS in
-    different groups. Returns the change of the target subchannel's total
-    power across all cells; +inf when either state is infeasible.
-    """
-    virtual_n = isinstance(n, VirtualUser)
-    virtual_t = isinstance(n_to, VirtualUser)
-    g_from = n.channel if virtual_n else int(grouping.channel_of[n])
-    g_to = n_to.channel if virtual_t else int(grouping.channel_of[n_to])
-    if g_from == g_to:
-        raise ValueError("edge endpoints must sit in different groups")
-    if virtual_n and virtual_t:
-        return 0.0
-    if not virtual_n and not virtual_t and grouping.bs_of[n] != grouping.bs_of[n_to]:
-        raise ValueError("edge endpoints must belong to one BS")
-    bs = int(grouping.bs_of[n_to if not virtual_t else n])
-
-    cfg = scenario.config
-    pow2r = np.exp2(scenario.spectral_rates()).tolist()
-    lists = gains.as_lists()
-    members = grouping.members_by_bs(g_to, cfg.num_bs)
-    base = solve_one_channel(lists, g_to, members, pow2r, scenario.noise_power_w)
-    if not base.feasible:
-        return math.inf
-    row = list(members[bs])
-    if not virtual_t:
-        row.remove(int(n_to))
-    if not virtual_n:
-        insort(row, int(n))
-    members = list(members)
-    members[bs] = row
-    mod = solve_one_channel(
-        lists, g_to, members, pow2r, scenario.noise_power_w, warm_start=base.powers
-    )
-    if not mod.feasible:
-        return math.inf
-    return math.fsum(mod.powers) - math.fsum(base.powers)
-
-
 def build_graph(gains: ChannelGains, scenario: Scenario, grouping: Grouping, bs: int) -> LeagueGraph:
     """League graph of one BS against the current grouping."""
     return LeagueGraph(gains, scenario, grouping, bs)
 
 
 def _make_league(graph: LeagueGraph, idx_cycle: list[int], delta: float) -> League:
-    nodes = [graph.nodes[i] for i in idx_cycle]
-    groups = tuple(graph.node_groups[i] for i in idx_cycle)
-    kind = "shift" if any(isinstance(x, VirtualUser) for x in nodes) else "exchange"
-    return League(kind=kind, cycle=nodes, predicted_delta_w=float(delta), groups=groups)
+    return League(
+        cycle=[graph.nodes[i] for i in idx_cycle],
+        predicted_delta_w=float(delta),
+        groups=tuple(graph.node_groups[i] for i in idx_cycle),
+    )
 
 
-def find_negative_loop_eba(graph: LeagueGraph, budget: int = EBA_DEFAULT_BUDGET):
+def find_negative_loop_eba(graph: LeagueGraph):
     """Exact search for a negative differ-group cycle.
 
     Dynamic program over (start, end, set of used groups) states, expanded
@@ -223,7 +204,8 @@ def find_negative_loop_eba(graph: LeagueGraph, budget: int = EBA_DEFAULT_BUDGET)
     node index, so each cycle is examined once). Among the closures of the
     earliest level containing any, the most negative is returned.
 
-    Raises EbaBudgetExhausted when the relaxation budget runs out before
+    Raises EbaBudgetExhausted when the relaxation budget
+    (EBA_DEFAULT_BUDGET) runs out before
     either a cycle or a completed search; returning None is a proof that
     no negative differ-group cycle of length <= G exists.
     """
@@ -283,7 +265,7 @@ def find_negative_loop_eba(graph: LeagueGraph, budget: int = EBA_DEFAULT_BUDGET)
                 cand_arg = cand.argmin(axis=1)
                 cand_min = np.where(starts_mask[:, ks], cand_min, np.inf)
                 if not np.any(np.isfinite(cand_min)):
-                    if used > budget:
+                    if used > EBA_DEFAULT_BUDGET:
                         exhausted = True
                         break
                     continue
@@ -306,7 +288,7 @@ def find_negative_loop_eba(graph: LeagueGraph, budget: int = EBA_DEFAULT_BUDGET)
                     dist2[:, ks] = np.where(sel, cand_min, old)
                     pnode2[:, ks] = np.where(sel, cand_arg.astype(np.int32), pnode2[:, ks])
                     psub2[:, ks] = np.where(sel, sub, psub2[:, ks])
-                if used > budget:
+                if used > EBA_DEFAULT_BUDGET:
                     exhausted = True
                     break
             if exhausted:
@@ -324,7 +306,7 @@ def find_negative_loop_eba(graph: LeagueGraph, budget: int = EBA_DEFAULT_BUDGET)
             delta, st, en, sub2 = best
             return _make_league(graph, _extract(sub2, st, en), delta)
         if exhausted:
-            raise EbaBudgetExhausted(f"relaxation budget {budget} exceeded")
+            raise EbaBudgetExhausted(f"relaxation budget {EBA_DEFAULT_BUDGET} exceeded")
         if not nxt:
             return None
         current = nxt
@@ -404,8 +386,7 @@ def find_negative_loop_fga(graph: LeagueGraph, alpha: float):
 
 def apply_league(grouping: Grouping, league: League) -> Grouping:
     """Rotate the league's users along the cycle; virtual nodes move nobody."""
-    size = len(league.cycle)
-    if size != len(league.groups):
+    if len(league.cycle) != len(league.groups):
         raise ValueError("league is missing its group snapshot")
     for node, g in zip(league.cycle, league.groups):
         current = node.channel if isinstance(node, VirtualUser) else int(grouping.channel_of[node])
@@ -413,11 +394,7 @@ def apply_league(grouping: Grouping, league: League) -> Grouping:
             raise StaleLeagueError(
                 f"node {node!r} moved from group {g} to {current} since the league was built"
             )
-    moves = []
-    for k, node in enumerate(league.cycle):
-        if not isinstance(node, VirtualUser):
-            moves.append((int(node), league.groups[(k + 1) % size]))
-    return grouping.with_moves(moves)
+    return grouping.with_moves(league.moves())
 
 
 def dump_adjacency_csv(graph: LeagueGraph, path) -> None:

@@ -31,6 +31,9 @@ from .scenario import (
     default_config,
 )
 
+# Keys of a --config file: the sweep defaults the CLI reads.
+CONFIG_KEYS = ("num_users", "num_channels", "num_bs", "rate_range_bps")
+
 CSV_COLUMNS = [
     "sweep_index",
     "num_bs",
@@ -303,31 +306,18 @@ def summarize(results: list[TrialResult]) -> dict:
 
 
 def load_config(path: str) -> SimConfig:
-    """SimConfig from a JSON file; keys mirror the dataclass fields."""
+    """Default-layout SimConfig from a JSON file.
+
+    The sweep reads only the keys in CONFIG_KEYS; any other key raises
+    ValueError rather than being ignored.
+    """
     with open(path) as fh:
         raw = json.load(fh)
-    if "bs_positions" not in raw:
-        base = default_config(
-            num_users=raw.get("num_users", 50),
-            num_channels=raw.get("num_channels", 10),
-            num_bs=raw.get("num_bs", 4),
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unsupported config keys {unknown}; allowed: {', '.join(CONFIG_KEYS)}"
         )
-        raw["bs_positions"] = base.bs_positions.tolist()
-    kwargs = dict(
-        num_bs=raw.get("num_bs", len(raw["bs_positions"])),
-        num_users=raw["num_users"],
-        num_channels=raw["num_channels"],
-        area=tuple(raw.get("area", (0.0, 0.0, 1000.0, 1000.0))),
-        bs_positions=np.asarray(raw["bs_positions"], dtype=float),
-    )
-    for key in (
-        "min_user_bs_distance",
-        "bandwidth_hz",
-        "noise_psd_dbm_per_hz",
-        "seed",
-    ):
-        if key in raw:
-            kwargs[key] = raw[key]
     if "rate_range_bps" in raw:
-        kwargs["rate_range_bps"] = tuple(raw["rate_range_bps"])
-    return SimConfig(**kwargs)
+        raw["rate_range_bps"] = tuple(raw["rate_range_bps"])
+    return default_config(**raw)

@@ -16,6 +16,12 @@ per-channel group powers solve a dense M x M linear system whose entries
 depend on the grouping and decode orders but not on the powers themselves.
 A fixed-point loop alternates (interference -> CCINR -> orders -> linear
 solve) until the orders stop changing, at which point the solve is exact.
+
+Every caller runs the same kernel, one function per layer: decode_orders
+(the order rules), assemble_coupling (the linear system), solve_coupling
+(LU solve and the nonnegativity check) and user_powers (the recursion);
+solve_one_channel iterates the first three, and solve_all_powers ends
+with the fourth.
 """
 
 from __future__ import annotations
@@ -64,21 +70,12 @@ class Grouping:
     def num_users(self) -> int:
         return self.channel_of.shape[0]
 
-    def members(self, m: int, g: int) -> list[int]:
-        """Users of BS m assigned to subchannel g, ascending id."""
-        return [
-            int(n)
-            for n in np.flatnonzero((self.bs_of == m) & (self.channel_of == g))
-        ]
-
     def members_by_bs(self, g: int, num_bs: int) -> list[list[int]]:
         """Per-BS member lists on subchannel g (ascending ids)."""
         out: list[list[int]] = [[] for _ in range(num_bs)]
-        ch = self.channel_of
-        bs = self.bs_of
-        for n in range(ch.shape[0]):
-            if ch[n] == g:
-                out[bs[n]].append(n)
+        users = np.flatnonzero(self.channel_of == g)
+        for n, m in zip(users.tolist(), self.bs_of[users].tolist()):
+            out[m].append(n)
         return out
 
     def with_moves(self, moves) -> "Grouping":
@@ -99,18 +96,6 @@ class CcinrTable:
 
     s: np.ndarray
     interference: np.ndarray
-
-
-@dataclass
-class ChannelSystem:
-    """Coupling system of one subchannel: a @ P = b.
-
-    a is M x M with -1 on the diagonal and nonnegative couplings off it;
-    b is nonpositive (watts).
-    """
-
-    a: np.ndarray
-    b: np.ndarray
 
 
 @dataclass
@@ -136,8 +121,40 @@ class ChannelSolveResult(NamedTuple):
     feasible: bool
 
 
-def spectral_rates(scenario: Scenario) -> np.ndarray:
-    return scenario.spectral_rates()
+def _member_ccinr(rows, members_by_bs, powers, sigma2: float) -> list[list[tuple]]:
+    """(S_n, n, I_n) of every member of one subchannel, grouped per BS.
+
+    rows[m][n] is BS m's gain to user n on the subchannel and powers[m] its
+    group power there; I_n sums the other BSs' gains times their powers.
+    """
+    num_bs = len(rows)
+    out = []
+    for m, mem in enumerate(members_by_bs):
+        row = rows[m]
+        group = []
+        for n in mem:
+            i_n = 0.0
+            for mp in range(num_bs):
+                if mp != m:
+                    i_n += rows[mp][n] * powers[mp]
+            group.append((row[n] / (i_n + sigma2), n, i_n))
+        out.append(group)
+    return out
+
+
+def _ccinr_table(gain_lists, channel_members, group_power_table, sigma2: float, num_users: int) -> CcinrTable:
+    """CCINR table from channel_members[g], the per-BS member lists of subchannel g."""
+    gp = np.asarray(group_power_table, dtype=float).tolist()
+    s = np.empty(num_users)
+    interference = np.empty(num_users)
+    for g, members_by_bs in enumerate(channel_members):
+        rows = [gain_lists[m][g] for m in range(len(gp))]
+        powers = [gp_m[g] for gp_m in gp]
+        for group in _member_ccinr(rows, members_by_bs, powers, sigma2):
+            for s_n, n, i_n in group:
+                s[n] = s_n
+                interference[n] = i_n
+    return CcinrTable(s=s, interference=interference)
 
 
 def ccinr(gains: ChannelGains, grouping: Grouping, group_power_table, noise_power_w: float) -> CcinrTable:
@@ -147,98 +164,76 @@ def ccinr(gains: ChannelGains, grouping: Grouping, group_power_table, noise_powe
     times their group power on that subchannel. Entries of
     group_power_table must be >= 0.
     """
-    lists = gains.as_lists()
-    gp = np.asarray(group_power_table, dtype=float).tolist()
-    ch = grouping.channel_of.tolist()
-    bs = grouping.bs_of.tolist()
-    num_bs = len(gp)
-    n_users = len(ch)
-    s = np.empty(n_users)
-    interference = np.empty(n_users)
-    for n in range(n_users):
-        g = ch[n]
-        m = bs[n]
-        i_n = 0.0
-        for mp in range(num_bs):
-            if mp != m:
-                i_n += lists[mp][g][n] * gp[mp][g]
-        interference[n] = i_n
-        s[n] = lists[m][g][n] / (i_n + noise_power_w)
-    return CcinrTable(s=s, interference=interference)
+    num_bs, num_ch = gains.gain.shape[:2]
+    channel_members = [grouping.members_by_bs(g, num_bs) for g in range(num_ch)]
+    return _ccinr_table(
+        gains.as_lists(), channel_members, group_power_table, noise_power_w, grouping.num_users
+    )
 
 
-def sic_order(group_members, ccinr_table: CcinrTable) -> list[int]:
-    """Decode order of one group: ascending CCINR, ties by user id."""
-    s = ccinr_table.s
-    return sorted(group_members, key=lambda n: (s[n], n))
+# ----------------------------------------------------------------------
+# The channel kernel: decode orders -> assembly -> solve -> recursion
+# ----------------------------------------------------------------------
+def decode_orders(rows, members_by_bs, pow2r, sigma2: float, powers, order_rule: str) -> tuple:
+    """Decode order of every BS's group on one subchannel, first decoded first.
+
+    ccinr decodes ascending CCINR at the group powers `powers` (the
+    power-minimizing rule); channel_gain decodes ascending own-BS gain (the
+    single-cell convention); rate_descending decodes the highest target
+    rate first. Ties go to the lower user id.
+    """
+    if order_rule == CCINR_ORDER:
+        orders = []
+        for group in _member_ccinr(rows, members_by_bs, powers, sigma2):
+            group.sort()
+            orders.append(tuple([n for _s, n, _i in group]) if group else ())
+        return tuple(orders)
+    if order_rule == CHANNEL_GAIN_ORDER:
+        return tuple(
+            tuple(sorted(mem, key=lambda n, row=rows[m]: (row[n], n)))
+            for m, mem in enumerate(members_by_bs)
+        )
+    if order_rule == RATE_DESCENDING_ORDER:
+        return tuple(tuple(sorted(mem, key=lambda n: (-pow2r[n], n))) for mem in members_by_bs)
+    raise ValueError(f"unknown order rule: {order_rule!r}")
 
 
-def group_power_closed_form(group_members, ccinr_table: CcinrTable, rates) -> float:
-    """Total group power, closed form over the decode order."""
-    s = ccinr_table.s
-    order = sorted(group_members, key=lambda n: (s[n], n))
-    total = 0.0
-    prod = 1.0
-    for n in order:
-        f = 2.0 ** rates[n]
-        total += (f - 1.0) / s[n] * prod
-        prod *= f
-    return total
-
-
-def per_user_powers(group_members, ccinr_table: CcinrTable, rates) -> dict[int, float]:
-    """Per-user powers of one group via the descending-CCINR recursion."""
-    s = ccinr_table.s
-    order = sorted(group_members, key=lambda n: (s[n], n))
-    powers: dict[int, float] = {}
-    acc = 0.0
-    for n in reversed(order):
-        p_n = (2.0 ** rates[n] - 1.0) * (1.0 / s[n] + acc)
-        powers[n] = p_n
-        acc += p_n
-    return powers
-
-
-def build_channel_system(
-    gains: ChannelGains,
-    grouping: Grouping,
-    ccinr_table: CcinrTable,
-    rates,
-    channel: int,
-    noise_power_w: float,
-    num_bs: int | None = None,
-) -> ChannelSystem:
-    """Assemble the coupling system of one subchannel.
+def assemble_coupling(rows, orders, pow2r, sigma2: float) -> tuple[list, list]:
+    """Coupling system a @ P = b of one subchannel under the given orders.
 
     Row m accumulates, over BS m's members in decode order, the weight
-    w_n = (2^r_n - 1)/|H_own|^2 * prod(earlier 2^r_i); the off-diagonal
-    entry (m, m') is sum_n w_n |H_m'|^2 and b_m = -sigma^2 sum_n w_n.
+    w_n = (2^r_n - 1)/|H_own|^2 * prod(earlier 2^r_i); a has -1 on the
+    diagonal, the off-diagonal entry (m, m') is sum_n w_n |H_m'|^2, and
+    b_m = -sigma^2 sum_n w_n. pow2r[n] = 2 ** spectral_rate[n].
     """
-    if num_bs is None:
-        num_bs = int(gains.gain.shape[0])
-    lists = gains.as_lists()
-    s = ccinr_table.s
-    a = np.zeros((num_bs, num_bs))
-    b = np.zeros(num_bs)
+    num_bs = len(rows)
+    a = [[0.0] * num_bs for _ in range(num_bs)]
+    b = [0.0] * num_bs
     for m in range(num_bs):
-        a[m, m] = -1.0
-        order = sorted(grouping.members(m, channel), key=lambda n: (s[n], n))
+        a[m][m] = -1.0
+        row = rows[m]
+        arow = a[m]
         prod = 1.0
         wsum = 0.0
-        for n in order:
-            f = 2.0 ** rates[n]
-            w = (f - 1.0) / lists[m][channel][n] * prod
+        for n in orders[m]:
+            f = pow2r[n]
+            w = (f - 1.0) / row[n] * prod
             wsum += w
             for mp in range(num_bs):
                 if mp != m:
-                    a[m, mp] += w * lists[mp][channel][n]
+                    arow[mp] += w * rows[mp][n]
             prod *= f
-        b[m] = -noise_power_w * wsum
-    return ChannelSystem(a=a, b=b)
+        b[m] = -sigma2 * wsum
+    return a, b
 
 
-def _lu_solve(a_rows: list, b_vec: list):
-    """Dense LU with partial pivoting on nested lists; None if singular."""
+def solve_coupling(a_rows: list, b_vec: list):
+    """Group powers P >= 0 with a @ P = b, or None when infeasible.
+
+    Dense LU with partial pivoting on nested lists. Numerical singularity
+    and negative or non-finite components all mean the grouping cannot be
+    powered on this subchannel; none of them is an error.
+    """
     n = len(b_vec)
     a = [row[:] for row in a_rows]
     x = list(b_vec)
@@ -270,32 +265,29 @@ def _lu_solve(a_rows: list, b_vec: list):
         for j in range(i + 1, n):
             acc -= ai[j] * x[j]
         x[i] = acc / ai[i]
-    return x
-
-
-def solve_channel_powers(system: ChannelSystem):
-    """Solve a @ P = b; returns P (>= 0, finite) or None when infeasible.
-
-    Numerical singularity and negative or non-finite components both mean
-    the grouping cannot be powered on this subchannel; neither is an error.
-    """
-    a = np.asarray(system.a, dtype=float)
-    b = np.asarray(system.b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
-        raise ValueError("system must be square with a matching vector")
-    x = _lu_solve(a.tolist(), b.tolist())
-    if x is None:
-        return None
-    out = np.empty(len(x))
     for i, v in enumerate(x):
         if not math.isfinite(v):
             return None
         if v < 0.0:
             if v < -ABS_FLOOR_W:
                 return None
-            v = 0.0
-        out[i] = v
-    return out
+            x[i] = 0.0
+    return x
+
+
+def user_powers(order, s, pow2r) -> dict[int, float]:
+    """Per-user powers of one group, by the recursion from the last decoder.
+
+    p_n = (2^r_n - 1) * (1/S_n + sum of powers decoded after n); their sum
+    is the group power. order is first decoded first, s[n] the CCINR.
+    """
+    powers: dict[int, float] = {}
+    acc = 0.0
+    for n in reversed(order):
+        p_n = (pow2r[n] - 1.0) * (1.0 / s[n] + acc)
+        powers[n] = p_n
+        acc += p_n
+    return powers
 
 
 def solve_one_channel(
@@ -313,92 +305,25 @@ def solve_one_channel(
     decode orders, so each iteration's solve is exact for its orders and
     the loop converges one iteration after the orders stop changing.
     """
-    num_bs = len(members_by_bs)
-    rows = [gain_lists[m][channel] for m in range(num_bs)]
-    p_cur = list(warm_start) if warm_start is not None else [0.0] * num_bs
-
-    fixed_orders = None
-    if order_rule == CHANNEL_GAIN_ORDER:
-        fixed_orders = tuple(
-            tuple(sorted(mem, key=lambda n, r=rows[m]: (r[n], n)))
-            for m, mem in enumerate(members_by_bs)
-        )
-    elif order_rule == RATE_DESCENDING_ORDER:
-        fixed_orders = tuple(
-            tuple(sorted(mem, key=lambda n: (-pow2r[n], n)))
-            for mem in members_by_bs
-        )
-    elif order_rule != CCINR_ORDER:
-        raise ValueError(f"unknown order rule: {order_rule!r}")
-
-    prev_orders = None
+    rows = [gain_lists[m][channel] for m in range(len(members_by_bs))]
+    p_cur = list(warm_start) if warm_start is not None else [0.0] * len(rows)
+    orders = prev_orders = None
     iterations = 0
     for iterations in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
-        if fixed_orders is not None:
-            orders = fixed_orders
-        else:
-            order_list = []
-            for m in range(num_bs):
-                mem = members_by_bs[m]
-                if not mem:
-                    order_list.append(())
-                    continue
-                row = rows[m]
-                keyed = []
-                for n in mem:
-                    i_n = 0.0
-                    for mp in range(num_bs):
-                        if mp != m:
-                            i_n += rows[mp][n] * p_cur[mp]
-                    keyed.append((row[n] / (i_n + sigma2), n))
-                keyed.sort()
-                order_list.append(tuple(n for _, n in keyed))
-            orders = tuple(order_list)
-
-        a = [[0.0] * num_bs for _ in range(num_bs)]
-        b = [0.0] * num_bs
-        for m in range(num_bs):
-            a[m][m] = -1.0
-            row = rows[m]
-            arow = a[m]
-            prod = 1.0
-            wsum = 0.0
-            for n in orders[m]:
-                f = pow2r[n]
-                w = (f - 1.0) / row[n] * prod
-                wsum += w
-                for mp in range(num_bs):
-                    if mp != m:
-                        arow[mp] += w * rows[mp][n]
-                prod *= f
-            b[m] = -sigma2 * wsum
-
-        if num_bs == 1:
-            p_new = [-b[0]]
-        else:
-            p_new = _lu_solve(a, b)
-            if p_new is None:
-                return ChannelSolveResult(p_cur, orders, iterations, False)
-        for m in range(num_bs):
-            v = p_new[m]
-            if not math.isfinite(v):
-                return ChannelSolveResult(p_cur, orders, iterations, False)
-            if v < 0.0:
-                if v < -ABS_FLOOR_W:
-                    return ChannelSolveResult(p_new, orders, iterations, False)
-                p_new[m] = 0.0
-
+        # Only the CCINR orders depend on the powers.
+        if orders is None or order_rule == CCINR_ORDER:
+            orders = decode_orders(rows, members_by_bs, pow2r, sigma2, p_cur, order_rule)
+        p_new = solve_coupling(*assemble_coupling(rows, orders, pow2r, sigma2))
+        if p_new is None:
+            return ChannelSolveResult(p_cur, orders, iterations, False)
         if orders == prev_orders:
-            converged = True
-            for m in range(num_bs):
-                if abs(p_new[m] - p_cur[m]) > REL_TOL * max(abs(p_new[m]), ABS_FLOOR_W):
-                    converged = False
+            for new, cur in zip(p_new, p_cur):
+                if abs(new - cur) > REL_TOL * max(abs(new), ABS_FLOOR_W):
                     break
-            if converged:
+            else:
                 return ChannelSolveResult(p_new, orders, iterations, True)
         prev_orders = orders
         p_cur = p_new
-
     return ChannelSolveResult(p_cur, prev_orders, iterations, False)
 
 
@@ -422,10 +347,12 @@ def solve_all_powers(
     num_bs, num_ch = cfg.num_bs, cfg.num_channels
 
     group_power = np.zeros((num_bs, num_ch))
+    channel_members = []
     orders: dict = {}
     max_iters = 0
     for g in range(num_ch):
         members = grouping.members_by_bs(g, num_bs)
+        channel_members.append(members)
         res = solve_one_channel(lists, g, members, pow2r, sigma2, order_rule=order_rule)
         max_iters = max(max_iters, res.iterations)
         if not res.feasible:
@@ -441,15 +368,11 @@ def solve_all_powers(
         for m in range(num_bs):
             orders[(m, g)] = res.orders[m]
 
-    table = ccinr(gains, grouping, group_power, sigma2)
+    table = _ccinr_table(lists, channel_members, group_power, sigma2, cfg.num_users)
     p = np.zeros(cfg.num_users)
-    s = table.s
-    for (m, g), order in orders.items():
-        acc = 0.0
-        for n in reversed(order):
-            p_n = (pow2r[n] - 1.0) * (1.0 / s[n] + acc)
+    for order in orders.values():
+        for n, p_n in user_powers(order, table.s, pow2r).items():
             p[n] = p_n
-            acc += p_n
     return PowerSolution(
         p=p,
         group_power=group_power,

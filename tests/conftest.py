@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from noma_grouping import (
+    assemble_coupling,
+    ccinr,
+    decode_orders,
     draw_channel_gains,
     generate_scenario,
     initial_grouping,
     default_config,
     solve_all_powers,
+    user_powers,
 )
+from noma_grouping.power import CCINR_ORDER
 
 REL = 1e-9
 FLOOR = 1e-18
@@ -69,6 +74,60 @@ def feasible_instances(count, num_users, num_channels, num_bs, rate_range=(60e3,
         if solution.feasible:
             produced += 1
             yield scenario, gains, grouping, solution
+
+
+def single_cell_group(s, rates, members=None):
+    """One BS whose users' CCINR is s: gains s at unit noise, no interference.
+
+    Returns the group's ascending-CCINR decode order, its closed-form
+    power from the coupling assembly (-b of the 1 x 1 system) and pow2r.
+    """
+    rows = [[float(x) for x in s]]
+    pow2r = [2.0 ** r for r in rates]
+    members = list(range(len(s))) if members is None else list(members)
+    orders = decode_orders(rows, [members], pow2r, 1.0, [0.0], CCINR_ORDER)
+    _a, b = assemble_coupling(rows, orders, pow2r, 1.0)
+    return orders[0], -b[0], pow2r
+
+
+def channel_system(gains, grouping, pow2r, sigma2, group_power, g):
+    """Coupling system (a, b) of subchannel g under the CCINR orders at group_power."""
+    num_bs = gains.gain.shape[0]
+    rows = [gains.as_lists()[m][g] for m in range(num_bs)]
+    powers = [float(group_power[m][g]) for m in range(num_bs)]
+    orders = decode_orders(
+        rows, grouping.members_by_bs(g, num_bs), pow2r, sigma2, powers, CCINR_ORDER
+    )
+    return assemble_coupling(rows, orders, pow2r, sigma2)
+
+
+def jacobi_group_power(gains, grouping, scenario, max_sweeps):
+    """Group powers by Jacobi iteration of the per-group recursion, from zero.
+
+    An independent path to the coupled solution: every sweep recomputes the
+    CCINR table at the current group powers, then each group's power as the
+    recursion sum in ascending-CCINR order. Returns the powers and whether
+    two successive sweeps agreed to 1e-13 relative.
+    """
+    cfg = scenario.config
+    sigma2 = scenario.noise_power_w
+    pow2r = np.exp2(scenario.spectral_rates()).tolist()
+    lists = gains.as_lists()
+    members = [grouping.members_by_bs(g, cfg.num_bs) for g in range(cfg.num_channels)]
+    gp = np.zeros((cfg.num_bs, cfg.num_channels))
+    for _ in range(max_sweeps):
+        table = ccinr(gains, grouping, gp, sigma2)
+        new = np.zeros_like(gp)
+        for g in range(cfg.num_channels):
+            rows = [lists[m][g] for m in range(cfg.num_bs)]
+            orders = decode_orders(rows, members[g], pow2r, sigma2, gp[:, g].tolist(), CCINR_ORDER)
+            for m, order in enumerate(orders):
+                new[m, g] = sum(user_powers(order, table.s, pow2r).values())
+        done = np.all(np.abs(new - gp) <= np.maximum(1e-13 * np.abs(new), 1e-22))
+        gp = new
+        if done:
+            return gp, True
+    return gp, False
 
 
 @pytest.fixture

@@ -15,26 +15,30 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_close, make_instance
+from conftest import (
+    assert_close,
+    channel_system,
+    jacobi_group_power,
+    make_instance,
+    single_cell_group,
+)
 from noma_grouping import (
+    League,
     achieved_rates,
-    build_channel_system,
+    apply_league,
     build_graph,
-    ccinr,
     enumerate_leagues,
     exhaustive_best_grouping,
     gale_shapley_grouping,
-    group_power_closed_form,
     initial_grouping,
     is_nash_equilibrium,
-    per_user_powers,
     run_game,
     sccd_grouping,
     solve_all_powers,
-    solve_channel_powers,
+    solve_coupling,
+    user_powers,
 )
-from noma_grouping.graph import VirtualUser
-from noma_grouping.power import CcinrTable, total_power_or_inf
+from noma_grouping.power import total_power_or_inf
 
 
 def _report(num, detail):
@@ -73,8 +77,7 @@ def test_criterion_01_order_optimality():
         k = int(rng.integers(2, 6))
         s_vals = rng.uniform(1e-2, 1e3, k)
         rates = rng.uniform(0.0, 3.0, k)
-        table = CcinrTable(s=s_vals, interference=np.zeros(k))
-        best = group_power_closed_form(list(range(k)), table, rates)
+        _order, best, _pow2r = single_cell_group(s_vals, rates)
         for perm in itertools.permutations(range(k)):
             other = _recursion_total(list(perm), s_vals, rates)
             if best > other * (1 + 1e-9):
@@ -87,7 +90,8 @@ def test_criterion_01_order_optimality():
 
 
 # ----------------------------------------------------------------------
-# criterion 2: closed-form group power equals the recursion sum
+# criterion 2: closed-form group power (the coupling assembly) equals the
+# recursion sum
 # ----------------------------------------------------------------------
 def test_criterion_02_closed_form_identity():
     start = time.perf_counter()
@@ -95,10 +99,10 @@ def test_criterion_02_closed_form_identity():
     worst = 0.0
     for _ in range(10000):
         k = int(rng.integers(1, 7))
-        table = CcinrTable(s=rng.uniform(1e-3, 1e3, k), interference=np.zeros(k))
+        s_vals = rng.uniform(1e-3, 1e3, k)
         rates = rng.uniform(0.0, 3.0, k)
-        closed = group_power_closed_form(list(range(k)), table, rates)
-        summed = sum(per_user_powers(list(range(k)), table, rates).values())
+        order, closed, pow2r = single_cell_group(s_vals, rates)
+        summed = sum(user_powers(order, s_vals, pow2r).values())
         if closed > 0:
             worst = max(worst, abs(closed - summed) / closed)
         assert abs(closed - summed) <= max(1e-12 * closed, 1e-30)
@@ -130,34 +134,18 @@ def feasible_multicell_batch():
 def test_criterion_03_lu_equals_jacobi_and_norm_identity(feasible_multicell_batch):
     start = time.perf_counter()
     for scenario, gains, grouping, solution in feasible_multicell_batch:
-        cfg = scenario.config
-        sigma2 = scenario.noise_power_w
-        rates = scenario.spectral_rates()
-        # independent path: nonlinear Jacobi iteration of the closed form
-        gp = np.zeros((cfg.num_bs, cfg.num_channels))
-        converged = False
-        for _ in range(500000):
-            table = ccinr(gains, grouping, gp, sigma2)
-            new = np.zeros_like(gp)
-            for m in range(cfg.num_bs):
-                for g in range(cfg.num_channels):
-                    members = grouping.members(m, g)
-                    if members:
-                        new[m, g] = group_power_closed_form(members, table, rates)
-            if np.all(np.abs(new - gp) <= np.maximum(1e-13 * np.abs(new), 1e-22)):
-                gp = new
-                converged = True
-                break
-            gp = new
+        # independent path: nonlinear Jacobi iteration of the recursion
+        gp, converged = jacobi_group_power(gains, grouping, scenario, 500000)
         assert converged
         assert_close(gp, solution.group_power, label="jacobi vs LU")
         # total power equals the sum of per-channel solved 1-norms
+        pow2r = np.exp2(scenario.spectral_rates()).tolist()
         total = 0.0
-        for g in range(cfg.num_channels):
-            system = build_channel_system(
-                gains, grouping, solution.ccinr, rates, g, noise_power_w=sigma2
+        for g in range(scenario.config.num_channels):
+            a, b = channel_system(
+                gains, grouping, pow2r, scenario.noise_power_w, solution.group_power, g
             )
-            powers = solve_channel_powers(system)
+            powers = solve_coupling(a, b)
             assert powers is not None
             total += float(np.sum(powers))
         assert_close(total, float(np.sum(solution.p)), label="norm identity")
@@ -214,12 +202,12 @@ def test_criterion_05_cycle_sum_identity():
             )
             if not math.isfinite(predicted):
                 continue
-            moves = []
-            for k, i in enumerate(cycle):
-                node = graph.nodes[i]
-                if not isinstance(node, VirtualUser):
-                    moves.append((int(node), graph.node_groups[cycle[(k + 1) % length]]))
-            after = solve_all_powers(gains, grouping.with_moves(moves), scenario)
+            league = League(
+                cycle=[graph.nodes[i] for i in cycle],
+                predicted_delta_w=predicted,
+                groups=tuple(graph.node_groups[i] for i in cycle),
+            )
+            after = solve_all_powers(gains, apply_league(grouping, league), scenario)
             actual = total_power_or_inf(after) - base_total
             assert_close(predicted, actual, label="cycle sum identity")
             cycles_done += 1

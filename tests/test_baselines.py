@@ -8,17 +8,17 @@ from noma_grouping import (
     Grouping,
     InstanceTooLargeError,
     StrategyKind,
+    decode_orders,
     enumerate_leagues,
     exhaustive_best_grouping,
     gale_shapley_grouping,
     initial_grouping,
     is_nash_equilibrium,
-    reference_sic_orders,
     run_game,
     sccd_grouping,
     solve_all_powers,
 )
-from noma_grouping.power import total_power_or_inf
+from noma_grouping.power import CHANNEL_GAIN_ORDER, RATE_DESCENDING_ORDER, total_power_or_inf
 from noma_grouping.scenario import ChannelGains
 
 
@@ -88,30 +88,36 @@ class TestGaleShapley:
             users = scenario.users_of_bs(m)
             quota = math.ceil(len(users) / 4)
             for g in range(4):
-                assert len(grouping.members(m, g)) <= quota
+                assert len(grouping.members_by_bs(g, 2)[m]) <= quota
+
+
+def _reference_order(rule, members, own_gains, pow2r):
+    """Decode order of one single-cell group under a reference rule."""
+    (order,) = decode_orders([own_gains], [members], pow2r, 1.0, [0.0], rule)
+    return order
 
 
 class TestReferenceOrders:
     def test_equal_rates_fall_back_to_id(self):
-        orders = reference_sic_orders([3, 1, 2], {1: 5.0, 2: 3.0, 3: 4.0}, {1: 2.0, 2: 2.0, 3: 2.0})
-        assert orders["rate_descending"] == [1, 2, 3]
+        order = _reference_order(RATE_DESCENDING_ORDER, [3, 1, 2], [0.0, 5.0, 3.0, 4.0], [1.0, 4.0, 4.0, 4.0])
+        assert order == (1, 2, 3)
 
     def test_channel_gain_equals_ccinr_without_interference(self):
         scenario, gains = make_instance(8, 2, 1, seed=8)
         grouping = initial_grouping(gains, scenario)
         solution = solve_all_powers(gains, grouping, scenario)
         assert solution.feasible
+        pow2r = np.exp2(scenario.spectral_rates()).tolist()
         for (m, g), order in solution.sic_order.items():
-            members = grouping.members(m, g)
+            members = grouping.members_by_bs(g, 1)[m]
             if not members:
                 continue
-            own = {n: float(gains.gain[m, g, n]) for n in members}
-            ref = reference_sic_orders(members, own, scenario.target_rates_bps)
-            assert list(order) == ref["channel_gain"]
+            own = gains.as_lists()[m][g]
+            assert order == _reference_order(CHANNEL_GAIN_ORDER, members, own, pow2r)
 
     def test_rate_descending_puts_high_rate_first(self):
-        orders = reference_sic_orders([0, 1], {0: 1.0, 1: 2.0}, {0: 10.0, 1: 99.0})
-        assert orders["rate_descending"] == [1, 0]
+        order = _reference_order(RATE_DESCENDING_ORDER, [0, 1], [1.0, 2.0], [2.0 ** 10.0, 2.0 ** 99.0])
+        assert order == (1, 0)
 
 
 class TestExhaustive:

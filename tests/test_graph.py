@@ -11,7 +11,6 @@ from noma_grouping import (
     apply_league,
     build_graph,
     dump_adjacency_csv,
-    edge_weight,
     find_negative_loop_eba,
     find_negative_loop_fga,
     initial_grouping,
@@ -33,11 +32,17 @@ def _fake_graph(weights, groups):
     return graph
 
 
+def _edge(graph, n, n_to):
+    """Weight of the edge between two nodes, given as user ids or VirtualUser markers."""
+    return graph.weight(graph.nodes.index(n), graph.nodes.index(n_to))
+
+
 class TestEdgeWeight:
     def test_virtual_to_virtual_is_zero(self):
         scenario, gains = make_instance(6, 3, 1, seed=1)
         grouping = initial_grouping(gains, scenario)
-        assert edge_weight(gains, scenario, grouping, VirtualUser(0), VirtualUser(1)) == 0.0
+        graph = build_graph(gains, scenario, grouping, 0)
+        assert _edge(graph, VirtualUser(0), VirtualUser(1)) == 0.0
 
     def test_move_into_globally_empty_group(self):
         scenario, gains = make_instance(6, 3, 2, seed=21)
@@ -48,7 +53,7 @@ class TestEdgeWeight:
         # (2^r - 1) * sigma^2 / gain
         users0 = scenario.users_of_bs(0)
         n = users0[0]
-        delta = edge_weight(gains, scenario, grouping, n, VirtualUser(2))
+        delta = _edge(build_graph(gains, scenario, grouping, 0), n, VirtualUser(2))
         r = scenario.spectral_rates()[n]
         expected = (2.0 ** r - 1.0) * scenario.noise_power_w / gains.gain[0, 2, n]
         assert_close(delta, expected, rel=1e-12)
@@ -65,8 +70,9 @@ class TestEdgeWeight:
                 if pair:
                     break
             a, b = pair
-            forward = edge_weight(gains, scenario, grouping, a, b)
-            backward = edge_weight(gains, scenario, grouping, b, a)
+            graph = build_graph(gains, scenario, grouping, 0)
+            forward = _edge(graph, a, b)
+            backward = _edge(graph, b, a)
             swapped = grouping.with_moves(
                 [(a, int(grouping.channel_of[b])), (b, int(grouping.channel_of[a]))]
             )
@@ -77,8 +83,10 @@ class TestEdgeWeight:
     def test_same_group_rejected(self):
         scenario, gains = make_instance(6, 2, 1, seed=3)
         grouping = Grouping(channel_of=np.zeros(6, dtype=int), bs_of=scenario.association.copy())
-        with pytest.raises(ValueError):
-            edge_weight(gains, scenario, grouping, 0, 1)
+        graph = build_graph(gains, scenario, grouping, 0)
+        # a same-group pair is no edge: its weight is +inf, as is a self loop
+        assert _edge(graph, 0, 1) == math.inf
+        assert _edge(graph, 0, 0) == math.inf
 
 
 class TestBuildGraph:
@@ -245,7 +253,9 @@ class TestApplyLeague:
         a = users[0]
         b = next(u for u in users if grouping.channel_of[u] != grouping.channel_of[a])
         ga, gb = int(grouping.channel_of[a]), int(grouping.channel_of[b])
-        league = League(kind="exchange", cycle=[a, b], predicted_delta_w=-1.0, groups=(ga, gb))
+        league = League(cycle=[a, b], predicted_delta_w=-1.0, groups=(ga, gb))
+        assert league.kind == "exchange"
+        assert league.moves() == [(a, gb), (b, ga)]
         new = apply_league(grouping, league)
         assert int(new.channel_of[a]) == gb
         assert int(new.channel_of[b]) == ga
@@ -257,11 +267,12 @@ class TestApplyLeague:
         gn = int(grouping.channel_of[n])
         target = (gn + 1) % 3
         league = League(
-            kind="shift",
             cycle=[n, VirtualUser(target)],
             predicted_delta_w=-1.0,
             groups=(gn, target),
         )
+        assert league.kind == "shift"
+        assert league.moves() == [(n, target)]
         new = apply_league(grouping, league)
         assert int(new.channel_of[n]) == target
         moved = np.flatnonzero(new.channel_of != grouping.channel_of)
@@ -273,7 +284,6 @@ class TestApplyLeague:
         n = scenario.users_of_bs(0)[0]
         gn = int(grouping.channel_of[n])
         league = League(
-            kind="shift",
             cycle=[n, VirtualUser(1 - gn)],
             predicted_delta_w=-1.0,
             groups=(gn, 1 - gn),

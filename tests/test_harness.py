@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,7 +167,6 @@ class TestSeedsAndConfig:
                     "num_channels": 3,
                     "num_bs": 4,
                     "rate_range_bps": [60e3, 300e3],
-                    "seed": 9,
                 }
             )
         )
@@ -176,21 +176,27 @@ class TestSeedsAndConfig:
         assert cfg.bs_positions.shape == (4, 2)
         assert cfg.rate_range_bps == (60e3, 300e3)
 
-    def test_load_config_explicit_positions(self, tmp_path):
+    def test_load_config_rejects_unhonored_keys(self, tmp_path):
+        # the sweep rebuilds its scenarios from these four keys only, so a
+        # key it would ignore is an error rather than a silent no-op
+        unhonored = {
+            "area": [0, 0, 500, 500],
+            "bs_positions": [[100.0, 100.0]],
+            "min_user_bs_distance": 20.0,
+            "bandwidth_hz": 1e6,
+            "noise_psd_dbm_per_hz": -150.0,
+            "seed": 99,
+        }
         path = tmp_path / "cfg.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "num_users": 5,
-                    "num_channels": 2,
-                    "bs_positions": [[100.0, 100.0]],
-                    "area": [0, 0, 500, 500],
-                }
-            )
-        )
-        cfg = load_config(str(path))
-        assert cfg.num_bs == 1
-        assert cfg.area == (0, 0, 500, 500)
+        for key, value in unhonored.items():
+            path.write_text(json.dumps({"num_users": 5, "num_channels": 2, key: value}))
+            with pytest.raises(ValueError, match=key):
+                load_config(str(path))
+
+    def test_shipped_config_loads(self):
+        cfg = load_config(str(Path(__file__).parents[1] / "configs" / "default.json"))
+        assert (cfg.num_users, cfg.num_channels, cfg.num_bs) == (50, 10, 4)
+        assert cfg.rate_range_bps == (60e3, 600e3)
 
     def test_watts_to_dbm(self):
         assert watts_to_dbm(1.0) == pytest.approx(30.0)

@@ -4,24 +4,27 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_close, feasible_instances, make_instance
+from conftest import (
+    assert_close,
+    channel_system,
+    feasible_instances,
+    jacobi_group_power,
+    make_instance,
+    single_cell_group,
+)
 from noma_grouping import (
-    CcinrTable,
-    ChannelSystem,
     Grouping,
     InfeasibleSolutionError,
     achieved_rates,
-    build_channel_system,
     ccinr,
-    group_power_closed_form,
+    decode_orders,
     initial_grouping,
-    per_user_powers,
-    sic_order,
     solve_all_powers,
-    solve_channel_powers,
+    solve_coupling,
     total_power,
+    user_powers,
 )
-from noma_grouping.power import total_power_or_inf
+from noma_grouping.power import CCINR_ORDER, total_power_or_inf
 from noma_grouping.scenario import ChannelGains
 
 
@@ -56,41 +59,55 @@ class TestCcinr:
 
 class TestSicOrder:
     def test_sorts_ascending(self):
-        table = CcinrTable(s=np.array([3.0, 1.0, 2.0]), interference=np.zeros(3))
-        assert sic_order([0, 1, 2], table) == [1, 2, 0]
+        order, _closed, _pow2r = single_cell_group([3.0, 1.0, 2.0], [0.0] * 3)
+        assert order == (1, 2, 0)
 
     def test_singleton(self):
-        table = CcinrTable(s=np.array([5.0]), interference=np.zeros(1))
-        assert sic_order([0], table) == [0]
+        order, _closed, _pow2r = single_cell_group([5.0], [0.0])
+        assert order == (0,)
 
     def test_ties_break_by_id(self):
-        table = CcinrTable(s=np.array([2.0, 2.0, 2.0]), interference=np.zeros(3))
-        assert sic_order([2, 0, 1], table) == [0, 1, 2]
+        order, _closed, _pow2r = single_cell_group([2.0, 2.0, 2.0], [0.0] * 3, members=[2, 0, 1])
+        assert order == (0, 1, 2)
+
+    def test_interference_enters_the_order(self):
+        # user 0 has the larger own gain but sits under BS 1's interference
+        rows = [[4.0, 3.0], [1.0, 0.0]]
+        members = [[0, 1], []]
+        quiet = decode_orders(rows, members, [2.0, 2.0], 1.0, [0.0, 0.0], CCINR_ORDER)
+        loud = decode_orders(rows, members, [2.0, 2.0], 1.0, [0.0, 1.0], CCINR_ORDER)
+        assert quiet == ((1, 0), ())
+        assert loud == ((0, 1), ())
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError):
+            decode_orders([[1.0]], [[0]], [2.0], 1.0, [0.0], "loudest_first")
 
 
 class TestGroupPowerForms:
     def test_zero_rate_single_user(self):
-        table = CcinrTable(s=np.array([10.0]), interference=np.zeros(1))
-        assert group_power_closed_form([0], table, np.array([0.0])) == 0.0
+        _order, closed, _pow2r = single_cell_group([10.0], [0.0])
+        assert closed == 0.0
 
     def test_two_user_hand_case(self):
-        table = CcinrTable(s=np.array([10.0, 5.0]), interference=np.zeros(2))
-        rates = np.array([1.0, 1.0])
-        assert group_power_closed_form([0, 1], table, rates) == pytest.approx(0.4, rel=1e-12)
-        powers = per_user_powers([0, 1], table, rates)
+        s = [10.0, 5.0]
+        order, closed, pow2r = single_cell_group(s, [1.0, 1.0])
+        assert closed == pytest.approx(0.4, rel=1e-12)
+        powers = user_powers(order, s, pow2r)
         assert powers[0] == pytest.approx(0.1, rel=1e-12)
         assert powers[1] == pytest.approx(0.3, rel=1e-12)
 
     def test_singleton_recursion_base_case(self):
-        table = CcinrTable(s=np.array([10.0]), interference=np.zeros(1))
-        powers = per_user_powers([0], table, np.array([1.0]))
+        powers = user_powers((0,), [10.0], [2.0])
         assert powers[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_zero_rate_user_contributes_nothing(self):
-        table = CcinrTable(s=np.array([10.0, 5.0, 7.0]), interference=np.zeros(3))
-        rates = np.array([1.0, 1.0, 0.0])
-        with_zero = per_user_powers([0, 1, 2], table, rates)
-        without = per_user_powers([0, 1], table, rates)
+        s = [10.0, 5.0, 7.0]
+        rates = [1.0, 1.0, 0.0]
+        order3, _closed, pow2r = single_cell_group(s, rates)
+        order2, _closed, _pow2r = single_cell_group(s, rates, members=[0, 1])
+        with_zero = user_powers(order3, s, pow2r)
+        without = user_powers(order2, s, pow2r)
         assert with_zero[2] == 0.0
         assert with_zero[0] == pytest.approx(without[0], rel=1e-12)
         assert with_zero[1] == pytest.approx(without[1], rel=1e-12)
@@ -99,10 +116,9 @@ class TestGroupPowerForms:
         rng = np.random.default_rng(123)
         for _ in range(500):
             k = int(rng.integers(1, 7))
-            table = CcinrTable(s=rng.uniform(1e-3, 1e3, k), interference=np.zeros(k))
-            rates = rng.uniform(0.0, 3.0, k)
-            closed = group_power_closed_form(list(range(k)), table, rates)
-            recursed = sum(per_user_powers(list(range(k)), table, rates).values())
+            s = rng.uniform(1e-3, 1e3, k)
+            order, closed, pow2r = single_cell_group(s, rng.uniform(0.0, 3.0, k))
+            recursed = sum(user_powers(order, s, pow2r).values())
             assert_close(closed, recursed, rel=1e-12)
 
     def test_ccinr_order_beats_every_permutation(self):
@@ -121,8 +137,7 @@ class TestGroupPowerForms:
             k = int(rng.integers(2, 6))
             s = rng.uniform(0.1, 100.0, k)
             rates = rng.uniform(0.0, 3.0, k)
-            table = CcinrTable(s=s, interference=np.zeros(k))
-            best = group_power_closed_form(list(range(k)), table, rates)
+            _order, best, _pow2r = single_cell_group(s, rates)
             for perm in itertools.permutations(range(k)):
                 assert best <= order_total(list(perm), s, rates) * (1 + 1e-9)
 
@@ -131,22 +146,22 @@ class TestChannelSystem:
     def test_empty_channel(self):
         gains = _toy_gains(np.full((3, 2, 2), 1e-10))
         grouping = Grouping(channel_of=[0, 0], bs_of=[0, 1])
-        table = CcinrTable(s=np.ones(2), interference=np.zeros(2))
-        system = build_channel_system(gains, grouping, table, np.ones(2), 1, noise_power_w=1e-15)
-        assert np.array_equal(system.a, -np.eye(3))
-        assert np.array_equal(system.b, np.zeros(3))
+        a, b = channel_system(gains, grouping, [2.0, 2.0], 1e-15, np.zeros((3, 2)), 1)
+        assert np.array_equal(a, -np.eye(3))
+        assert np.array_equal(b, np.zeros(3))
 
     def test_single_cell_system(self):
         gains = _toy_gains(np.full((1, 1, 2), 1e-10))
         grouping = Grouping(channel_of=[0, 0], bs_of=[0, 0])
         sigma2 = 1e-15
         table = ccinr(gains, grouping, np.zeros((1, 1)), sigma2)
-        rates = np.array([1.0, 1.0])
-        system = build_channel_system(gains, grouping, table, rates, 0, noise_power_w=sigma2)
-        assert system.a.shape == (1, 1) and system.a[0, 0] == -1.0
-        expected = group_power_closed_form([0, 1], table, rates)
-        assert_close(-system.b[0], expected, rel=1e-12)
-        assert_close(solve_channel_powers(system)[0], expected, rel=1e-12)
+        pow2r = [2.0, 2.0]
+        a, b = channel_system(gains, grouping, pow2r, sigma2, np.zeros((1, 1)), 0)
+        assert a == [[-1.0]]
+        # equal CCINR: the tie decodes user 0 first
+        expected = sum(user_powers((0, 1), table.s, pow2r).values())
+        assert_close(-b[0], expected, rel=1e-12)
+        assert_close(solve_coupling(a, b)[0], expected, rel=1e-12)
 
     def test_two_cell_hand_entries(self):
         # one user per cell on the same channel, hand-picked gains
@@ -157,39 +172,34 @@ class TestChannelSystem:
         gain[0, 0, 1] = 1e-12   # cross gain of user 1 from BS 0
         grouping = Grouping(channel_of=[0, 0], bs_of=[0, 1])
         sigma2 = 1e-15
-        table = ccinr(_toy_gains(gain), grouping, np.zeros((2, 1)), sigma2)
-        rates = np.array([1.0, 2.0])
-        system = build_channel_system(_toy_gains(gain), grouping, table, rates, 0, noise_power_w=sigma2)
+        pow2r = [2.0, 4.0]  # rates 1 and 2 bit/s/Hz
+        a, b = channel_system(_toy_gains(gain), grouping, pow2r, sigma2, np.zeros((2, 1)), 0)
         # row 0: member user 0: w = (2^1-1)/1e-10; a01 = w * gain[1,0,0]
-        assert system.a[0, 1] == pytest.approx((1.0 / 1e-10) * 2e-12, rel=1e-12)
+        assert a[0][1] == pytest.approx((1.0 / 1e-10) * 2e-12, rel=1e-12)
         # row 1: member user 1: w = (2^2-1)/5e-11; a10 = w * gain[0,0,1]
-        assert system.a[1, 0] == pytest.approx((3.0 / 5e-11) * 1e-12, rel=1e-12)
-        assert system.b[0] == pytest.approx(-(1.0 / 1e-10) * sigma2, rel=1e-12)
-        assert system.b[1] == pytest.approx(-(3.0 / 5e-11) * sigma2, rel=1e-12)
+        assert a[1][0] == pytest.approx((3.0 / 5e-11) * 1e-12, rel=1e-12)
+        assert b[0] == pytest.approx(-(1.0 / 1e-10) * sigma2, rel=1e-12)
+        assert b[1] == pytest.approx(-(3.0 / 5e-11) * sigma2, rel=1e-12)
 
 
 class TestSolveChannelPowers:
     def test_single_cell(self):
-        system = ChannelSystem(a=np.array([[-1.0]]), b=np.array([-0.4]))
-        assert_close(solve_channel_powers(system), [0.4], rel=1e-12)
+        assert_close(solve_coupling([[-1.0]], [-0.4]), [0.4], rel=1e-12)
 
     def test_two_cell_symmetric(self):
-        system = ChannelSystem(
-            a=np.array([[-1.0, 0.5], [0.5, -1.0]]), b=np.array([-1.0, -1.0])
-        )
-        assert_close(solve_channel_powers(system), [2.0, 2.0], rel=1e-12)
+        assert_close(solve_coupling([[-1.0, 0.5], [0.5, -1.0]], [-1.0, -1.0]), [2.0, 2.0], rel=1e-12)
 
     def test_strong_coupling_is_infeasible(self):
-        system = ChannelSystem(
-            a=np.array([[-1.0, 1.1], [1.1, -1.0]]), b=np.array([-1.0, -1.0])
-        )
-        assert solve_channel_powers(system) is None
+        assert solve_coupling([[-1.0, 1.1], [1.1, -1.0]], [-1.0, -1.0]) is None
 
     def test_singular_is_infeasible(self):
-        system = ChannelSystem(
-            a=np.array([[-1.0, 1.0], [-1.0, 1.0]]), b=np.array([-1.0, -1.0])
-        )
-        assert solve_channel_powers(system) is None
+        assert solve_coupling([[-1.0, 1.0], [-1.0, 1.0]], [-1.0, -1.0]) is None
+
+    def test_inputs_untouched(self):
+        a = [[-1.0, 0.5], [0.5, -1.0]]
+        b = [-1.0, -1.0]
+        solve_coupling(a, b)
+        assert a == [[-1.0, 0.5], [0.5, -1.0]] and b == [-1.0, -1.0]
 
 
 class TestSolveAllPowers:
@@ -199,13 +209,15 @@ class TestSolveAllPowers:
         solution = solve_all_powers(gains, grouping, scenario)
         assert solution.feasible
         assert solution.fixed_point_iterations <= 2
-        rates = scenario.spectral_rates()
-        for (m, g), order in solution.sic_order.items():
-            members = grouping.members(m, g)
-            if not members:
-                continue
-            powers = per_user_powers(members, solution.ccinr, rates)
-            for n in members:
+        pow2r = [2.0 ** r for r in scenario.spectral_rates()]
+        lists = gains.as_lists()
+        for g in range(3):
+            (order,) = decode_orders(
+                [lists[0][g]], grouping.members_by_bs(g, 1), pow2r, scenario.noise_power_w,
+                [solution.group_power[0, g]], CCINR_ORDER,
+            )
+            powers = user_powers(order, solution.ccinr.s, pow2r)
+            for n in order:
                 assert_close(solution.p[n], powers[n], rel=1e-12)
 
     def test_group_power_equals_member_sum(self):
@@ -214,7 +226,7 @@ class TestSolveAllPowers:
         ):
             for m in range(4):
                 for g in range(4):
-                    members = grouping.members(m, g)
+                    members = grouping.members_by_bs(g, 4)[m]
                     total = float(np.sum(solution.p[members])) if members else 0.0
                     assert_close(total, solution.group_power[m, g])
 
@@ -225,22 +237,7 @@ class TestSolveAllPowers:
             10, 20, 4, 4, start_seed=200
         ):
             checked += 1
-            sigma2 = scenario.noise_power_w
-            rates = scenario.spectral_rates()
-            num_bs, num_ch = 4, 4
-            gp = np.zeros((num_bs, num_ch))
-            for _ in range(200000):
-                table = ccinr(gains, grouping, gp, sigma2)
-                new = np.zeros_like(gp)
-                for m in range(num_bs):
-                    for g in range(num_ch):
-                        members = grouping.members(m, g)
-                        if members:
-                            new[m, g] = group_power_closed_form(members, table, rates)
-                done = np.all(np.abs(new - gp) <= np.maximum(1e-13 * np.abs(new), 1e-22))
-                gp = new
-                if done:
-                    break
+            gp, _converged = jacobi_group_power(gains, grouping, scenario, 200000)
             assert_close(gp, solution.group_power)
         assert checked == 10
 
@@ -250,7 +247,7 @@ class TestSolveAllPowers:
         ):
             s = solution.ccinr.s
             for (m, g), order in solution.sic_order.items():
-                expected = sorted(grouping.members(m, g), key=lambda n: (s[n], n))
+                expected = sorted(grouping.members_by_bs(g, 4)[m], key=lambda n: (s[n], n))
                 assert list(order) == expected
 
     def test_zero_rate_member_is_neutral(self):
@@ -389,13 +386,11 @@ class TestTotalPower:
         for scenario, gains, grouping, solution in feasible_instances(
             5, 16, 3, 4, start_seed=600
         ):
-            rates = scenario.spectral_rates()
+            pow2r = np.exp2(scenario.spectral_rates()).tolist()
             total = 0.0
             for g in range(3):
-                system = build_channel_system(
-                    gains, grouping, solution.ccinr, rates, g,
-                    noise_power_w=scenario.noise_power_w,
+                a, b = channel_system(
+                    gains, grouping, pow2r, scenario.noise_power_w, solution.group_power, g
                 )
-                powers = solve_channel_powers(system)
-                total += float(np.sum(powers))
+                total += float(np.sum(solve_coupling(a, b)))
             assert_close(total, total_power(solution))
