@@ -18,8 +18,8 @@ from noma_grouping import (
     build_graph,
     draw_channel_gains,
     dump_adjacency_csv,
+    fga_candidates,
     find_negative_loop_eba,
-    find_negative_loop_fga,
     generate_scenario,
     initial_grouping,
     default_config,
@@ -52,7 +52,7 @@ def describe(node):
 
 
 exact = find_negative_loop_eba(graph)
-greedy = find_negative_loop_fga(graph, alpha=5.0)
+greedy = next(iter(fga_candidates(graph, alpha=5.0)), None)
 for name, league in (("exact search", exact), ("greedy search", greedy)):
     if league is None:
         print(f"{name}: no negative differ-group loop")

@@ -34,20 +34,18 @@ from .graph import (
     apply_league,
     build_graph,
     dump_adjacency_csv,
+    fga_candidates,
     find_negative_loop_eba,
-    find_negative_loop_fga,
+    is_improvement,
 )
 from .game import (
-    Action,
     GameTrace,
-    action_effect,
     initial_grouping,
     is_nash_equilibrium,
     run_game,
 )
 from .baselines import (
     InstanceTooLargeError,
-    StrategyKind,
     enumerate_leagues,
     exhaustive_best_grouping,
     gale_shapley_grouping,
@@ -55,6 +53,7 @@ from .baselines import (
 )
 from .harness import (
     ExperimentSpec,
+    StrategyKind,
     TrialResult,
     load_config,
     run_experiment,

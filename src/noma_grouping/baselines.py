@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .graph import NEG_DELTA_FLOOR_W, League, league_nodes
+from .graph import League, is_improvement, league_nodes
 from .power import (
     Grouping,
     InfeasibleSolutionError,
@@ -31,25 +30,6 @@ LEAGUE_ENUM_BUDGET = 500_000
 
 class InstanceTooLargeError(ValueError):
     """Brute-force enumeration was asked for more than its budget."""
-
-
-@dataclass(frozen=True)
-class StrategyKind:
-    """Named strategy; alpha applies to the greedy finder only."""
-
-    kind: str
-    alpha: float | None = None
-
-    _KINDS = ("eba", "fga", "sccd", "gale_shapley", "exhaustive")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown strategy {self.kind!r}")
-
-    def label(self) -> str:
-        if self.kind == "fga" and self.alpha is not None:
-            return f"fga(alpha={self.alpha:g})"
-        return self.kind
 
 
 def _gain_summary(gains: ChannelGains, m: int, users) -> dict[int, float]:
@@ -180,14 +160,12 @@ def enumerate_leagues(
                 predicted_delta_w=math.nan,
                 groups=tuple(node_groups[i] for i in path),
             )
-            moves = league.moves()
+            moves = league.moves
             if not moves:
                 return
             solution = solve_all_powers(gains, grouping.with_moves(moves), scenario)
-            if not solution.feasible:
-                return
             delta = total_power_or_inf(solution) - base_total
-            if delta < -NEG_DELTA_FLOOR_W:
+            if is_improvement(delta):
                 league.predicted_delta_w = float(delta)
                 leagues.append(league)
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .baselines import StrategyKind
-from .harness import ExperimentSpec, load_config, run_experiment, summarize, watts_to_dbm
+from .game import DEFAULT_ALPHA
+from .harness import ExperimentSpec, StrategyKind, load_config, run_experiment, summarize, watts_to_dbm
 
 
 def _parse_strategy(text: str) -> StrategyKind:
@@ -27,10 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         help="strategy to run: eba, fga[:alpha], sccd, gale_shapley, exhaustive "
-        "(repeatable; default: fga sccd gale_shapley)",
+        f"(repeatable; default: fga sccd gale_shapley; alpha defaults to {DEFAULT_ALPHA:g})",
     )
-    parser.add_argument("--alpha", type=float, nargs="+", default=[5.0],
-                        help="restart factor(s) for fga strategies without an explicit alpha")
     parser.add_argument("--users", type=int, nargs="+", default=None, help="user counts to sweep")
     parser.add_argument("--groups", type=int, nargs="+", default=None, help="subchannel counts to sweep")
     parser.add_argument("--bs", type=int, nargs="+", default=None, help="BS counts to sweep")
@@ -70,7 +68,6 @@ def main(argv=None) -> int:
         num_channels_list=groups or [10],
         num_bs_list=bs or [4],
         rate_ranges_bps=rate_ranges or [(60e3, 600e3)],
-        alphas=args.alpha,
         output_path=args.out,
     )
     results = run_experiment(spec, trace_dir=args.trace_dir)

@@ -1,12 +1,13 @@
 """Sequential best-response game over the BSs' grouping strategies.
 
 Each BS in turn searches its league graph for a negative differ-group
-loop and applies it. The shared objective (total transmit power) is an
-exact potential for these moves: a BS's improvement is everyone's
-improvement, so the sequence of accepted actions strictly descends and
-must stop, and the stopping point admits no improving loop the finder can
-reach. Every candidate move is re-validated with a full coupled solve
-before acceptance; the graph's prediction is never trusted blindly.
+loop (a League, the one representation of a move) and applies it. The
+shared objective (total transmit power) is an exact potential for these
+moves: a BS's improvement is everyone's improvement, so the sequence of
+accepted actions strictly descends and must stop, and the stopping point
+admits no improving loop the finder can reach. Every candidate move is
+re-validated with a full coupled solve and graph.is_improvement before
+acceptance; the graph's prediction is never trusted blindly.
 """
 
 from __future__ import annotations
@@ -18,40 +19,27 @@ import numpy as np
 
 from . import baselines
 from .graph import (
-    NEG_DELTA_FLOOR_W,
     EbaBudgetExhausted,
+    League,
     apply_league,
     build_graph,
     fga_candidates,
     find_negative_loop_eba,
+    is_improvement,
 )
 from .power import Grouping, solve_all_powers, total_power_or_inf
 from .scenario import ChannelGains, Scenario
 
-
-@dataclass
-class Action:
-    """One BS's simultaneous user moves: (user, target channel) pairs."""
-
-    bs: int
-    moves: list
-
-    def validate(self, grouping: Grouping) -> None:
-        seen = set()
-        for user, target in self.moves:
-            if user in seen:
-                raise ValueError(f"user {user} moved twice in one action")
-            seen.add(user)
-            if int(grouping.bs_of[user]) != self.bs:
-                raise ValueError(f"user {user} does not belong to BS {self.bs}")
-            if int(grouping.channel_of[user]) == target:
-                raise ValueError(f"user {user} is already on channel {target}")
+# Restart factor of the greedy finder ("fga" without an explicit alpha).
+DEFAULT_ALPHA = 5.0
 
 
 @dataclass
 class TraceStep:
+    """One accepted move: the BS and the league it applied."""
+
     bs: int
-    action: Action
+    action: League
     total_power_before_w: float
     total_power_after_w: float
 
@@ -80,28 +68,6 @@ def initial_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
     )
 
 
-def apply_action(grouping: Grouping, action: Action) -> Grouping:
-    action.validate(grouping)
-    return grouping.with_moves(action.moves)
-
-
-def action_effect(gains: ChannelGains, scenario: Scenario, grouping: Grouping, action: Action) -> float:
-    """Total-power change of one action, by full re-solve of both sides.
-
-    Infeasible outcomes are never attractive (+inf), except that a move
-    repairing an infeasible grouping is always attractive (-inf).
-    """
-    before = solve_all_powers(gains, grouping, scenario)
-    if not action.moves:
-        return 0.0 if before.feasible else math.inf
-    after = solve_all_powers(gains, apply_action(grouping, action), scenario)
-    if before.feasible and after.feasible:
-        return total_power_or_inf(after) - total_power_or_inf(before)
-    if not before.feasible and after.feasible:
-        return -math.inf
-    return math.inf
-
-
 def is_nash_equilibrium(
     gains: ChannelGains, scenario: Scenario, grouping: Grouping, max_league_len: int
 ) -> bool:
@@ -113,7 +79,7 @@ def run_game(
     gains: ChannelGains,
     scenario: Scenario,
     finder: str = "fga",
-    alpha: float = 5.0,
+    alpha: float = DEFAULT_ALPHA,
     start_grouping: Grouping | None = None,
 ):
     """Best-response sweeps until a full sweep accepts no action.
@@ -127,6 +93,11 @@ def run_game(
     Returns (grouping, power solution, trace). With "eba" at most one
     candidate loop is tried per BS per sweep; with "fga" the candidates
     are tried best-first until one survives re-validation.
+
+    An infeasible start is returned unchanged after 0 actions. Every edge
+    into an infeasible subchannel weighs +inf, so no finder proposes a
+    move out of it (is_improvement would accept one), and a move that
+    leaves it untouched leaves the grouping infeasible and is rejected.
     """
     if finder not in ("eba", "fga"):
         raise ValueError(f"unknown finder {finder!r}")
@@ -159,13 +130,11 @@ def run_game(
                 new_solution = solve_all_powers(gains, new_grouping, scenario)
                 before_w = total_power_or_inf(solution)
                 after_w = total_power_or_inf(new_solution)
-                if new_solution.feasible and (
-                    (not solution.feasible) or after_w - before_w < -NEG_DELTA_FLOOR_W
-                ):
+                if is_improvement(after_w - before_w):
                     trace.iterations.append(
                         TraceStep(
                             bs=m,
-                            action=Action(bs=m, moves=league.moves()),
+                            action=league,
                             total_power_before_w=before_w,
                             total_power_after_w=after_w,
                         )

@@ -32,6 +32,17 @@ EBA_DEFAULT_BUDGET = 10 ** 6
 NEG_DELTA_FLOOR_W = ABS_FLOOR_W
 
 
+def is_improvement(delta_w: float) -> bool:
+    """The one acceptance rule: a total-power change below -NEG_DELTA_FLOOR_W.
+
+    For a re-solved move, delta_w is total_power_or_inf(after) minus
+    total_power_or_inf(before). A move out of an infeasible grouping then
+    gives -inf and is accepted; a move into one gives +inf (or NaN from an
+    infeasible start) and is rejected.
+    """
+    return delta_w < -NEG_DELTA_FLOOR_W
+
+
 class EbaBudgetExhausted(RuntimeError):
     """Search budget ran out before a cycle or a completeness proof."""
 
@@ -49,11 +60,12 @@ class VirtualUser:
 
 @dataclass
 class League:
-    """A closed differ-group cycle with a strictly negative predicted delta.
+    """One BS's move: a closed differ-group cycle with a negative predicted delta.
 
     cycle holds user ids and VirtualUser markers in cycle order; groups is
     the build-time subchannel of each node (the staleness witness). A
     cycle containing a virtual node acts as a shift of the real users.
+    apply_league is the one way to apply it.
     """
 
     cycle: list
@@ -65,6 +77,7 @@ class League:
         """"shift" when a virtual node is on the cycle, else "exchange"."""
         return "shift" if any(isinstance(x, VirtualUser) for x in self.cycle) else "exchange"
 
+    @property
     def moves(self) -> list[tuple[int, int]]:
         """(user, target channel) pairs: each real user takes the next node's group."""
         size = len(self.cycle)
@@ -90,8 +103,8 @@ def league_nodes(grouping: Grouping, bs: int, num_channels: int) -> tuple[list, 
 class LeagueGraph:
     """Weighted digraph over one BS's real and virtual users.
 
-    Edge weights are computed lazily and cached; a full materialization
-    costs O(V^2) per-subchannel solves.
+    The first full_adjacency call computes the whole V x V weight matrix
+    (O(V^2) per-subchannel solves) and caches it.
     """
 
     def __init__(self, gains: ChannelGains, scenario: Scenario, grouping: Grouping, bs: int):
@@ -119,37 +132,30 @@ class LeagueGraph:
                 self._base_powers[g] = res.powers
                 self._base_totals[g] = math.fsum(res.powers)
 
-        v = len(self.nodes)
-        self._adj = np.full((v, v), np.nan)
+        self._adj: np.ndarray | None = None
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def weight(self, i: int, j: int) -> float:
-        """Edge weight i -> j in watts, computed once and cached.
-
-        The change of node j's subchannel's total power across all cells
-        when node i joins it and node j leaves it; inf for self and
-        same-group pairs and when either state is infeasible, 0 between
-        two virtual nodes.
-        """
-        w = self._adj[i, j]
-        if math.isnan(w):
-            w = self._compute_weight(i, j)
-            self._adj[i, j] = w
-        return w
-
     def full_adjacency(self) -> np.ndarray:
-        """Materialize and return the V x V weight matrix."""
-        v = len(self.nodes)
-        if np.any(np.isnan(self._adj)):
+        """The V x V edge weights in watts, computed on the first call.
+
+        Entry [i, j] is the change of node j's subchannel's total power
+        across all cells when node i joins it and node j leaves it; inf
+        for self and same-group pairs and when either state is
+        infeasible, 0 between two virtual nodes.
+        """
+        if self._adj is None:
+            v = len(self.nodes)
+            adj = np.empty((v, v))
             for i in range(v):
                 for j in range(v):
-                    self.weight(i, j)
+                    adj[i, j] = self._edge_weight(i, j)
+            self._adj = adj
         return self._adj
 
-    def _compute_weight(self, i: int, j: int) -> float:
+    def _edge_weight(self, i: int, j: int) -> float:
         if i == j or self.node_groups[i] == self.node_groups[j]:
             return math.inf
         node_i = self.nodes[i]
@@ -299,7 +305,7 @@ def find_negative_loop_eba(graph: LeagueGraph):
         for sub2 in sorted(nxt):
             closure = nxt[sub2][0] + wt
             val = closure.min()
-            if val < -NEG_DELTA_FLOOR_W and (best is None or val < best[0]):
+            if is_improvement(val) and (best is None or val < best[0]):
                 st, en = np.unravel_index(int(closure.argmin()), closure.shape)
                 best = (float(val), int(st), int(en), sub2)
         if best is not None:
@@ -345,7 +351,7 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
         cost = float(w[i, j])
         used = {groups[i], groups[j]}
         closure = cost + w[j, i]
-        if closure < -NEG_DELTA_FLOOR_W:
+        if is_improvement(closure):
             _record(found, path, float(closure))
         cur = j
         for _hop in range(3, num_groups + 1):
@@ -360,7 +366,7 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
             path.append(k)
             used.add(groups[k])
             closure = cost + w[k, i]
-            if closure < -NEG_DELTA_FLOOR_W:
+            if is_improvement(closure):
                 _record(found, path, float(closure))
             cur = k
 
@@ -378,23 +384,28 @@ def _record(found: dict, path: list[int], closure: float) -> None:
         found[canon] = (closure, list(canon))
 
 
-def find_negative_loop_fga(graph: LeagueGraph, alpha: float):
-    """Best negative differ-group cycle the greedy search finds, or None."""
-    cands = fga_candidates(graph, alpha)
-    return cands[0] if cands else None
-
-
 def apply_league(grouping: Grouping, league: League) -> Grouping:
-    """Rotate the league's users along the cycle; virtual nodes move nobody."""
+    """Rotate the league's users along the cycle; virtual nodes move nobody.
+
+    Raises ValueError unless the league is a cycle of at least two nodes
+    in pairwise distinct groups (so no user moves twice or stays put)
+    whose real users all belong to one BS, and StaleLeagueError when a
+    node has left the group recorded at build time.
+    """
     if len(league.cycle) != len(league.groups):
         raise ValueError("league is missing its group snapshot")
+    if len(league.cycle) < 2 or len(set(league.groups)) != len(league.groups):
+        raise ValueError(f"league groups {league.groups} are not a cycle of distinct groups")
+    owners = {int(grouping.bs_of[n]) for n in league.cycle if not isinstance(n, VirtualUser)}
+    if len(owners) > 1:
+        raise ValueError(f"league moves users of several BSs {sorted(owners)}")
     for node, g in zip(league.cycle, league.groups):
         current = node.channel if isinstance(node, VirtualUser) else int(grouping.channel_of[node])
         if current != g:
             raise StaleLeagueError(
                 f"node {node!r} moved from group {g} to {current} since the league was built"
             )
-    return grouping.with_moves(league.moves())
+    return grouping.with_moves(league.moves)
 
 
 def dump_adjacency_csv(graph: LeagueGraph, path) -> None:

@@ -19,8 +19,7 @@ from itertools import product
 import numpy as np
 
 from . import baselines
-from .baselines import StrategyKind
-from .game import run_game
+from .game import DEFAULT_ALPHA, run_game
 from .power import solve_all_powers, total_power_or_inf
 from .scenario import (
     ChannelGains,
@@ -58,6 +57,31 @@ def watts_to_dbm(power_w: float) -> float:
     return 10.0 * math.log10(power_w * 1000.0)
 
 
+@dataclass(frozen=True)
+class StrategyKind:
+    """Named strategy; alpha is the game finders' restart factor.
+
+    A game strategy ("eba", "fga") without an alpha gets DEFAULT_ALPHA;
+    the other kinds ignore it.
+    """
+
+    kind: str
+    alpha: float | None = None
+
+    _KINDS = ("eba", "fga", "sccd", "gale_shapley", "exhaustive")
+
+    def __post_init__(self):
+        if self.kind not in self._KINDS:
+            raise ValueError(f"unknown strategy {self.kind!r}")
+        if self.kind in ("eba", "fga") and self.alpha is None:
+            object.__setattr__(self, "alpha", DEFAULT_ALPHA)
+
+    def label(self) -> str:
+        if self.kind == "fga":
+            return f"fga(alpha={self.alpha:g})"
+        return self.kind
+
+
 @dataclass
 class SweepPoint:
     index: int
@@ -92,7 +116,6 @@ class ExperimentSpec:
     num_channels_list: list = field(default_factory=lambda: [10])
     num_bs_list: list = field(default_factory=lambda: [4])
     rate_ranges_bps: list = field(default_factory=lambda: [(60e3, 600e3)])
-    alphas: list = field(default_factory=lambda: [5.0])
     output_path: str | None = None
 
     def __post_init__(self):
@@ -109,15 +132,6 @@ class ExperimentSpec:
         for idx, (m, n, g, rr) in enumerate(combos):
             points.append(SweepPoint(idx, m, n, g, tuple(rr)))
         return points
-
-    def expanded_strategies(self) -> list[StrategyKind]:
-        out = []
-        for s in self.strategies:
-            if s.kind == "fga" and s.alpha is None:
-                out.extend(StrategyKind("fga", a) for a in self.alphas)
-            else:
-                out.append(s)
-        return out
 
 
 def trial_seeds(base_seed: int, sweep_index: int, trial: int) -> tuple[int, int]:
@@ -143,11 +157,7 @@ def make_instance(point: SweepPoint, scen_seed: int, gain_seed: int):
 def run_strategy(gains: ChannelGains, scenario: Scenario, strategy: StrategyKind):
     """Dispatch one strategy; returns (grouping, solution, game trace or None)."""
     if strategy.kind in ("eba", "fga"):
-        alpha = strategy.alpha if strategy.alpha is not None else 5.0
-        grouping, solution, trace = run_game(
-            gains, scenario, finder=strategy.kind, alpha=alpha
-        )
-        return grouping, solution, trace
+        return run_game(gains, scenario, finder=strategy.kind, alpha=strategy.alpha)
     if strategy.kind == "sccd":
         grouping = baselines.sccd_grouping(gains, scenario)
     elif strategy.kind == "gale_shapley":
@@ -167,12 +177,11 @@ def run_experiment(spec: ExperimentSpec, trace_dir: str | None = None) -> list[T
     writes one line-oriented game log per game-strategy trial.
     """
     results: list[TrialResult] = []
-    strategies = spec.expanded_strategies()
     for point in spec.sweep_points():
         for trial in range(spec.trials):
             scen_seed, gain_seed = trial_seeds(spec.base_seed, point.index, trial)
             scenario, gains = make_instance(point, scen_seed, gain_seed)
-            for strategy in strategies:
+            for strategy in spec.strategies:
                 start = time.perf_counter()
                 _grouping, solution, trace = run_strategy(gains, scenario, strategy)
                 elapsed_ms = (time.perf_counter() - start) * 1e3

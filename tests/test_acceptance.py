@@ -179,6 +179,7 @@ def test_criterion_05_cycle_sum_identity():
         assert base.feasible  # single cell is uncoupled, always solvable
         base_total = total_power_or_inf(base)
         graph = build_graph(gains, scenario, grouping, 0)
+        adjacency = graph.full_adjacency()
         cycles_done = 0
         guard = 0
         while cycles_done < 50:
@@ -198,7 +199,7 @@ def test_criterion_05_cycle_sum_identity():
             if len(cycle) < length:
                 continue
             predicted = sum(
-                graph.weight(cycle[k], cycle[(k + 1) % length]) for k in range(length)
+                adjacency[cycle[k], cycle[(k + 1) % length]] for k in range(length)
             )
             if not math.isfinite(predicted):
                 continue

@@ -192,6 +192,7 @@ class TestEnumerateLeagues:
 class TestStrategyKind:
     def test_labels(self):
         assert StrategyKind("fga", 5.0).label() == "fga(alpha=5)"
+        assert StrategyKind("fga") == StrategyKind("fga", 5.0)  # DEFAULT_ALPHA
         assert StrategyKind("eba").label() == "eba"
 
     def test_unknown_rejected(self):

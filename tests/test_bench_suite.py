@@ -1,0 +1,23 @@
+"""The benchmark's own tests (bench/tests) pass against the current package.
+
+They run in a subprocess because bench/tests has its own conftest, which
+cannot be collected in the same pytest session as tests/conftest.py. They
+check the names the benchmark's tracer wraps, so a refactor that breaks
+one fails here.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_tests_pass():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "bench/tests"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

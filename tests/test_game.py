@@ -5,14 +5,15 @@ import pytest
 
 from conftest import assert_close, feasible_instances, make_instance
 from noma_grouping import (
-    Action,
-    action_effect,
+    apply_league,
     enumerate_leagues,
     initial_grouping,
+    is_improvement,
     is_nash_equilibrium,
     run_game,
     solve_all_powers,
 )
+from noma_grouping.graph import NEG_DELTA_FLOOR_W
 from noma_grouping.power import total_power_or_inf
 from noma_grouping.scenario import ChannelGains
 
@@ -39,69 +40,32 @@ class TestInitialGrouping:
         assert np.all(grouping.channel_of == 0)
 
 
-class TestActionEffect:
-    def test_empty_action_is_zero(self):
-        for scenario, gains, grouping, _sol in feasible_instances(1, 10, 2, 2, start_seed=10):
-            assert action_effect(gains, scenario, grouping, Action(bs=0, moves=[])) == 0.0
-
-    def test_action_and_inverse_cancel(self):
-        for scenario, gains, grouping, _sol in feasible_instances(2, 10, 3, 2, start_seed=20):
-            users = scenario.users_of_bs(0)
-            n = users[0]
-            old = int(grouping.channel_of[n])
-            new = (old + 1) % 3
-            forward = action_effect(gains, scenario, grouping, Action(bs=0, moves=[(n, new)]))
-            if not math.isfinite(forward):
-                continue
-            moved = grouping.with_moves([(n, new)])
-            backward = action_effect(gains, scenario, moved, Action(bs=0, moves=[(n, old)]))
-            assert_close(forward + backward, 0.0)
-
-    def test_validation(self):
-        scenario, gains = make_instance(8, 2, 2, seed=4)
-        grouping = initial_grouping(gains, scenario)
-        foreign = scenario.users_of_bs(1)[0]
-        with pytest.raises(ValueError):
-            action_effect(gains, scenario, grouping, Action(bs=0, moves=[(foreign, 0)]))
-        own = scenario.users_of_bs(0)[0]
-        cur = int(grouping.channel_of[own])
-        with pytest.raises(ValueError):
-            action_effect(gains, scenario, grouping, Action(bs=0, moves=[(own, cur)]))
+class TestAcceptanceRule:
+    def test_rule_cases(self):
+        # deltas as run_game forms them from total_power_or_inf values
+        feasible, infeasible = 1e-3, math.inf
+        assert is_improvement(feasible - infeasible)  # repair: -inf
+        assert not is_improvement(infeasible - feasible)  # +inf
+        assert not is_improvement(infeasible - infeasible)  # NaN
+        assert not is_improvement(feasible - feasible)  # equal total
+        assert is_improvement(-2 * NEG_DELTA_FLOOR_W)
+        assert not is_improvement(-NEG_DELTA_FLOOR_W)
 
     def test_repair_move_is_always_attractive(self):
         # wreck a feasible grouping by piling one BS's users onto one
-        # channel; the action restoring them must rate as -inf
+        # channel; the moves restoring them must rate as -inf
         for scenario, gains, grouping, _sol in feasible_instances(4, 12, 3, 2, start_seed=15):
             users = scenario.users_of_bs(0)
             wreck = grouping.with_moves([(n, 0) for n in users])
-            if solve_all_powers(gains, wreck, scenario).feasible:
+            wrecked = solve_all_powers(gains, wreck, scenario)
+            if wrecked.feasible:
                 continue
-            restore = [
-                (n, int(grouping.channel_of[n]))
-                for n in users
-                if int(wreck.channel_of[n]) != int(grouping.channel_of[n])
-            ]
-            effect = action_effect(gains, scenario, wreck, Action(bs=0, moves=restore))
-            assert effect == -math.inf
+            restored = solve_all_powers(gains, grouping, scenario)
+            delta = total_power_or_inf(restored) - total_power_or_inf(wrecked)
+            assert delta == -math.inf
+            assert is_improvement(delta)
             return
         pytest.skip("no wreckable instance found in the scanned range")
-
-    def test_exact_potential_identity(self):
-        # two alternative actions of one BS: effect difference equals the
-        # difference of the resulting totals (regression for the potential)
-        for scenario, gains, grouping, _sol in feasible_instances(3, 12, 3, 2, start_seed=30):
-            users = scenario.users_of_bs(0)
-            n = users[0]
-            old = int(grouping.channel_of[n])
-            act1 = Action(bs=0, moves=[(n, (old + 1) % 3)])
-            act2 = Action(bs=0, moves=[(n, (old + 2) % 3)])
-            d1 = action_effect(gains, scenario, grouping, act1)
-            d2 = action_effect(gains, scenario, grouping, act2)
-            if not (math.isfinite(d1) and math.isfinite(d2)):
-                continue
-            t1 = total_power_or_inf(solve_all_powers(gains, grouping.with_moves(act1.moves), scenario))
-            t2 = total_power_or_inf(solve_all_powers(gains, grouping.with_moves(act2.moves), scenario))
-            assert_close(d1 - d2, t1 - t2)
 
 
 class TestNashEquilibrium:
@@ -162,10 +126,8 @@ class TestRunGame:
             seen = {grouping.key()}
             current = grouping
             _g, _s, trace = run_game(gains, scenario, finder="fga", start_grouping=grouping)
-            from noma_grouping.game import apply_action
-
             for step in trace.iterations:
-                current = apply_action(current, step.action)
+                current = apply_league(current, step.action)
                 key = current.key()
                 assert key not in seen
                 seen.add(key)
@@ -174,12 +136,10 @@ class TestRunGame:
         for scenario, gains, grouping, solution in feasible_instances(2, 12, 3, 2, start_seed=70):
             current = grouping
             _g, _s, trace = run_game(gains, scenario, finder="fga", start_grouping=grouping)
-            from noma_grouping.game import apply_action
-
             before = total_power_or_inf(solution)
             for step in trace.iterations:
                 assert_close(step.total_power_before_w, before)
-                current = apply_action(current, step.action)
+                current = apply_league(current, step.action)
                 after = total_power_or_inf(solve_all_powers(gains, current, scenario))
                 assert_close(step.total_power_after_w, after)
                 before = after
@@ -207,9 +167,12 @@ class TestRunGame:
             if solve_all_powers(gains, grouping, scenario).feasible:
                 continue
             found = True
-            _g, solution, trace = run_game(gains, scenario, finder="fga")
-            if not solution.feasible:
-                assert not trace.converged
-                assert trace.final_total_power_w == math.inf
+            # returned unchanged after 0 actions (see run_game)
+            final, solution, trace = run_game(gains, scenario, finder="fga")
+            assert trace.iterations == []
+            assert np.array_equal(final.channel_of, grouping.channel_of)
+            assert not solution.feasible
+            assert not trace.converged
+            assert trace.final_total_power_w == math.inf
             break
         assert found

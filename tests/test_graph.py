@@ -11,12 +11,12 @@ from noma_grouping import (
     apply_league,
     build_graph,
     dump_adjacency_csv,
+    fga_candidates,
     find_negative_loop_eba,
-    find_negative_loop_fga,
     initial_grouping,
     solve_all_powers,
 )
-from noma_grouping.graph import League, LeagueGraph, fga_candidates
+from noma_grouping.graph import League, LeagueGraph
 from noma_grouping.power import total_power_or_inf
 
 
@@ -34,7 +34,7 @@ def _fake_graph(weights, groups):
 
 def _edge(graph, n, n_to):
     """Weight of the edge between two nodes, given as user ids or VirtualUser markers."""
-    return graph.weight(graph.nodes.index(n), graph.nodes.index(n_to))
+    return graph.full_adjacency()[graph.nodes.index(n), graph.nodes.index(n_to)]
 
 
 class TestEdgeWeight:
@@ -215,7 +215,7 @@ class TestFga:
             [2.5, 3.0, math.inf],
         ]
         graph = _fake_graph(weights, [0, 1, 2])
-        assert find_negative_loop_fga(graph, 5.0) is None
+        assert fga_candidates(graph, 5.0) == []
 
     def test_hand_built_three_cycle_traced(self):
         # seed edge 0->1 (-5), extension 1->2 (+2), closure 2->0 (+1)
@@ -226,8 +226,9 @@ class TestFga:
             [1.0, inf, inf],
         ]
         graph = _fake_graph(weights, [0, 1, 2])
-        league = find_negative_loop_fga(graph, 5.0)
-        assert league is not None
+        leagues = fga_candidates(graph, 5.0)
+        assert leagues
+        league = leagues[0]
         assert league.cycle == [0, 1, 2]
         assert league.predicted_delta_w == pytest.approx(-2.0)
 
@@ -242,7 +243,7 @@ class TestFga:
     def test_alpha_validation(self):
         graph = _fake_graph([[math.inf]], [0])
         with pytest.raises(ValueError):
-            find_negative_loop_fga(graph, 0.0)
+            fga_candidates(graph, 0.0)
 
 
 class TestApplyLeague:
@@ -255,7 +256,7 @@ class TestApplyLeague:
         ga, gb = int(grouping.channel_of[a]), int(grouping.channel_of[b])
         league = League(cycle=[a, b], predicted_delta_w=-1.0, groups=(ga, gb))
         assert league.kind == "exchange"
-        assert league.moves() == [(a, gb), (b, ga)]
+        assert league.moves == [(a, gb), (b, ga)]
         new = apply_league(grouping, league)
         assert int(new.channel_of[a]) == gb
         assert int(new.channel_of[b]) == ga
@@ -272,7 +273,7 @@ class TestApplyLeague:
             groups=(gn, target),
         )
         assert league.kind == "shift"
-        assert league.moves() == [(n, target)]
+        assert league.moves == [(n, target)]
         new = apply_league(grouping, league)
         assert int(new.channel_of[n]) == target
         moved = np.flatnonzero(new.channel_of != grouping.channel_of)
@@ -292,12 +293,34 @@ class TestApplyLeague:
         with pytest.raises(StaleLeagueError):
             apply_league(moved, league)
 
+    def test_rejects_mixed_bs_and_repeated_groups(self):
+        scenario, gains = make_instance(8, 3, 2, seed=4)
+        grouping = initial_grouping(gains, scenario)
+        ch = grouping.channel_of
+        own = scenario.users_of_bs(0)[0]
+        foreign = next(u for u in scenario.users_of_bs(1) if ch[u] != ch[own])
+        g_own, g_foreign = int(ch[own]), int(ch[foreign])
+        mixed = League(cycle=[own, foreign], predicted_delta_w=-1.0, groups=(g_own, g_foreign))
+        with pytest.raises(ValueError, match="several BSs"):
+            apply_league(grouping, mixed)
+        # a repeated group moves a user onto its own group, or twice
+        for cycle in ([own, VirtualUser(g_own)], [own, own]):
+            league = League(cycle=cycle, predicted_delta_w=-1.0, groups=(g_own, g_own))
+            with pytest.raises(ValueError, match="distinct groups"):
+                apply_league(grouping, league)
+        # fewer than two nodes: an empty move, or a user staying put
+        for cycle, groups in (([], ()), ([own], (g_own,))):
+            league = League(cycle=cycle, predicted_delta_w=-1.0, groups=groups)
+            with pytest.raises(ValueError, match="distinct groups"):
+                apply_league(grouping, league)
+
     def test_applied_league_delta_matches_prediction_single_cell(self):
         for scenario, gains, grouping, base in feasible_instances(4, 10, 3, 1, start_seed=50):
             graph = build_graph(gains, scenario, grouping, 0)
-            league = find_negative_loop_fga(graph, 5.0)
-            if league is None:
+            leagues = fga_candidates(graph, 5.0)
+            if not leagues:
                 continue
+            league = leagues[0]
             new = apply_league(grouping, league)
             after = solve_all_powers(gains, new, scenario)
             actual = total_power_or_inf(after) - total_power_or_inf(base)
