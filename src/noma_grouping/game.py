@@ -88,7 +88,8 @@ def run_game(
     its budget is exhausted) or "fga" (greedy with restart factor alpha).
     start_grouping resumes the game from a caller-supplied state, e.g.
     after users connect or disconnect; by default every user starts on its
-    strongest own-BS subchannel.
+    strongest own-BS subchannel. A start that does not fit the scenario
+    raises ValueError (see solve_all_powers).
 
     Returns (grouping, power solution, trace). With "eba" at most one
     candidate loop is tried per BS per sweep; with "fga" the candidates
@@ -101,12 +102,7 @@ def run_game(
     """
     if finder not in ("eba", "fga"):
         raise ValueError(f"unknown finder {finder!r}")
-    if start_grouping is not None:
-        if not np.array_equal(start_grouping.bs_of, scenario.association):
-            raise ValueError("start_grouping does not match the scenario association")
-        grouping = start_grouping
-    else:
-        grouping = initial_grouping(gains, scenario)
+    grouping = start_grouping if start_grouping is not None else initial_grouping(gains, scenario)
     solution = solve_all_powers(gains, grouping, scenario)
     trace = GameTrace()
 

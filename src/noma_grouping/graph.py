@@ -104,7 +104,7 @@ class LeagueGraph:
     """Weighted digraph over one BS's real and virtual users.
 
     The first full_adjacency call computes the whole V x V weight matrix
-    (O(V^2) per-subchannel solves) and caches it.
+    (O(V^2) per-subchannel solves, column by column) and caches it.
     """
 
     def __init__(self, gains: ChannelGains, scenario: Scenario, grouping: Grouping, bs: int):
@@ -145,47 +145,47 @@ class LeagueGraph:
         across all cells when node i joins it and node j leaves it; inf
         for self and same-group pairs and when either state is
         infeasible, 0 between two virtual nodes.
+
+        A weight depends only on the target subchannel's new membership,
+        so column j (node j leaves h) is built from one row: h's members
+        at this BS without j. Each real joiner outside h adds itself to
+        that row; every virtual joiner leaves it as it is, which is one
+        solve for all of them.
         """
         if self._adj is None:
             v = len(self.nodes)
-            adj = np.empty((v, v))
-            for i in range(v):
-                for j in range(v):
-                    adj[i, j] = self._edge_weight(i, j)
+            r = self.num_real
+            adj = np.full((v, v), np.inf)
+            adj[r:, r:] = 0.0
+            np.fill_diagonal(adj[r:, r:], np.inf)
+            for j in range(v):
+                h = self.node_groups[j]
+                if self._base_totals[h] is None:
+                    continue
+                row = list(self._base_members[h][self.bs])
+                if j < r:
+                    row.remove(self.nodes[j])
+                for i in range(r):
+                    if self.node_groups[i] != h:
+                        joined = list(row)
+                        insort(joined, self.nodes[i])
+                        adj[i, j] = self._weight(h, joined)
+                if j < r:
+                    adj[r:, j] = self._weight(h, row)
+                    adj[r + h, j] = math.inf  # h's own virtual node
             self._adj = adj
         return self._adj
 
-    def _edge_weight(self, i: int, j: int) -> float:
-        if i == j or self.node_groups[i] == self.node_groups[j]:
-            return math.inf
-        node_i = self.nodes[i]
-        node_j = self.nodes[j]
-        virtual_i = isinstance(node_i, VirtualUser)
-        virtual_j = isinstance(node_j, VirtualUser)
-        if virtual_i and virtual_j:
-            return 0.0
-        target = self.node_groups[j]
-        base_total = self._base_totals[target]
-        if base_total is None:
-            return math.inf
-        members = list(self._base_members[target])
-        row = list(members[self.bs])
-        if not virtual_j:
-            row.remove(node_j)
-        if not virtual_i:
-            insort(row, node_i)
+    def _weight(self, h: int, row: list) -> float:
+        """Total-power change of subchannel h when this BS's members there become row."""
+        members = list(self._base_members[h])
         members[self.bs] = row
         res = solve_one_channel(
-            self._lists,
-            target,
-            members,
-            self._pow2r,
-            self._sigma2,
-            warm_start=self._base_powers[target],
+            self._lists, h, members, self._pow2r, self._sigma2, warm_start=self._base_powers[h]
         )
         if not res.feasible:
             return math.inf
-        return math.fsum(res.powers) - base_total
+        return math.fsum(res.powers) - self._base_totals[h]
 
 
 def build_graph(gains: ChannelGains, scenario: Scenario, grouping: Grouping, bs: int) -> LeagueGraph:
@@ -225,38 +225,35 @@ def find_negative_loop_eba(graph: LeagueGraph):
     starts_mask = np.arange(v)[None, :] > np.arange(v)[:, None]  # [start, node]
     group_nodes = [np.flatnonzero(groups == h) for h in range(num_groups)]
 
-    # all_levels[subset] = [dist, parent_node, parent_subset], each (V, V)
-    all_levels: dict[int, list] = {}
-    for s in range(v):
-        bit = 1 << int(groups[s])
-        entry = all_levels.get(bit)
-        if entry is None:
-            entry = [
-                np.full((v, v), np.inf),
-                np.full((v, v), -1, dtype=np.int32),
-                np.zeros((v, v), dtype=np.int64),
-            ]
-            all_levels[bit] = entry
-        entry[0][s, s] = 0.0
+    # all_levels[subset] = (dist, parent), each (V, V) over [start, end]:
+    # the least weight of a path from start to end through one node of
+    # each group in subset, and the node before end on it (-1 at the
+    # source). That node's state is subset without end's group.
+    all_levels: dict[int, tuple] = {}
 
-    def _extract(state_sub: int, start: int, end: int) -> list[int]:
-        rev = []
-        node, sub = end, state_sub
-        while True:
+    def _state(sub: int) -> tuple:
+        if sub not in all_levels:
+            all_levels[sub] = (np.full((v, v), np.inf), np.full((v, v), -1, dtype=np.int32))
+        return all_levels[sub]
+
+    for s in range(v):
+        _state(1 << int(groups[s]))[0][s, s] = 0.0
+
+    def _extract(sub: int, start: int, end: int) -> list[int]:
+        rev = [end]
+        node = end
+        while (parent := int(all_levels[sub][1][start, node])) >= 0:
+            sub ^= 1 << int(groups[node])
+            node = parent
             rev.append(node)
-            dist, pnode, psub = all_levels[sub]
-            parent = int(pnode[start, node])
-            if parent < 0:
-                break
-            node, sub = parent, int(psub[start, node])
         rev.reverse()
         return rev
 
-    current = {bit: all_levels[bit] for bit in all_levels}
+    current = dict(all_levels)
     used = 0
     exhausted = False
     for _level in range(2, num_groups + 1):
-        nxt: dict[int, list] = {}
+        nxt: dict[int, tuple] = {}
         for sub in sorted(current):
             dist = current[sub][0]
             for h in range(num_groups):
@@ -270,30 +267,15 @@ def find_negative_loop_eba(graph: LeagueGraph):
                 cand_min = cand.min(axis=1)
                 cand_arg = cand.argmin(axis=1)
                 cand_min = np.where(starts_mask[:, ks], cand_min, np.inf)
-                if not np.any(np.isfinite(cand_min)):
-                    if used > EBA_DEFAULT_BUDGET:
-                        exhausted = True
-                        break
-                    continue
-                sub2 = sub | (1 << h)
-                entry = nxt.get(sub2)
-                if entry is None:
-                    entry = all_levels.get(sub2)
-                    if entry is None:
-                        entry = [
-                            np.full((v, v), np.inf),
-                            np.full((v, v), -1, dtype=np.int32),
-                            np.zeros((v, v), dtype=np.int64),
-                        ]
-                        all_levels[sub2] = entry
-                    nxt[sub2] = entry
-                dist2, pnode2, psub2 = entry
-                old = dist2[:, ks]
-                sel = cand_min < old
-                if np.any(sel):
-                    dist2[:, ks] = np.where(sel, cand_min, old)
-                    pnode2[:, ks] = np.where(sel, cand_arg.astype(np.int32), pnode2[:, ks])
-                    psub2[:, ks] = np.where(sel, sub, psub2[:, ks])
+                if np.any(np.isfinite(cand_min)):
+                    sub2 = sub | (1 << h)
+                    nxt[sub2] = _state(sub2)
+                    dist2, parent2 = nxt[sub2]
+                    old = dist2[:, ks]
+                    sel = cand_min < old
+                    if np.any(sel):
+                        dist2[:, ks] = np.where(sel, cand_min, old)
+                        parent2[:, ks] = np.where(sel, cand_arg.astype(np.int32), parent2[:, ks])
                 if used > EBA_DEFAULT_BUDGET:
                     exhausted = True
                     break
@@ -328,8 +310,8 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
     to the seed after every hop. Restart count is ceil(alpha * (real
     users + groups)), clamped to at least one.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     w = graph.full_adjacency()
     groups = graph.node_groups
     v = w.shape[0]

@@ -61,8 +61,8 @@ def watts_to_dbm(power_w: float) -> float:
 class StrategyKind:
     """Named strategy; alpha is the game finders' restart factor.
 
-    A game strategy ("eba", "fga") without an alpha gets DEFAULT_ALPHA;
-    the other kinds ignore it.
+    A game strategy ("eba", "fga") without an alpha gets DEFAULT_ALPHA,
+    and its alpha must be finite and > 0; the other kinds ignore it.
     """
 
     kind: str
@@ -73,8 +73,11 @@ class StrategyKind:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}")
-        if self.kind in ("eba", "fga") and self.alpha is None:
-            object.__setattr__(self, "alpha", DEFAULT_ALPHA)
+        if self.kind in ("eba", "fga"):
+            if self.alpha is None:
+                object.__setattr__(self, "alpha", DEFAULT_ALPHA)
+            elif not (math.isfinite(self.alpha) and self.alpha > 0):
+                raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
 
     def label(self) -> str:
         if self.kind == "fga":
@@ -107,7 +110,10 @@ class TrialResult:
 
 @dataclass
 class ExperimentSpec:
-    """Cartesian sweep over instance sizes, run by every strategy."""
+    """Cartesian sweep over instance sizes, run by every strategy.
+
+    Strategy labels key the results, so no two strategies may share one.
+    """
 
     strategies: list
     trials: int = 1
@@ -123,6 +129,10 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not self.strategies:
             raise ValueError("at least one strategy required")
+        labels = [strategy.label() for strategy in self.strategies]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"strategy labels {repeated} are used more than once")
 
     def sweep_points(self) -> list[SweepPoint]:
         points = []

@@ -96,9 +96,9 @@ class ChannelGains:
         return self._lists
 
 
-def path_loss_db(distance_m: float) -> float:
-    """Large-scale loss in dB at the given link distance (meters)."""
-    if distance_m <= 0:
+def path_loss_db(distance_m):
+    """Large-scale loss in dB at the given link distance(s) in meters."""
+    if np.any(distance_m <= 0):
         raise ValueError(f"distance must be > 0, got {distance_m}")
     return PATH_LOSS_REF_DB + PATH_LOSS_SLOPE_DB * np.log10(distance_m / 1000.0)
 
@@ -172,7 +172,7 @@ def draw_channel_gains(scenario: Scenario, seed, unit_fading: bool = False) -> C
         cfg.bs_positions[:, 0:1] - scenario.user_positions[None, :, 0],
         cfg.bs_positions[:, 1:2] - scenario.user_positions[None, :, 1],
     )  # (M, N)
-    pl_linear = 10.0 ** (-(PATH_LOSS_REF_DB + PATH_LOSS_SLOPE_DB * np.log10(d / 1000.0)) / 10.0)
+    pl_linear = 10.0 ** (-path_loss_db(d) / 10.0)
 
     if unit_fading:
         fading = np.ones((m, g, n))

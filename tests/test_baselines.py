@@ -198,3 +198,10 @@ class TestStrategyKind:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             StrategyKind("greedy")
+
+    def test_bad_alpha_rejected(self):
+        for kind in ("eba", "fga"):
+            for alpha in (0.0, -2.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite and > 0"):
+                    StrategyKind(kind, alpha)
+        assert StrategyKind("sccd", 0.0).label() == "sccd"  # alpha ignored

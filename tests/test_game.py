@@ -153,6 +153,16 @@ class TestRunGame:
             assert trace2.iterations == []
             assert np.array_equal(again.channel_of, grouping.channel_of)
 
+    def test_start_that_does_not_fit_rejected(self, small_multicell):
+        scenario, gains = small_multicell
+        start = initial_grouping(gains, scenario)
+        with pytest.raises(ValueError, match="subchannel outside"):
+            run_game(gains, scenario, start_grouping=start.with_moves([(0, 7)]))
+        other_bs = start.bs_of.copy()
+        other_bs[0] = 1 - other_bs[0]
+        with pytest.raises(ValueError, match="association"):
+            run_game(gains, scenario, start_grouping=type(start)(start.channel_of, other_bs))
+
     def test_unknown_finder_rejected(self):
         scenario, gains = make_instance(4, 2, 1, seed=7)
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from noma_grouping import (
     solve_all_powers,
 )
 from noma_grouping.graph import League, LeagueGraph
-from noma_grouping.power import total_power_or_inf
+from noma_grouping.power import solve_one_channel, total_power_or_inf
 
 
 def _fake_graph(weights, groups):
@@ -87,6 +87,79 @@ class TestEdgeWeight:
         # a same-group pair is no edge: its weight is +inf, as is a self loop
         assert _edge(graph, 0, 1) == math.inf
         assert _edge(graph, 0, 0) == math.inf
+
+
+def _reference_weight(gains, scenario, grouping, graph, i, j):
+    """Edge weight from two solves of subchannel h = group of j, before and
+    after the move, with h's members read off the moved grouping."""
+    if i == j or graph.node_groups[i] == graph.node_groups[j]:
+        return math.inf
+    node_i, node_j = graph.nodes[i], graph.nodes[j]
+    if isinstance(node_i, VirtualUser) and isinstance(node_j, VirtualUser):
+        return 0.0
+    h = graph.node_groups[j]
+    moves = []
+    if not isinstance(node_i, VirtualUser):
+        moves.append((node_i, h))
+    if not isinstance(node_j, VirtualUser):
+        moves.append((node_j, graph.node_groups[i]))
+    moved = grouping.with_moves(moves)
+    num_bs = scenario.config.num_bs
+    lists, sigma2 = gains.as_lists(), scenario.noise_power_w
+    pow2r = np.exp2(scenario.spectral_rates()).tolist()
+    before = solve_one_channel(lists, h, grouping.members_by_bs(h, num_bs), pow2r, sigma2)
+    if not before.feasible:
+        return math.inf
+    after = solve_one_channel(
+        lists, h, moved.members_by_bs(h, num_bs), pow2r, sigma2, warm_start=before.powers
+    )
+    if not after.feasible:
+        return math.inf
+    return math.fsum(after.powers) - math.fsum(before.powers)
+
+
+def _wrecked_instance():
+    """Multi-cell grouping whose subchannel 0 cannot be powered: BS 0's users piled onto it."""
+    scenario, gains = make_instance(12, 3, 2, seed=3)
+    grouping = initial_grouping(gains, scenario)
+    wreck = grouping.with_moves([(n, 0) for n in scenario.users_of_bs(0)])
+    return scenario, gains, wreck
+
+
+class TestFullAdjacency:
+    def test_every_entry_matches_moved_grouping_solve(self):
+        cases = [case[:3] for case in feasible_instances(2, 12, 3, 2, start_seed=60)]
+        cases.append(_wrecked_instance())
+        for scenario, gains, grouping in cases:
+            for m in range(scenario.config.num_bs):
+                graph = build_graph(gains, scenario, grouping, m)
+                adjacency = graph.full_adjacency()
+                for i in range(graph.num_nodes):
+                    for j in range(graph.num_nodes):
+                        expected = _reference_weight(gains, scenario, grouping, graph, i, j)
+                        actual = adjacency[i, j]
+                        assert math.isinf(actual) == math.isinf(expected), (m, i, j)
+                        if not math.isinf(expected):
+                            assert_close(actual, expected, label=f"bs {m} edge {i}->{j}")
+
+    def test_infeasible_subchannel_columns(self):
+        scenario, gains, wreck = _wrecked_instance()
+        pow2r = np.exp2(scenario.spectral_rates()).tolist()
+        members = wreck.members_by_bs(0, 2)
+        assert not solve_one_channel(gains.as_lists(), 0, members, pow2r, scenario.noise_power_w).feasible
+        for m in range(2):
+            graph = build_graph(gains, scenario, wreck, m)
+            adjacency = graph.full_adjacency()
+            r = graph.num_real
+            for j, h in enumerate(graph.node_groups):
+                if h != 0:
+                    continue
+                expected = np.full(graph.num_nodes, np.inf)
+                if j >= r:  # virtual node 0: the virtual block stays 0
+                    expected[r:] = 0.0
+                    expected[j] = np.inf
+                assert np.array_equal(adjacency[:, j], expected), (m, j)
+            assert np.any(np.isfinite(adjacency[:r, :]))  # other subchannels still take joiners
 
 
 class TestBuildGraph:
@@ -164,47 +237,67 @@ class TestEba:
             num_groups = int(rng.integers(2, 4))
             groups = [int(g) for g in rng.integers(0, num_groups, v)]
             weights = rng.uniform(-1.0, 2.0, (v, v))
-            for i in range(v):
-                for j in range(v):
-                    if i == j or groups[i] == groups[j]:
-                        weights[i, j] = math.inf
-            graph = _fake_graph(weights.copy(), groups)
+            _check_eba_against_enumeration(weights, groups, num_groups)
 
-            # brute force: any directed cycle with pairwise distinct groups
-            def exists_negative():
-                nodes = range(v)
-
-                def extend(path, used, cost):
-                    last = path[-1]
-                    if len(path) >= 2:
-                        closing = weights[last, path[0]]
-                        if math.isfinite(closing) and cost + closing < -1e-18:
-                            return True
-                    if len(path) == num_groups:
-                        return False
-                    for k in nodes:
-                        if k <= path[0] or k in path or groups[k] in used:
-                            continue
-                        w = weights[last, k]
-                        if not math.isfinite(w):
-                            continue
-                        if extend(path + [k], used | {groups[k]}, cost + w):
-                            return True
-                    return False
-
-                return any(extend([s], {groups[s]}, 0.0) for s in nodes)
-
-            league = find_negative_loop_eba(graph)
-            assert (league is not None) == exists_negative()
+        # Longer paths: 4-6 groups, V <= 12, and a mostly negative cycle
+        # planted through one node of every group among positive edges, so
+        # that the first negative closures often come after 4-6 hops.
+        rng = np.random.default_rng(12)
+        lengths = set()
+        for _ in range(100):
+            num_groups = int(rng.integers(4, 7))
+            v = int(rng.integers(num_groups, 13))
+            groups = [int(g) for g in rng.integers(0, num_groups, v)]
+            weights = rng.uniform(0.5, 2.0, (v, v))
+            first_of_group = {}
+            for node in rng.permutation(v).tolist():
+                first_of_group.setdefault(groups[node], node)
+            planted = list(first_of_group.values())
+            for a, b in zip(planted, planted[1:] + planted[:1]):
+                weights[a, b] = rng.uniform(-0.3, 0.1)
+            league = _check_eba_against_enumeration(weights, groups, num_groups)
             if league is not None:
-                total = sum(
-                    weights[idx_a, idx_b]
-                    for idx_a, idx_b in zip(
-                        [graph.nodes.index(x) for x in league.cycle],
-                        [graph.nodes.index(x) for x in league.cycle[1:] + league.cycle[:1]],
-                    )
-                )
-                assert_close(total, league.predicted_delta_w, rel=1e-12)
+                lengths.add(len(league.cycle))
+        assert {4, 5, 6} <= lengths
+
+
+def _check_eba_against_enumeration(weights, groups, num_groups):
+    """Assert eba finds a cycle exactly when brute force does, and that its
+    cycle is differ-group with the weight it reports; returns the league."""
+    v = len(groups)
+    for i in range(v):
+        for j in range(v):
+            if i == j or groups[i] == groups[j]:
+                weights[i, j] = math.inf
+    graph = _fake_graph(weights.copy(), groups)
+
+    # brute force: any directed cycle with pairwise distinct groups
+    def extend(path, used, cost):
+        last = path[-1]
+        if len(path) >= 2:
+            closing = weights[last, path[0]]
+            if math.isfinite(closing) and cost + closing < -1e-18:
+                return True
+        if len(path) == num_groups:
+            return False
+        for k in range(v):
+            if k <= path[0] or k in path or groups[k] in used:
+                continue
+            w = weights[last, k]
+            if not math.isfinite(w):
+                continue
+            if extend(path + [k], used | {groups[k]}, cost + w):
+                return True
+        return False
+
+    league = find_negative_loop_eba(graph)
+    assert (league is not None) == any(extend([s], {groups[s]}, 0.0) for s in range(v))
+    if league is not None:
+        idx = [graph.nodes.index(x) for x in league.cycle]
+        assert len(set(league.groups)) == len(idx)
+        total = sum(weights[a, b] for a, b in zip(idx, idx[1:] + idx[:1]))
+        assert_close(total, league.predicted_delta_w, rel=1e-12)
+    return league
 
 
 class TestFga:
@@ -242,8 +335,9 @@ class TestFga:
 
     def test_alpha_validation(self):
         graph = _fake_graph([[math.inf]], [0])
-        with pytest.raises(ValueError):
-            fga_candidates(graph, 0.0)
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                fga_candidates(graph, alpha)
 
 
 class TestApplyLeague:

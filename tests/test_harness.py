@@ -100,6 +100,27 @@ class TestRunExperiment:
         assert "converged=" in text
 
 
+class TestExperimentSpec:
+    def test_repeated_label_rejected(self):
+        # two rows per trial under one label would merge into one stats row
+        for strategies in (
+            [StrategyKind("sccd"), StrategyKind("sccd")],
+            [StrategyKind("eba", 2.0), StrategyKind("eba", 10.0)],
+            [StrategyKind("fga"), StrategyKind("fga", 5.0)],
+        ):
+            with pytest.raises(ValueError, match="more than once"):
+                _tiny_spec(strategies=strategies)
+        _tiny_spec(strategies=[StrategyKind("fga", 2.0), StrategyKind("fga", 10.0)])
+
+    def test_cli_rejects_repeated_strategy_before_running(self, tmp_path):
+        out = tmp_path / "res.csv"
+        with pytest.raises(ValueError, match="more than once"):
+            cli_main(["--strategy", "sccd", "--strategy", "sccd", "--trials", "2", "--out", str(out)])
+        with pytest.raises(ValueError, match="finite and > 0"):
+            cli_main(["--strategy", "sccd", "--strategy", "fga:nan", "--out", str(out)])
+        assert not out.exists()
+
+
 class TestSummarize:
     def test_single_row_mean(self):
         spec = _tiny_spec(strategies=[StrategyKind("gale_shapley")], trials=1)

@@ -203,6 +203,21 @@ class TestSolveChannelPowers:
 
 
 class TestSolveAllPowers:
+    def test_rejects_grouping_that_does_not_fit_the_scenario(self):
+        scenario, gains, grouping, _sol = next(feasible_instances(1, 12, 3, 2, start_seed=0))
+        # a user on a subchannel that does not exist used to drop out of
+        # the solve silently (p = 0 and a lower total)
+        for channel in (7, 3, -1):
+            with pytest.raises(ValueError, match="subchannel outside"):
+                solve_all_powers(gains, grouping.with_moves([(0, channel)]), scenario)
+        short = Grouping(channel_of=grouping.channel_of[:-1], bs_of=grouping.bs_of[:-1])
+        with pytest.raises(ValueError, match="11 users, the scenario 12"):
+            solve_all_powers(gains, short, scenario)
+        other_bs = grouping.bs_of.copy()
+        other_bs[0] = 1 - other_bs[0]
+        with pytest.raises(ValueError, match="association"):
+            solve_all_powers(gains, Grouping(channel_of=grouping.channel_of, bs_of=other_bs), scenario)
+
     def test_single_cell_two_iterations_and_recursion_match(self):
         scenario, gains = make_instance(10, 3, 1, seed=3)
         grouping = initial_grouping(gains, scenario)

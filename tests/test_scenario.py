@@ -29,6 +29,14 @@ class TestPathLoss:
             path_loss_db(0.0)
         with pytest.raises(ValueError):
             path_loss_db(-3.0)
+        with pytest.raises(ValueError):
+            path_loss_db(np.array([[15.0, 100.0], [0.0, 1000.0]]))
+
+    def test_array_is_elementwise(self):
+        d = np.array([[15.0, 100.0], [250.0, 1000.0]])
+        loss = path_loss_db(d)
+        assert loss.shape == d.shape
+        assert [float(x) for x in loss.ravel()] == [float(path_loss_db(x)) for x in d.ravel()]
 
 
 class TestNoisePower:

@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Deterministic dump of the package's decisions, for old-versus-new parity checks.
+
+    python3 tools/parity_dump.py [TREE] | sha256sum
+
+TREE is the root of a checkout whose src/noma_grouping is imported
+(default: the repository holding this script). The game instances are the
+pinned ones in this repository's bench/seeds.json, which is only read.
+Two trees print the same bytes when they make the same decisions:
+
+- run_game with the fga and the eba finder on every pinned game instance:
+  each accepted step (BS, moves, total power before and after as
+  float.hex), converged, eba_budget_exhaustions, the final channel_of and
+  the SHA-256 of p, then the SHA-256 of the full_adjacency() of every
+  league graph the game built;
+- enumerate_leagues (up to 3 nodes) on the starting grouping and
+  is_nash_equilibrium on the starting and on the fga game's final grouping
+  of make_instance(10, 3, 1, seed) for seeds 0-59;
+- the CLI's CSV and --trace-dir logs for eba, fga and sccd at N = 12 and
+  16, G = 3, M = 2, 3 trials, seed 7.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SEEDS_FILE = REPO / "bench" / "seeds.json"
+GAME_CHANNELS, GAME_BS, ALPHA = 10, 4, 5.0
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def make_instance(pkg, num_users, num_channels, num_bs, seed):
+    """Scenario and fading draw, derived as tests/conftest.make_instance derives them."""
+    import numpy as np
+
+    ss = np.random.SeedSequence((seed, num_users, num_channels, num_bs))
+    s_scen, s_gain = [int(x) for x in ss.generate_state(2, np.uint64)]
+    config = pkg.default_config(
+        num_users=num_users, num_channels=num_channels, num_bs=num_bs, seed=s_scen
+    )
+    scenario = pkg.generate_scenario(config, s_scen)
+    return scenario, pkg.draw_channel_gains(scenario, s_gain)
+
+
+def node_name(pkg, node) -> str:
+    return f"v{node.channel}" if isinstance(node, pkg.VirtualUser) else f"u{int(node)}"
+
+
+def dump_games(pkg, out) -> None:
+    with open(SEEDS_FILE) as fh:
+        game_seeds = json.load(fh)["game"]
+    game_module = pkg.game
+    original_build = game_module.build_graph
+    for finder in ("fga", "eba"):
+        for num_users, seed in game_seeds:
+            scenario, gains = make_instance(pkg, num_users, GAME_CHANNELS, GAME_BS, seed)
+            graphs = []
+
+            def recording_build(*args, **kwargs):
+                graph = original_build(*args, **kwargs)
+                graphs.append(graph)
+                return graph
+
+            game_module.build_graph = recording_build
+            try:
+                grouping, solution, trace = pkg.run_game(gains, scenario, finder=finder, alpha=ALPHA)
+            finally:
+                game_module.build_graph = original_build
+            out.write(f"game {finder} N={num_users} seed={seed}\n")
+            for k, step in enumerate(trace.iterations):
+                moves = " ".join(f"{u}->{g}" for u, g in step.action.moves)
+                out.write(
+                    f"  step {k} bs={step.bs} moves={moves} "
+                    f"before={float(step.total_power_before_w).hex()} "
+                    f"after={float(step.total_power_after_w).hex()}\n"
+                )
+            out.write(
+                f"  converged={trace.converged} "
+                f"eba_budget_exhaustions={trace.eba_budget_exhaustions}\n"
+                f"  channel_of={grouping.channel_of.tolist()}\n"
+                f"  p_sha256={sha(solution.p.tobytes())}\n"
+                f"  graphs={len(graphs)}\n"
+            )
+            for graph in graphs:
+                out.write(f"  adjacency bs={graph.bs} sha256={sha(graph.full_adjacency().tobytes())}\n")
+
+
+def dump_oracles(pkg, out) -> None:
+    for seed in range(60):
+        scenario, gains = make_instance(pkg, 10, 3, 1, seed)
+        start = pkg.initial_grouping(gains, scenario)
+        leagues = pkg.enumerate_leagues(gains, scenario, start, 3)
+        final, _solution, _trace = pkg.run_game(gains, scenario, finder="fga", alpha=ALPHA)
+        out.write(
+            f"oracle seed={seed} leagues={len(leagues)} "
+            f"nash_start={pkg.is_nash_equilibrium(gains, scenario, start, 3)} "
+            f"nash_final={pkg.is_nash_equilibrium(gains, scenario, final, 3)}\n"
+        )
+        for league in leagues:
+            cycle = ",".join(node_name(pkg, node) for node in league.cycle)
+            out.write(f"  {cycle} groups={list(league.groups)} delta={float(league.predicted_delta_w).hex()}\n")
+
+
+def dump_cli(pkg, out) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "results.csv"
+        trace_dir = Path(tmp) / "traces"
+        trace_dir.mkdir()
+        argv = [
+            "--strategy", "eba", "--strategy", "fga", "--strategy", "sccd",
+            "--users", "12", "16", "--groups", "3", "--bs", "2",
+            "--trials", "3", "--seed", "7",
+            "--out", str(csv_path), "--trace-dir", str(trace_dir),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            pkg.cli.main(argv)
+        out.write("cli results.csv\n")
+        out.write(csv_path.read_text())
+        for path in sorted(trace_dir.iterdir()):
+            out.write(f"cli {path.name}\n")
+            out.write(path.read_text())
+
+
+def main(argv) -> int:
+    tree = Path(argv[1]).resolve() if len(argv) > 1 else REPO
+    sys.path.insert(0, str(tree / "src"))
+    import noma_grouping as pkg
+    import noma_grouping.cli  # noqa: F401  (binds pkg.cli)
+
+    if Path(pkg.__file__).resolve().parent != tree / "src" / "noma_grouping":
+        raise ImportError(f"noma_grouping was imported from {pkg.__file__}, not from {tree}")
+    out = sys.stdout
+    dump_games(pkg, out)
+    dump_oracles(pkg, out)
+    dump_cli(pkg, out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
