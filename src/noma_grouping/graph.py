@@ -331,22 +331,19 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
         work[i, j] = math.inf
         path = [i, j]
         cost = float(w[i, j])
-        used = {groups[i], groups[j]}
+        blocked = (groups_arr == groups[i]) | (groups_arr == groups[j])
         closure = cost + w[j, i]
         if is_improvement(closure):
             _record(found, path, float(closure))
         cur = j
         for _hop in range(3, num_groups + 1):
-            group_used = np.zeros(num_groups, dtype=bool)
-            for h in used:
-                group_used[h] = True
-            row = np.where(group_used[groups_arr], np.inf, w[cur])
+            row = np.where(blocked, np.inf, w[cur])
             k = int(np.argmin(row))
             if not math.isfinite(row[k]):
                 break
             cost += float(w[cur, k])
             path.append(k)
-            used.add(groups[k])
+            blocked |= groups_arr == groups[k]
             closure = cost + w[k, i]
             if is_improvement(closure):
                 _record(found, path, float(closure))

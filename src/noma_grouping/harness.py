@@ -62,7 +62,8 @@ class StrategyKind:
     """Named strategy; alpha is the game finders' restart factor.
 
     A game strategy ("eba", "fga") without an alpha gets DEFAULT_ALPHA,
-    and its alpha must be finite and > 0; the other kinds ignore it.
+    and its alpha must be finite and > 0; the other kinds read no alpha
+    and reject one.
     """
 
     kind: str
@@ -78,6 +79,8 @@ class StrategyKind:
                 object.__setattr__(self, "alpha", DEFAULT_ALPHA)
             elif not (math.isfinite(self.alpha) and self.alpha > 0):
                 raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        elif self.alpha is not None:
+            raise ValueError(f"strategy {self.kind!r} takes no alpha, got {self.alpha!r}")
 
     def label(self) -> str:
         if self.kind == "fga":

@@ -15,7 +15,9 @@ Across cells, interference couples the groups that share a subchannel: the
 per-channel group powers solve a dense M x M linear system whose entries
 depend on the grouping and decode orders but not on the powers themselves.
 A fixed-point loop alternates (interference -> CCINR -> orders -> linear
-solve) until the orders stop changing, at which point the solve is exact.
+solve) and stops when the orders at the current powers equal the orders
+those powers were solved for: that solve is exact, and is returned
+without being repeated.
 
 Every caller runs the same kernel, one function per layer: decode_orders
 (the order rules), assemble_coupling (the linear system), solve_coupling
@@ -34,7 +36,6 @@ import numpy as np
 
 from .scenario import ChannelGains, Scenario
 
-REL_TOL = 1e-9
 ABS_FLOOR_W = 1e-18
 MAX_FIXED_POINT_ITERATIONS = 100
 
@@ -301,30 +302,27 @@ def solve_one_channel(
 ) -> ChannelSolveResult:
     """Fixed point of one subchannel: orders and the exact linear solve.
 
-    pow2r[n] = 2 ** spectral_rate[n]. The system matrix depends only on the
-    decode orders, so each iteration's solve is exact for its orders and
-    the loop converges one iteration after the orders stop changing.
+    pow2r[n] = 2 ** spectral_rate[n]. Each iteration decodes the orders at
+    the current powers. When they equal the orders those powers were solved
+    for, the system (a function of the orders alone) is unchanged, so the
+    powers are exact and are returned without solving again; the confirming
+    decode counts as an iteration. Otherwise the new orders are solved.
     """
     rows = [gain_lists[m][channel] for m in range(len(members_by_bs))]
     p_cur = list(warm_start) if warm_start is not None else [0.0] * len(rows)
-    orders = prev_orders = None
+    orders = solved_orders = None
     iterations = 0
     for iterations in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
         # Only the CCINR orders depend on the powers.
         if orders is None or order_rule == CCINR_ORDER:
             orders = decode_orders(rows, members_by_bs, pow2r, sigma2, p_cur, order_rule)
+        if orders == solved_orders:
+            return ChannelSolveResult(p_cur, orders, iterations, True)
         p_new = solve_coupling(*assemble_coupling(rows, orders, pow2r, sigma2))
         if p_new is None:
             return ChannelSolveResult(p_cur, orders, iterations, False)
-        if orders == prev_orders:
-            for new, cur in zip(p_new, p_cur):
-                if abs(new - cur) > REL_TOL * max(abs(new), ABS_FLOOR_W):
-                    break
-            else:
-                return ChannelSolveResult(p_new, orders, iterations, True)
-        prev_orders = orders
-        p_cur = p_new
-    return ChannelSolveResult(p_cur, prev_orders, iterations, False)
+        p_cur, solved_orders = p_new, orders
+    return ChannelSolveResult(p_cur, solved_orders, iterations, False)
 
 
 def solve_all_powers(

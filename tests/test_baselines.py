@@ -204,4 +204,5 @@ class TestStrategyKind:
             for alpha in (0.0, -2.0, math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match="finite and > 0"):
                     StrategyKind(kind, alpha)
-        assert StrategyKind("sccd", 0.0).label() == "sccd"  # alpha ignored
+        with pytest.raises(ValueError, match="takes no alpha"):
+            StrategyKind("sccd", 0.0)  # only eba and fga read an alpha

@@ -1,0 +1,36 @@
+"""The committed parity check, tools/parity_dump.py, runs against the current package.
+
+A refactor proves itself by printing the same dump on the old and the new
+tree, so a rename that breaks the script must fail here rather than at
+the next refactor.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SECTION_HEADERS = (
+    "game fga N=",
+    "game eba N=",
+    "oracle seed=",
+    "power N=",
+    "cli results.csv",
+    "cli trace_",
+)
+
+
+def test_parity_dump_runs():
+    proc = subprocess.run(
+        [sys.executable, "tools/parity_dump.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    lines = proc.stdout.splitlines()
+    for header in SECTION_HEADERS:
+        assert any(line.startswith(header) for line in lines), f"no {header!r} section"
+    for rule in ("ccinr", "channel_gain", "rate_descending"):
+        assert any(line.startswith("power N=") and f" rule={rule} " in line for line in lines)

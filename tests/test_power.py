@@ -24,7 +24,14 @@ from noma_grouping import (
     total_power,
     user_powers,
 )
-from noma_grouping.power import CCINR_ORDER, total_power_or_inf
+from noma_grouping import power
+from noma_grouping.power import (
+    CCINR_ORDER,
+    CHANNEL_GAIN_ORDER,
+    assemble_coupling,
+    solve_one_channel,
+    total_power_or_inf,
+)
 from noma_grouping.scenario import ChannelGains
 
 
@@ -409,3 +416,53 @@ class TestTotalPower:
                 )
                 total += float(np.sum(solve_coupling(a, b)))
             assert_close(total, total_power(solution))
+
+
+class TestChannelFixedPoint:
+    @pytest.mark.parametrize("order_rule", [CCINR_ORDER, CHANNEL_GAIN_ORDER])
+    def test_one_solve_per_order_and_result_certifies_itself(self, monkeypatch, order_rule):
+        solve = power.solve_coupling
+        calls = [0]
+
+        def counting_solve(a, b):
+            calls[0] += 1
+            return solve(a, b)
+
+        monkeypatch.setattr(power, "solve_coupling", counting_solve)
+
+        def counted(*args, **kwargs):
+            calls[0] = 0
+            return solve_one_channel(*args, order_rule=order_rule, **kwargs), calls[0]
+
+        converged = reordered = 0
+        for scenario, gains, grouping, _sol in feasible_instances(3, 16, 4, 3, start_seed=300):
+            num_bs, num_ch = scenario.config.num_bs, scenario.config.num_channels
+            lists, sigma2 = gains.as_lists(), scenario.noise_power_w
+            pow2r = np.exp2(scenario.spectral_rates()).tolist()
+            for g in range(num_ch):
+                members = grouping.members_by_bs(g, num_bs)
+                cold, cold_solves = counted(lists, g, members, pow2r, sigma2)
+                runs = [(members, cold, cold_solves)]
+                if cold.feasible:
+                    # warm starts as the league graph makes them: one user joins g
+                    for n in np.flatnonzero(grouping.channel_of != g).tolist():
+                        joined = grouping.with_moves([(n, g)]).members_by_bs(g, num_bs)
+                        warm, warm_solves = counted(
+                            lists, g, joined, pow2r, sigma2, warm_start=cold.powers
+                        )
+                        runs.append((joined, warm, warm_solves))
+                for mem, res, solves in runs:
+                    if not res.feasible:
+                        assert solves == res.iterations
+                        continue
+                    converged += 1
+                    reordered += res.iterations > 2
+                    # the confirming decode is counted but solves nothing
+                    assert solves == res.iterations - 1
+                    rows = [lists[m][g] for m in range(num_bs)]
+                    assert decode_orders(rows, mem, pow2r, sigma2, res.powers, order_rule) == res.orders
+                    again = solve(*assemble_coupling(rows, res.orders, pow2r, sigma2))
+                    assert [x.hex() for x in again] == [x.hex() for x in res.powers]
+        assert converged > 0
+        if order_rule == CCINR_ORDER:
+            assert reordered > 0

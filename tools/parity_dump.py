@@ -16,6 +16,11 @@ Two trees print the same bytes when they make the same decisions:
 - enumerate_leagues (up to 3 nodes) on the starting grouping and
   is_nash_equilibrium on the starting and on the fga game's final grouping
   of make_instance(10, 3, 1, seed) for seeds 0-59;
+- solve_all_powers on the initial, SCCD and Gale-Shapley groupings of
+  every pinned power instance, under each decode-order rule (ccinr,
+  channel_gain, rate_descending): feasible, fixed_point_iterations,
+  sic_order and the SHA-256 of p, group_power and the CCINR s and
+  interference;
 - the CLI's CSV and --trace-dir logs for eba, fga and sccd at N = 12 and
   16, G = 3, M = 2, 3 trials, seed 7.
 """
@@ -33,6 +38,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SEEDS_FILE = REPO / "bench" / "seeds.json"
 GAME_CHANNELS, GAME_BS, ALPHA = 10, 4, 5.0
+ORDER_RULES = ("ccinr", "channel_gain", "rate_descending")
 
 
 def sha(data: bytes) -> str:
@@ -111,6 +117,39 @@ def dump_oracles(pkg, out) -> None:
             out.write(f"  {cycle} groups={list(league.groups)} delta={float(league.predicted_delta_w).hex()}\n")
 
 
+def dump_powers(pkg, out) -> None:
+    with open(SEEDS_FILE) as fh:
+        power_seeds = json.load(fh)["power"]
+    for num_users, seed in power_seeds:
+        scenario, gains = make_instance(pkg, num_users, GAME_CHANNELS, GAME_BS, seed)
+        groupings = {
+            "initial": pkg.initial_grouping(gains, scenario),
+            "sccd": pkg.baselines.sccd_grouping(gains, scenario),
+            "gale_shapley": pkg.baselines.gale_shapley_grouping(gains, scenario),
+        }
+        for name, grouping in groupings.items():
+            for rule in ORDER_RULES:
+                solution = pkg.solve_all_powers(gains, grouping, scenario, order_rule=rule)
+                table = solution.ccinr
+                ccinr_sha = (
+                    "none" if table is None
+                    else f"{sha(table.s.tobytes())} {sha(table.interference.tobytes())}"
+                )
+                orders = ";".join(
+                    f"{m},{g}:{','.join(map(str, order))}"
+                    for (m, g), order in sorted(solution.sic_order.items())
+                )
+                out.write(
+                    f"power N={num_users} seed={seed} grouping={name} rule={rule} "
+                    f"feasible={solution.feasible} "
+                    f"iterations={solution.fixed_point_iterations}\n"
+                    f"  sic_order={orders}\n"
+                    f"  p_sha256={sha(solution.p.tobytes())} "
+                    f"group_power_sha256={sha(solution.group_power.tobytes())}\n"
+                    f"  ccinr_sha256={ccinr_sha}\n"
+                )
+
+
 def dump_cli(pkg, out) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "results.csv"
@@ -142,6 +181,7 @@ def main(argv) -> int:
     out = sys.stdout
     dump_games(pkg, out)
     dump_oracles(pkg, out)
+    dump_powers(pkg, out)
     dump_cli(pkg, out)
     return 0
 
