@@ -19,6 +19,7 @@ import numpy as np
 
 from . import baselines
 from .graph import (
+    ColumnStore,
     EbaBudgetExhausted,
     League,
     apply_league,
@@ -50,12 +51,17 @@ class GameTrace:
 
     eba_budget_exhaustions counts the searches that fell back to the
     greedy finder; zero means the exact search completed everywhere.
+    column_blocks_reused and column_blocks_solved count the league-graph
+    column blocks (one per BS, subchannel and build) copied from the
+    game's ColumnStore and solved anew; they sum to builds x G.
     """
 
     iterations: list = field(default_factory=list)
     converged: bool = False
     final_total_power_w: float = math.inf
     eba_budget_exhaustions: int = 0
+    column_blocks_reused: int = 0
+    column_blocks_solved: int = 0
 
 
 def initial_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
@@ -95,6 +101,10 @@ def run_game(
     candidate loop is tried per BS per sweep; with "fga" the candidates
     are tried best-first until one survives re-validation.
 
+    Every league graph is built with one ColumnStore per game, so a BS's
+    rebuild solves only the subchannels whose membership changed since
+    it was last seen; the weights are the same as those of a fresh build.
+
     An infeasible start is returned unchanged after 0 actions. Every edge
     into an infeasible subchannel weighs +inf, so no finder proposes a
     move out of it (is_improvement would accept one), and a move that
@@ -105,11 +115,12 @@ def run_game(
     grouping = start_grouping if start_grouping is not None else initial_grouping(gains, scenario)
     solution = solve_all_powers(gains, grouping, scenario)
     trace = GameTrace()
+    store = ColumnStore()
 
     while True:
         accepted_in_sweep = False
         for m in range(scenario.config.num_bs):
-            league_graph = build_graph(gains, scenario, grouping, m)
+            league_graph = build_graph(gains, scenario, grouping, m, store)
             if finder == "eba":
                 try:
                     league = find_negative_loop_eba(league_graph)
@@ -144,6 +155,8 @@ def run_game(
         if not accepted_in_sweep:
             break
 
+    trace.column_blocks_reused = store.blocks_reused
+    trace.column_blocks_solved = store.blocks_solved
     trace.converged = solution.feasible
     trace.final_total_power_w = total_power_or_inf(solution)
     return grouping, solution, trace

@@ -11,6 +11,10 @@ applying it; a negative cycle is therefore a strict improvement.
 Two detectors are provided: an exact, budget-bounded extension of
 Bellman-Ford over group-disjoint paths, and a fast greedy search seeded
 from the most negative edges.
+
+A game rebuilds every BS's graph after each accepted move, which changes
+only the subchannels it touches; a ColumnStore carries the weights of the
+others from one build to the next.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,14 +104,43 @@ def league_nodes(grouping: Grouping, bs: int, num_channels: int) -> tuple[list, 
     return nodes, [int(ch[n]) for n in real] + list(range(num_channels))
 
 
+@dataclass
+class ColumnStore:
+    """Per-game reuse of league-graph work, keyed by subchannel membership.
+
+    Column j of BS m's graph (node j leaves subchannel h) depends only on
+    m, h and h's members at every BS, and so does the base solve of h that
+    warm-starts its edge solves. The block of all of h's columns, over all
+    rows, is therefore reused as it is while that membership holds. This
+    needs the gains, the scenario and every user's BS to stay fixed: use
+    one store per game. Each (BS, subchannel) and each subchannel has one
+    slot, overwritten when its membership changes.
+    """
+
+    blocks: dict = field(default_factory=dict)  # (bs, h) -> (key, V x |h| block)
+    bases: dict = field(default_factory=dict)  # h -> (key, powers, total)
+    blocks_reused: int = 0
+    blocks_solved: int = 0
+
+
 class LeagueGraph:
     """Weighted digraph over one BS's real and virtual users.
 
-    The first full_adjacency call computes the whole V x V weight matrix
-    (O(V^2) per-subchannel solves, column by column) and caches it.
+    The first full_adjacency call computes the V x V weight matrix (one
+    per-subchannel solve per new membership, column by column) and caches
+    it. Base solves and column blocks whose subchannel membership is
+    unchanged since an earlier build with the same store are copied from
+    it; without a store the graph gets a fresh one and solves everything.
     """
 
-    def __init__(self, gains: ChannelGains, scenario: Scenario, grouping: Grouping, bs: int):
+    def __init__(
+        self,
+        gains: ChannelGains,
+        scenario: Scenario,
+        grouping: Grouping,
+        bs: int,
+        store: ColumnStore | None = None,
+    ):
         self.bs = int(bs)
         cfg = scenario.config
         self.num_channels = cfg.num_channels
@@ -115,6 +148,7 @@ class LeagueGraph:
         self._sigma2 = scenario.noise_power_w
         self._pow2r = np.exp2(scenario.spectral_rates()).tolist()
         self._lists = gains.as_lists()
+        self._store = store if store is not None else ColumnStore()
 
         self.nodes, self.node_groups = league_nodes(grouping, self.bs, self.num_channels)
         self.num_real = len(self.nodes) - self.num_channels
@@ -122,15 +156,21 @@ class LeagueGraph:
         self._base_members = [
             grouping.members_by_bs(g, self._num_bs) for g in range(self.num_channels)
         ]
+        self._keys = [tuple(map(tuple, members)) for members in self._base_members]
         self._base_powers: list = [None] * self.num_channels
         self._base_totals: list = [None] * self.num_channels
         for g in range(self.num_channels):
-            res = solve_one_channel(
-                self._lists, g, self._base_members[g], self._pow2r, self._sigma2
-            )
-            if res.feasible:
-                self._base_powers[g] = res.powers
-                self._base_totals[g] = math.fsum(res.powers)
+            slot = self._store.bases.get(g)
+            if slot is None or slot[0] != self._keys[g]:
+                res = solve_one_channel(
+                    self._lists, g, self._base_members[g], self._pow2r, self._sigma2
+                )
+                if res.feasible:
+                    slot = (self._keys[g], res.powers, math.fsum(res.powers))
+                else:
+                    slot = (self._keys[g], None, None)
+                self._store.bases[g] = slot
+            _key, self._base_powers[g], self._base_totals[g] = slot
 
         self._adj: np.ndarray | None = None
 
@@ -150,7 +190,9 @@ class LeagueGraph:
         so column j (node j leaves h) is built from one row: h's members
         at this BS without j. Each real joiner outside h adds itself to
         that row; every virtual joiner leaves it as it is, which is one
-        solve for all of them.
+        solve for all of them. The block of h's columns is copied from the
+        store when h's membership matches the one it was built for, and
+        is solved and stored otherwise.
         """
         if self._adj is None:
             v = len(self.nodes)
@@ -158,23 +200,37 @@ class LeagueGraph:
             adj = np.full((v, v), np.inf)
             adj[r:, r:] = 0.0
             np.fill_diagonal(adj[r:, r:], np.inf)
-            for j in range(v):
-                h = self.node_groups[j]
-                if self._base_totals[h] is None:
+            groups = np.asarray(self.node_groups)
+            store = self._store
+            for h in range(self.num_channels):
+                cols = np.flatnonzero(groups == h)
+                slot = store.blocks.get((self.bs, h))
+                if slot is not None and slot[0] == self._keys[h]:
+                    adj[:, cols] = slot[1]
+                    store.blocks_reused += 1
                     continue
-                row = list(self._base_members[h][self.bs])
-                if j < r:
-                    row.remove(self.nodes[j])
-                for i in range(r):
-                    if self.node_groups[i] != h:
-                        joined = list(row)
-                        insort(joined, self.nodes[i])
-                        adj[i, j] = self._weight(h, joined)
-                if j < r:
-                    adj[r:, j] = self._weight(h, row)
-                    adj[r + h, j] = math.inf  # h's own virtual node
+                if self._base_totals[h] is not None:
+                    for j in cols.tolist():
+                        self._fill_column(adj, j, h)
+                store.blocks[(self.bs, h)] = (self._keys[h], adj[:, cols])
+                store.blocks_solved += 1
             self._adj = adj
         return self._adj
+
+    def _fill_column(self, adj: np.ndarray, j: int, h: int) -> None:
+        """Solve column j, whose node leaves the feasible subchannel h."""
+        r = self.num_real
+        row = list(self._base_members[h][self.bs])
+        if j < r:
+            row.remove(self.nodes[j])
+        for i in range(r):
+            if self.node_groups[i] != h:
+                joined = list(row)
+                insort(joined, self.nodes[i])
+                adj[i, j] = self._weight(h, joined)
+        if j < r:
+            adj[r:, j] = self._weight(h, row)
+            adj[r + h, j] = math.inf  # h's own virtual node
 
     def _weight(self, h: int, row: list) -> float:
         """Total-power change of subchannel h when this BS's members there become row."""
@@ -188,9 +244,15 @@ class LeagueGraph:
         return math.fsum(res.powers) - self._base_totals[h]
 
 
-def build_graph(gains: ChannelGains, scenario: Scenario, grouping: Grouping, bs: int) -> LeagueGraph:
-    """League graph of one BS against the current grouping."""
-    return LeagueGraph(gains, scenario, grouping, bs)
+def build_graph(
+    gains: ChannelGains,
+    scenario: Scenario,
+    grouping: Grouping,
+    bs: int,
+    store: ColumnStore | None = None,
+) -> LeagueGraph:
+    """League graph of one BS against the current grouping (see LeagueGraph)."""
+    return LeagueGraph(gains, scenario, grouping, bs, store)
 
 
 def _make_league(graph: LeagueGraph, idx_cycle: list[int], delta: float) -> League:
@@ -267,13 +329,13 @@ def find_negative_loop_eba(graph: LeagueGraph):
                 cand_min = cand.min(axis=1)
                 cand_arg = cand.argmin(axis=1)
                 cand_min = np.where(starts_mask[:, ks], cand_min, np.inf)
-                if np.any(np.isfinite(cand_min)):
+                if np.isfinite(cand_min).any():
                     sub2 = sub | (1 << h)
                     nxt[sub2] = _state(sub2)
                     dist2, parent2 = nxt[sub2]
                     old = dist2[:, ks]
                     sel = cand_min < old
-                    if np.any(sel):
+                    if sel.any():
                         dist2[:, ks] = np.where(sel, cand_min, old)
                         parent2[:, ks] = np.where(sel, cand_arg.astype(np.int32), parent2[:, ks])
                 if used > EBA_DEFAULT_BUDGET:
@@ -304,50 +366,52 @@ def find_negative_loop_eba(graph: LeagueGraph):
 def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
     """All distinct negative cycles the greedy search finds, best first.
 
-    Each restart seeds from the globally minimal edge still available (a
-    working copy; used seeds are retired), checks the immediate 2-cycle,
-    then extends greedily through unused groups, checking the closure back
-    to the seed after every hop. Restart count is ceil(alpha * (real
-    users + groups)), clamped to at least one.
+    There are ceil(alpha * (real users + groups)) restarts, at least one.
+    Their seeds are the least finite edges in (weight, flat index) order,
+    one edge each. Every restart checks its seed's 2-cycle; then all of
+    them advance together, one greedy hop at a time to the cheapest node
+    of a group not yet on their path, and check the closure back to the
+    seed after every hop. A restart stops when it has no finite hop left
+    or its path visits every group.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     w = graph.full_adjacency()
-    groups = graph.node_groups
     v = w.shape[0]
     num_groups = graph.num_channels
     if v == 0:
         return []
     restarts = max(1, math.ceil(alpha * (graph.num_real + num_groups)))
-    work = w.copy()
-    groups_arr = np.asarray(groups)
-    found: dict[tuple, tuple[float, list[int]]] = {}
+    flat = w.ravel()
+    seeds = np.argsort(flat, kind="stable")[:restarts]
+    seeds = seeds[np.isfinite(flat[seeds])]
+    groups = np.asarray(graph.node_groups)
+    in_group = groups[None, :] == np.arange(num_groups)[:, None]  # (G, V)
 
-    for _ in range(restarts):
-        flat = int(np.argmin(work))
-        i, j = divmod(flat, v)
-        if not math.isfinite(work[i, j]):
+    start, cur = np.divmod(seeds, v)
+    paths = np.empty((seeds.size, max(2, num_groups)), dtype=np.intp)
+    paths[:, 0], paths[:, 1] = start, cur
+    cost = flat[seeds]
+    blocked = in_group[groups[start]] | in_group[groups[cur]]
+    found: dict[tuple, tuple[float, list[int]]] = {}
+    length = 2
+    while True:
+        closure = cost + w[cur, start]
+        for k in np.flatnonzero(is_improvement(closure)).tolist():
+            _record(found, paths[k, :length].tolist(), float(closure[k]))
+        if length >= num_groups:
             break
-        work[i, j] = math.inf
-        path = [i, j]
-        cost = float(w[i, j])
-        blocked = (groups_arr == groups[i]) | (groups_arr == groups[j])
-        closure = cost + w[j, i]
-        if is_improvement(closure):
-            _record(found, path, float(closure))
-        cur = j
-        for _hop in range(3, num_groups + 1):
-            row = np.where(blocked, np.inf, w[cur])
-            k = int(np.argmin(row))
-            if not math.isfinite(row[k]):
-                break
-            cost += float(w[cur, k])
-            path.append(k)
-            blocked |= groups_arr == groups[k]
-            closure = cost + w[k, i]
-            if is_improvement(closure):
-                _record(found, path, float(closure))
-            cur = k
+        rows = np.where(blocked, np.inf, w[cur])
+        nxt = rows.argmin(axis=1)
+        hop = rows[np.arange(nxt.size), nxt]
+        alive = np.isfinite(hop)
+        if not alive.any():
+            break
+        start, cur, paths = start[alive], nxt[alive], paths[alive]
+        cost = cost[alive] + hop[alive]
+        blocked = blocked[alive] | in_group[groups[cur]]
+        paths[:, length] = cur
+        length += 1
 
     ordered = sorted(found.items(), key=lambda kv: (kv[1][0], kv[0]))
     return [_make_league(graph, cyc, delta) for _key, (delta, cyc) in ordered]

@@ -1,4 +1,6 @@
-"""Shared builders and tolerance helpers for the test suite."""
+"""Shared builders, tolerance helpers and oracles for the test suite."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from noma_grouping import (
     solve_all_powers,
     user_powers,
 )
+from noma_grouping import game as game_module
+from noma_grouping.graph import League, is_improvement
 from noma_grouping.power import CCINR_ORDER
 
 REL = 1e-9
@@ -128,6 +132,83 @@ def jacobi_group_power(gains, grouping, scenario, max_sweeps):
         if done:
             return gp, True
     return gp, False
+
+
+def fga_candidates_reference(graph, alpha):
+    """The greedy finder with its restarts run one at a time (oracle).
+
+    Each restart seeds from the globally minimal edge still available (a
+    working copy; used seeds are retired), checks the immediate 2-cycle,
+    then extends greedily through unused groups, checking the closure back
+    to the seed after every hop. Cycles found from several seeds are kept
+    once, under their rotation that starts at the least node index, with
+    the least closure; the result is sorted by (delta, that rotation).
+    """
+    w = graph.full_adjacency()
+    groups = graph.node_groups
+    v = w.shape[0]
+    num_groups = graph.num_channels
+    if v == 0:
+        return []
+    restarts = max(1, math.ceil(alpha * (graph.num_real + num_groups)))
+    work = w.copy()
+    groups_arr = np.asarray(groups)
+    found = {}
+
+    def record(path, closure):
+        k = path.index(min(path))
+        canon = tuple(path[k:] + path[:k])
+        if canon not in found or closure < found[canon]:
+            found[canon] = closure
+
+    for _ in range(restarts):
+        flat = int(np.argmin(work))
+        i, j = divmod(flat, v)
+        if not math.isfinite(work[i, j]):
+            break
+        work[i, j] = math.inf
+        path = [i, j]
+        cost = float(w[i, j])
+        blocked = (groups_arr == groups[i]) | (groups_arr == groups[j])
+        closure = cost + w[j, i]
+        if is_improvement(closure):
+            record(path, float(closure))
+        cur = j
+        for _hop in range(3, num_groups + 1):
+            row = np.where(blocked, np.inf, w[cur])
+            k = int(np.argmin(row))
+            if not math.isfinite(row[k]):
+                break
+            cost += float(w[cur, k])
+            path.append(k)
+            blocked |= groups_arr == groups[k]
+            closure = cost + w[k, i]
+            if is_improvement(closure):
+                record(path, float(closure))
+            cur = k
+
+    return [
+        League(
+            cycle=[graph.nodes[i] for i in canon],
+            predicted_delta_w=delta,
+            groups=tuple(graph.node_groups[i] for i in canon),
+        )
+        for canon, delta in sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
+    ]
+
+
+def record_game_graphs(monkeypatch):
+    """Patch run_game's build_graph to record (grouping, bs, graph) per build."""
+    built = []
+    original = game_module.build_graph
+
+    def recording_build(gains, scenario, grouping, bs, *args):
+        graph = original(gains, scenario, grouping, bs, *args)
+        built.append((grouping, bs, graph))
+        return graph
+
+    monkeypatch.setattr(game_module, "build_graph", recording_build)
+    return built
 
 
 @pytest.fixture

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_close, feasible_instances, make_instance
+from conftest import (
+    assert_close,
+    feasible_instances,
+    fga_candidates_reference,
+    make_instance,
+    record_game_graphs,
+)
 from noma_grouping import (
     Grouping,
     StaleLeagueError,
@@ -14,9 +20,12 @@ from noma_grouping import (
     fga_candidates,
     find_negative_loop_eba,
     initial_grouping,
+    run_game,
     solve_all_powers,
 )
-from noma_grouping.graph import League, LeagueGraph
+from noma_grouping import graph as graph_module
+from noma_grouping.game import DEFAULT_ALPHA
+from noma_grouping.graph import ColumnStore, League, LeagueGraph
 from noma_grouping.power import solve_one_channel, total_power_or_inf
 
 
@@ -338,6 +347,135 @@ class TestFga:
         for alpha in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and > 0"):
                 fga_candidates(graph, alpha)
+
+
+def _candidate_bits(leagues):
+    return [(lg.cycle, lg.groups, float(lg.predicted_delta_w).hex()) for lg in leagues]
+
+
+def _assert_fga_matches_reference(graph, alpha):
+    assert _candidate_bits(fga_candidates(graph, alpha)) == _candidate_bits(
+        fga_candidates_reference(graph, alpha)
+    )
+
+
+def _game_instances():
+    """Two screened N = 16, G = 4, M = 3 instances (feasible starts)."""
+    return [case[:2] for case in feasible_instances(2, 16, 4, 3, start_seed=500)]
+
+
+class TestFgaMatchesScalarRestarts:
+    """The batched restarts give the scalar loop's candidates bit for bit."""
+
+    def test_random_integer_weights_with_ties(self):
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            v = int(rng.integers(2, 13))
+            num_groups = int(rng.integers(1, 6))
+            groups = [int(g) for g in rng.integers(0, num_groups, v)]
+            weights = rng.integers(-4, 5, (v, v)).astype(float)
+            alpha = float(rng.choice([0.1, 0.5, 1.0, 5.0]))
+            _assert_fga_matches_reference(_fake_graph(weights, groups), alpha)
+
+    def test_inf_entries(self):
+        rng = np.random.default_rng(72)
+        for _ in range(200):
+            v = int(rng.integers(2, 13))
+            num_groups = int(rng.integers(2, 6))
+            groups = [int(g) for g in rng.integers(0, num_groups, v)]
+            weights = rng.integers(-4, 5, (v, v)).astype(float)
+            weights[rng.random((v, v)) < 0.5] = math.inf
+            for i in range(v):
+                for j in range(v):
+                    if groups[i] == groups[j]:
+                        weights[i, j] = math.inf
+            _assert_fga_matches_reference(_fake_graph(weights, groups), 5.0)
+
+    def test_edge_cases(self):
+        inf = math.inf
+        few_edges = [[inf, -1.0, inf], [2.0, inf, inf], [inf, 0.5, inf]]
+        # 30 restarts for 3 finite edges
+        _assert_fga_matches_reference(_fake_graph(few_edges, [0, 1, 2]), 10.0)
+        all_inf = np.full((4, 4), inf)
+        assert fga_candidates(_fake_graph(all_inf, [0, 1, 0, 1]), 5.0) == []
+        _assert_fga_matches_reference(_fake_graph(all_inf, [0, 1, 0, 1]), 5.0)
+        one_group = [[inf, -2.0, 1.0], [-1.0, inf, 3.0], [0.5, -4.0, inf]]
+        _assert_fga_matches_reference(_fake_graph(one_group, [0, 0, 0]), 5.0)
+        assert fga_candidates(_fake_graph(one_group, [0, 0, 0]), 5.0)
+
+    def test_every_game_graph(self, monkeypatch):
+        built = record_game_graphs(monkeypatch)
+        for scenario, gains in _game_instances():
+            run_game(gains, scenario, finder="fga")
+        assert len(built) > 6
+        found_any = False
+        for _grouping, _bs, graph in built:
+            _assert_fga_matches_reference(graph, DEFAULT_ALPHA)
+            found_any |= bool(fga_candidates(graph, DEFAULT_ALPHA))
+        assert found_any
+
+
+def _count_channel_solves(monkeypatch):
+    """Record the channel of every solve_one_channel call made by graph.py."""
+    channels = []
+    original = graph_module.solve_one_channel
+
+    def counting(gain_lists, channel, *args, **kwargs):
+        channels.append(channel)
+        return original(gain_lists, channel, *args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "solve_one_channel", counting)
+    return channels
+
+
+class TestColumnReuse:
+    @pytest.mark.parametrize("finder", ["fga", "eba"])
+    def test_game_graphs_equal_fresh_builds(self, monkeypatch, finder):
+        built = record_game_graphs(monkeypatch)
+        for scenario, gains in _game_instances():
+            del built[:]
+            _grouping, _solution, trace = run_game(gains, scenario, finder=finder)
+            assert trace.iterations
+            for grouping, bs, graph in built:
+                fresh = LeagueGraph(gains, scenario, grouping, bs)
+                assert graph.full_adjacency().tobytes() == fresh.full_adjacency().tobytes()
+            g = scenario.config.num_channels
+            assert trace.column_blocks_reused + trace.column_blocks_solved == len(built) * g
+            assert trace.column_blocks_reused > 0
+
+    def test_unchanged_rebuild_solves_nothing(self, monkeypatch):
+        scenario, gains = _game_instances()[0]
+        grouping = initial_grouping(gains, scenario)
+        store = ColumnStore()
+        first = [build_graph(gains, scenario, grouping, m, store) for m in range(3)]
+        for graph in first:
+            graph.full_adjacency()
+        channels = _count_channel_solves(monkeypatch)
+        for m in range(3):
+            again = build_graph(gains, scenario, grouping, m, store)
+            assert again.full_adjacency().tobytes() == first[m].full_adjacency().tobytes()
+        assert channels == []
+        assert store.blocks_reused == 3 * scenario.config.num_channels
+
+    def test_rebuild_after_league_solves_touched_subchannels_only(self, monkeypatch):
+        scenario, gains = _game_instances()[0]
+        grouping = initial_grouping(gains, scenario)
+        store = ColumnStore()
+        graphs = [build_graph(gains, scenario, grouping, m, store) for m in range(3)]
+        league = next(lg for graph in graphs for lg in fga_candidates(graph, DEFAULT_ALPHA))
+        touched = set(league.groups)
+        moved = apply_league(grouping, league)
+        channels = _count_channel_solves(monkeypatch)
+        for m in range(3):
+            del channels[:]
+            solved_before = store.blocks_solved
+            graph = build_graph(gains, scenario, moved, m, store)
+            fresh = LeagueGraph(gains, scenario, moved, m)
+            assert graph.full_adjacency().tobytes() == fresh.full_adjacency().tobytes()
+            assert channels and set(channels) <= touched
+            if m == 0:  # the bases of the touched subchannels, solved once per store
+                assert set(channels) == touched
+            assert store.blocks_solved - solved_before == len(touched)
 
 
 class TestApplyLeague:
