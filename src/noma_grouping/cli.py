@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         action="append",
         default=None,
-        help="strategy to run: eba[:alpha], fga[:alpha], sccd, gale_shapley, exhaustive "
+        help="strategy to run: eba, fga[:alpha], sccd, gale_shapley, exhaustive "
         f"(repeatable; default: fga sccd gale_shapley; alpha defaults to {DEFAULT_ALPHA:g})",
     )
     parser.add_argument("--users", type=int, nargs="+", default=None, help="user counts to sweep")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines
 from .graph import (
-    ColumnStore,
+    ChannelTotals,
     EbaBudgetExhausted,
     League,
     apply_league,
@@ -51,17 +51,18 @@ class GameTrace:
 
     eba_budget_exhaustions counts the searches that fell back to the
     greedy finder; zero means the exact search completed everywhere.
-    column_blocks_reused and column_blocks_solved count the league-graph
-    column blocks (one per BS, subchannel and build) copied from the
-    game's ColumnStore and solved anew; they sum to builds x G.
+    memo_hits and memo_solves count the league graphs' lookups in the
+    game's ChannelTotals memo that found a total and that solved one;
+    they sum to the lookups, and memo_solves is the number of distinct
+    (subchannel, membership) pairs the graphs met.
     """
 
     iterations: list = field(default_factory=list)
     converged: bool = False
     final_total_power_w: float = math.inf
     eba_budget_exhaustions: int = 0
-    column_blocks_reused: int = 0
-    column_blocks_solved: int = 0
+    memo_hits: int = 0
+    memo_solves: int = 0
 
 
 def initial_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
@@ -98,12 +99,13 @@ def run_game(
     raises ValueError (see solve_all_powers).
 
     Returns (grouping, power solution, trace). With "eba" at most one
-    candidate loop is tried per BS per sweep; with "fga" the candidates
-    are tried best-first until one survives re-validation.
+    candidate loop is tried per BS per sweep (the exact search's loop, or
+    the greedy search's best when the budget runs out); with "fga" the
+    candidates are tried best-first until one survives re-validation.
 
-    Every league graph is built with one ColumnStore per game, so a BS's
-    rebuild solves only the subchannels whose membership changed since
-    it was last seen; the weights are the same as those of a fresh build.
+    Every league graph reads its subchannel totals from one ChannelTotals
+    memo per game, so each (subchannel, membership) is solved once per
+    game; the weights are the same as those of a fresh build.
 
     An infeasible start is returned unchanged after 0 actions. Every edge
     into an infeasible subchannel weighs +inf, so no finder proposes a
@@ -115,18 +117,18 @@ def run_game(
     grouping = start_grouping if start_grouping is not None else initial_grouping(gains, scenario)
     solution = solve_all_powers(gains, grouping, scenario)
     trace = GameTrace()
-    store = ColumnStore()
+    memo = ChannelTotals()
 
     while True:
         accepted_in_sweep = False
         for m in range(scenario.config.num_bs):
-            league_graph = build_graph(gains, scenario, grouping, m, store)
+            league_graph = build_graph(gains, scenario, grouping, m, memo)
             if finder == "eba":
                 try:
                     league = find_negative_loop_eba(league_graph)
                 except EbaBudgetExhausted:
                     trace.eba_budget_exhaustions += 1
-                    candidates = fga_candidates(league_graph, alpha)
+                    candidates = fga_candidates(league_graph, alpha)[:1]
                 else:
                     candidates = [league] if league is not None else []
             else:
@@ -150,13 +152,11 @@ def run_game(
                     solution = new_solution
                     accepted_in_sweep = True
                     break
-                if finder == "eba":
-                    break  # single candidate was not an improvement: skip BS
         if not accepted_in_sweep:
             break
 
-    trace.column_blocks_reused = store.blocks_reused
-    trace.column_blocks_solved = store.blocks_solved
+    trace.memo_hits = memo.hits
+    trace.memo_solves = memo.solves
     trace.converged = solution.feasible
     trace.final_total_power_w = total_power_or_inf(solution)
     return grouping, solution, trace

@@ -12,9 +12,10 @@ Two detectors are provided: an exact, budget-bounded extension of
 Bellman-Ford over group-disjoint paths, and a fast greedy search seeded
 from the most negative edges.
 
-A game rebuilds every BS's graph after each accepted move, which changes
-only the subchannels it touches; a ColumnStore carries the weights of the
-others from one build to the next.
+A weight is a difference of two subchannel totals, each a function of
+that subchannel's membership alone. A game keeps them in one
+ChannelTotals memo, so a rebuild after a move solves only memberships
+that no earlier build of the game has met.
 """
 
 from __future__ import annotations
@@ -105,32 +106,34 @@ def league_nodes(grouping: Grouping, bs: int, num_channels: int) -> tuple[list, 
 
 
 @dataclass
-class ColumnStore:
-    """Per-game reuse of league-graph work, keyed by subchannel membership.
+class ChannelTotals:
+    """Per-game memo of subchannel total powers, keyed by membership.
 
-    Column j of BS m's graph (node j leaves subchannel h) depends only on
-    m, h and h's members at every BS, and so does the base solve of h that
-    warm-starts its edge solves. The block of all of h's columns, over all
-    rows, is therefore reused as it is while that membership holds. This
-    needs the gains, the scenario and every user's BS to stay fixed: use
-    one store per game. Each (BS, subchannel) and each subchannel has one
-    slot, overwritten when its membership changes.
+    totals maps (h, sorted ids of the users on h) to subchannel h's total
+    power across all cells (math.fsum of its group powers) when exactly
+    those users share it, or inf when they cannot be powered. A channel
+    solve starts from zero power, so its result is a function of that
+    membership alone. The key leaves out every user's BS, the gains and
+    the scenario, which must therefore stay fixed: use one memo per game.
     """
 
-    blocks: dict = field(default_factory=dict)  # (bs, h) -> (key, V x |h| block)
-    bases: dict = field(default_factory=dict)  # h -> (key, powers, total)
-    blocks_reused: int = 0
-    blocks_solved: int = 0
+    totals: dict = field(default_factory=dict)
+    hits: int = 0
+
+    @property
+    def solves(self) -> int:
+        """Lookups that missed and ran a channel solve, one per entry."""
+        return len(self.totals)
 
 
 class LeagueGraph:
     """Weighted digraph over one BS's real and virtual users.
 
-    The first full_adjacency call computes the V x V weight matrix (one
-    per-subchannel solve per new membership, column by column) and caches
-    it. Base solves and column blocks whose subchannel membership is
-    unchanged since an earlier build with the same store are copied from
-    it; without a store the graph gets a fresh one and solves everything.
+    Every weight is a difference of two subchannel totals read from a
+    ChannelTotals memo. The current total of each subchannel is looked up
+    when the graph is built; the first full_adjacency call looks up the
+    totals after each move and caches the V x V matrix. Without a memo
+    the graph gets a fresh one and solves everything.
     """
 
     def __init__(
@@ -139,39 +142,28 @@ class LeagueGraph:
         scenario: Scenario,
         grouping: Grouping,
         bs: int,
-        store: ColumnStore | None = None,
+        memo: ChannelTotals | None = None,
     ):
         self.bs = int(bs)
         cfg = scenario.config
         self.num_channels = cfg.num_channels
-        self._num_bs = cfg.num_bs
         self._sigma2 = scenario.noise_power_w
         self._pow2r = np.exp2(scenario.spectral_rates()).tolist()
         self._lists = gains.as_lists()
-        self._store = store if store is not None else ColumnStore()
+        self._memo = memo if memo is not None else ChannelTotals()
 
         self.nodes, self.node_groups = league_nodes(grouping, self.bs, self.num_channels)
         self.num_real = len(self.nodes) - self.num_channels
 
-        self._base_members = [
-            grouping.members_by_bs(g, self._num_bs) for g in range(self.num_channels)
+        self._members = [grouping.members_by_bs(g, cfg.num_bs) for g in range(self.num_channels)]
+        # The other BSs' members on each subchannel; no move of this BS changes them.
+        self._others = [
+            [n for m, row in enumerate(members) if m != self.bs for n in row]
+            for members in self._members
         ]
-        self._keys = [tuple(map(tuple, members)) for members in self._base_members]
-        self._base_powers: list = [None] * self.num_channels
-        self._base_totals: list = [None] * self.num_channels
-        for g in range(self.num_channels):
-            slot = self._store.bases.get(g)
-            if slot is None or slot[0] != self._keys[g]:
-                res = solve_one_channel(
-                    self._lists, g, self._base_members[g], self._pow2r, self._sigma2
-                )
-                if res.feasible:
-                    slot = (self._keys[g], res.powers, math.fsum(res.powers))
-                else:
-                    slot = (self._keys[g], None, None)
-                self._store.bases[g] = slot
-            _key, self._base_powers[g], self._base_totals[g] = slot
-
+        self._totals = [
+            self._total(h, self._members[h][self.bs]) for h in range(self.num_channels)
+        ]
         self._adj: np.ndarray | None = None
 
     @property
@@ -186,13 +178,10 @@ class LeagueGraph:
         for self and same-group pairs and when either state is
         infeasible, 0 between two virtual nodes.
 
-        A weight depends only on the target subchannel's new membership,
-        so column j (node j leaves h) is built from one row: h's members
-        at this BS without j. Each real joiner outside h adds itself to
-        that row; every virtual joiner leaves it as it is, which is one
-        solve for all of them. The block of h's columns is copied from the
-        store when h's membership matches the one it was built for, and
-        is solved and stored otherwise.
+        A weight depends only on the target subchannel h's new membership:
+        h's members at this BS without j, plus i when i is real. So it is
+        the memo's total of that membership minus h's current total, and
+        all virtual joiners of a column share one lookup.
         """
         if self._adj is None:
             v = len(self.nodes)
@@ -200,48 +189,37 @@ class LeagueGraph:
             adj = np.full((v, v), np.inf)
             adj[r:, r:] = 0.0
             np.fill_diagonal(adj[r:, r:], np.inf)
-            groups = np.asarray(self.node_groups)
-            store = self._store
-            for h in range(self.num_channels):
-                cols = np.flatnonzero(groups == h)
-                slot = store.blocks.get((self.bs, h))
-                if slot is not None and slot[0] == self._keys[h]:
-                    adj[:, cols] = slot[1]
-                    store.blocks_reused += 1
+            for j, h in enumerate(self.node_groups):
+                now = self._totals[h]
+                if now == math.inf:
                     continue
-                if self._base_totals[h] is not None:
-                    for j in cols.tolist():
-                        self._fill_column(adj, j, h)
-                store.blocks[(self.bs, h)] = (self._keys[h], adj[:, cols])
-                store.blocks_solved += 1
+                row = list(self._members[h][self.bs])
+                if j < r:
+                    row.remove(self.nodes[j])
+                    adj[r:, j] = self._total(h, row) - now
+                    adj[r + h, j] = math.inf  # h's own virtual node
+                for i in range(r):
+                    if self.node_groups[i] != h:
+                        joined = list(row)
+                        insort(joined, self.nodes[i])
+                        adj[i, j] = self._total(h, joined) - now
             self._adj = adj
         return self._adj
 
-    def _fill_column(self, adj: np.ndarray, j: int, h: int) -> None:
-        """Solve column j, whose node leaves the feasible subchannel h."""
-        r = self.num_real
-        row = list(self._base_members[h][self.bs])
-        if j < r:
-            row.remove(self.nodes[j])
-        for i in range(r):
-            if self.node_groups[i] != h:
-                joined = list(row)
-                insort(joined, self.nodes[i])
-                adj[i, j] = self._weight(h, joined)
-        if j < r:
-            adj[r:, j] = self._weight(h, row)
-            adj[r + h, j] = math.inf  # h's own virtual node
-
-    def _weight(self, h: int, row: list) -> float:
-        """Total-power change of subchannel h when this BS's members there become row."""
-        members = list(self._base_members[h])
+    def _total(self, h: int, row: list) -> float:
+        """Memoized total power of subchannel h when this BS's members there are row."""
+        memo = self._memo
+        key = (h, tuple(sorted(self._others[h] + row)))
+        total = memo.totals.get(key)
+        if total is not None:
+            memo.hits += 1
+            return total
+        members = list(self._members[h])
         members[self.bs] = row
-        res = solve_one_channel(
-            self._lists, h, members, self._pow2r, self._sigma2, warm_start=self._base_powers[h]
-        )
-        if not res.feasible:
-            return math.inf
-        return math.fsum(res.powers) - self._base_totals[h]
+        res = solve_one_channel(self._lists, h, members, self._pow2r, self._sigma2)
+        total = math.fsum(res.powers) if res.feasible else math.inf
+        memo.totals[key] = total
+        return total
 
 
 def build_graph(
@@ -249,10 +227,10 @@ def build_graph(
     scenario: Scenario,
     grouping: Grouping,
     bs: int,
-    store: ColumnStore | None = None,
+    memo: ChannelTotals | None = None,
 ) -> LeagueGraph:
     """League graph of one BS against the current grouping (see LeagueGraph)."""
-    return LeagueGraph(gains, scenario, grouping, bs, store)
+    return LeagueGraph(gains, scenario, grouping, bs, memo)
 
 
 def _make_league(graph: LeagueGraph, idx_cycle: list[int], delta: float) -> League:
@@ -363,6 +341,12 @@ def find_negative_loop_eba(graph: LeagueGraph):
     return None
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha, the greedy restart factor, is finite and > 0."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+
+
 def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
     """All distinct negative cycles the greedy search finds, best first.
 
@@ -374,8 +358,7 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
     seed after every hop. A restart stops when it has no finite hop left
     or its path visits every group.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    check_alpha(alpha)
     w = graph.full_adjacency()
     v = w.shape[0]
     num_groups = graph.num_channels

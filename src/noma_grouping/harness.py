@@ -20,6 +20,7 @@ import numpy as np
 
 from . import baselines
 from .game import DEFAULT_ALPHA, run_game
+from .graph import check_alpha
 from .power import solve_all_powers, total_power_or_inf
 from .scenario import (
     ChannelGains,
@@ -59,11 +60,11 @@ def watts_to_dbm(power_w: float) -> float:
 
 @dataclass(frozen=True)
 class StrategyKind:
-    """Named strategy; alpha is the game finders' restart factor.
+    """Named strategy; alpha is the greedy finder's restart factor.
 
-    A game strategy ("eba", "fga") without an alpha gets DEFAULT_ALPHA,
-    and its alpha must be finite and > 0; the other kinds read no alpha
-    and reject one.
+    "fga" without an alpha gets DEFAULT_ALPHA, and its alpha must be
+    finite and > 0 (graph.check_alpha). The other kinds read no alpha and
+    reject one; "eba" runs its greedy fallback at DEFAULT_ALPHA.
     """
 
     kind: str
@@ -74,11 +75,10 @@ class StrategyKind:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}")
-        if self.kind in ("eba", "fga"):
+        if self.kind == "fga":
             if self.alpha is None:
                 object.__setattr__(self, "alpha", DEFAULT_ALPHA)
-            elif not (math.isfinite(self.alpha) and self.alpha > 0):
-                raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
+            check_alpha(self.alpha)
         elif self.alpha is not None:
             raise ValueError(f"strategy {self.kind!r} takes no alpha, got {self.alpha!r}")
 
@@ -169,8 +169,10 @@ def make_instance(point: SweepPoint, scen_seed: int, gain_seed: int):
 
 def run_strategy(gains: ChannelGains, scenario: Scenario, strategy: StrategyKind):
     """Dispatch one strategy; returns (grouping, solution, game trace or None)."""
-    if strategy.kind in ("eba", "fga"):
-        return run_game(gains, scenario, finder=strategy.kind, alpha=strategy.alpha)
+    if strategy.kind == "fga":
+        return run_game(gains, scenario, finder="fga", alpha=strategy.alpha)
+    if strategy.kind == "eba":
+        return run_game(gains, scenario, finder="eba")
     if strategy.kind == "sccd":
         grouping = baselines.sccd_grouping(gains, scenario)
     elif strategy.kind == "gale_shapley":

@@ -14,10 +14,12 @@ Summing the recursion gives the closed form
 Across cells, interference couples the groups that share a subchannel: the
 per-channel group powers solve a dense M x M linear system whose entries
 depend on the grouping and decode orders but not on the powers themselves.
-A fixed-point loop alternates (interference -> CCINR -> orders -> linear
-solve) and stops when the orders at the current powers equal the orders
-those powers were solved for: that solve is exact, and is returned
-without being repeated.
+A fixed-point loop, started from zero power, alternates (interference ->
+CCINR -> orders -> linear solve) and stops when the orders at the current
+powers equal the orders those powers were solved for: that solve is
+exact, and is returned without being repeated. Its result is therefore a
+function of the subchannel's membership alone, which is what lets the
+league graph memoize channel totals by membership.
 
 Every caller runs the same kernel, one function per layer: decode_orders
 (the order rules), assemble_coupling (the linear system), solve_coupling
@@ -298,18 +300,19 @@ def solve_one_channel(
     pow2r,
     sigma2: float,
     order_rule: str = CCINR_ORDER,
-    warm_start=None,
 ) -> ChannelSolveResult:
     """Fixed point of one subchannel: orders and the exact linear solve.
 
-    pow2r[n] = 2 ** spectral_rate[n]. Each iteration decodes the orders at
-    the current powers. When they equal the orders those powers were solved
-    for, the system (a function of the orders alone) is unchanged, so the
-    powers are exact and are returned without solving again; the confirming
-    decode counts as an iteration. Otherwise the new orders are solved.
+    pow2r[n] = 2 ** spectral_rate[n]. The iteration starts from zero power,
+    so the result depends only on the subchannel and its members. Each
+    iteration decodes the orders at the current powers. When they equal
+    the orders those powers were solved for, the system (a function of the
+    orders alone) is unchanged, so the powers are exact and are returned
+    without solving again; the confirming decode counts as an iteration.
+    Otherwise the new orders are solved.
     """
     rows = [gain_lists[m][channel] for m in range(len(members_by_bs))]
-    p_cur = list(warm_start) if warm_start is not None else [0.0] * len(rows)
+    p_cur = [0.0] * len(rows)
     orders = solved_orders = None
     iterations = 0
     for iterations in range(1, MAX_FIXED_POINT_ITERATIONS + 1):

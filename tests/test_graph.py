@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,10 @@ from noma_grouping import (
 )
 from noma_grouping import graph as graph_module
 from noma_grouping.game import DEFAULT_ALPHA
-from noma_grouping.graph import ColumnStore, League, LeagueGraph
+from noma_grouping.graph import ChannelTotals, League, LeagueGraph
 from noma_grouping.power import solve_one_channel, total_power_or_inf
+
+SEEDS_FILE = Path(__file__).resolve().parents[1] / "bench" / "seeds.json"
 
 
 def _fake_graph(weights, groups):
@@ -99,8 +103,8 @@ class TestEdgeWeight:
 
 
 def _reference_weight(gains, scenario, grouping, graph, i, j):
-    """Edge weight from two solves of subchannel h = group of j, before and
-    after the move, with h's members read off the moved grouping."""
+    """Edge weight from two cold solves of subchannel h = group of j, before
+    and after the move, with h's members read off the moved grouping."""
     if i == j or graph.node_groups[i] == graph.node_groups[j]:
         return math.inf
     node_i, node_j = graph.nodes[i], graph.nodes[j]
@@ -119,9 +123,7 @@ def _reference_weight(gains, scenario, grouping, graph, i, j):
     before = solve_one_channel(lists, h, grouping.members_by_bs(h, num_bs), pow2r, sigma2)
     if not before.feasible:
         return math.inf
-    after = solve_one_channel(
-        lists, h, moved.members_by_bs(h, num_bs), pow2r, sigma2, warm_start=before.powers
-    )
+    after = solve_one_channel(lists, h, moved.members_by_bs(h, num_bs), pow2r, sigma2)
     if not after.feasible:
         return math.inf
     return math.fsum(after.powers) - math.fsum(before.powers)
@@ -135,21 +137,35 @@ def _wrecked_instance():
     return scenario, gains, wreck
 
 
+def _pinned_game(num_users):
+    """The pinned game instance of the benchmark with num_users users (G = 10, M = 4)."""
+    with open(SEEDS_FILE) as fh:
+        seed = dict(json.load(fh)["game"])[num_users]
+    return make_instance(num_users, 10, 4, seed)
+
+
 class TestFullAdjacency:
-    def test_every_entry_matches_moved_grouping_solve(self):
+    def test_every_entry_matches_moved_grouping_solve(self, monkeypatch):
         cases = [case[:3] for case in feasible_instances(2, 12, 3, 2, start_seed=60)]
         cases.append(_wrecked_instance())
-        for scenario, gains, grouping in cases:
-            for m in range(scenario.config.num_bs):
-                graph = build_graph(gains, scenario, grouping, m)
-                adjacency = graph.full_adjacency()
-                for i in range(graph.num_nodes):
-                    for j in range(graph.num_nodes):
-                        expected = _reference_weight(gains, scenario, grouping, graph, i, j)
-                        actual = adjacency[i, j]
-                        assert math.isinf(actual) == math.isinf(expected), (m, i, j)
-                        if not math.isinf(expected):
-                            assert_close(actual, expected, label=f"bs {m} edge {i}->{j}")
+        graphs = [
+            (scenario, gains, grouping, build_graph(gains, scenario, grouping, m))
+            for scenario, gains, grouping in cases
+            for m in range(scenario.config.num_bs)
+        ]
+        # Every graph of the fga game on the pinned N = 60 instance: edge
+        # solves warm-started from the current powers called 30 of their
+        # entries feasible that a cold solve calls infeasible.
+        built = record_game_graphs(monkeypatch)
+        scenario, gains = _pinned_game(60)
+        run_game(gains, scenario, finder="fga")
+        graphs += [(scenario, gains, grouping, graph) for grouping, _bs, graph in built]
+        for scenario, gains, grouping, graph in graphs:
+            adjacency = graph.full_adjacency()
+            for i in range(graph.num_nodes):
+                for j in range(graph.num_nodes):
+                    expected = _reference_weight(gains, scenario, grouping, graph, i, j)
+                    assert adjacency[i, j] == expected, (graph.bs, i, j, adjacency[i, j], expected)
 
     def test_infeasible_subchannel_columns(self):
         scenario, gains, wreck = _wrecked_instance()
@@ -415,67 +431,98 @@ class TestFgaMatchesScalarRestarts:
         assert found_any
 
 
-def _count_channel_solves(monkeypatch):
-    """Record the channel of every solve_one_channel call made by graph.py."""
-    channels = []
+def _record_channel_solves(monkeypatch):
+    """Record (channel, per-BS member tuples) of every solve_one_channel call made by graph.py."""
+    solves = []
     original = graph_module.solve_one_channel
 
-    def counting(gain_lists, channel, *args, **kwargs):
-        channels.append(channel)
-        return original(gain_lists, channel, *args, **kwargs)
+    def recording(gain_lists, channel, members_by_bs, *args, **kwargs):
+        solves.append((channel, tuple(map(tuple, members_by_bs))))
+        return original(gain_lists, channel, members_by_bs, *args, **kwargs)
 
-    monkeypatch.setattr(graph_module, "solve_one_channel", counting)
-    return channels
+    monkeypatch.setattr(graph_module, "solve_one_channel", recording)
+    return solves
 
 
 class TestColumnReuse:
     @pytest.mark.parametrize("finder", ["fga", "eba"])
     def test_game_graphs_equal_fresh_builds(self, monkeypatch, finder):
         built = record_game_graphs(monkeypatch)
+        solves = _record_channel_solves(monkeypatch)
+        lookups = [0]
+        total = LeagueGraph._total
+
+        def counting_total(graph, h, row):
+            lookups[0] += 1
+            return total(graph, h, row)
+
+        monkeypatch.setattr(LeagueGraph, "_total", counting_total)
         for scenario, gains in _game_instances():
-            del built[:]
+            del built[:], solves[:]
+            lookups[0] = 0
             _grouping, _solution, trace = run_game(gains, scenario, finder=finder)
             assert trace.iterations
+            assert trace.memo_hits + trace.memo_solves == lookups[0]
+            assert trace.memo_solves == len(solves)
+            assert trace.memo_hits > 0
             for grouping, bs, graph in built:
                 fresh = LeagueGraph(gains, scenario, grouping, bs)
                 assert graph.full_adjacency().tobytes() == fresh.full_adjacency().tobytes()
-            g = scenario.config.num_channels
-            assert trace.column_blocks_reused + trace.column_blocks_solved == len(built) * g
-            assert trace.column_blocks_reused > 0
+
+    def test_no_membership_solved_twice_in_a_game(self, monkeypatch):
+        # Memberships recur across a game's builds: every league's new
+        # memberships are edges of the graph that proposed it.
+        solves = _record_channel_solves(monkeypatch)
+        scenario, gains = _game_instances()[0]
+        for finder in ("fga", "eba"):
+            del solves[:]
+            run_game(gains, scenario, finder=finder)
+            assert solves
+            assert len(set(solves)) == len(solves), finder
 
     def test_unchanged_rebuild_solves_nothing(self, monkeypatch):
         scenario, gains = _game_instances()[0]
         grouping = initial_grouping(gains, scenario)
-        store = ColumnStore()
-        first = [build_graph(gains, scenario, grouping, m, store) for m in range(3)]
+        memo = ChannelTotals()
+        first = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
         for graph in first:
             graph.full_adjacency()
-        channels = _count_channel_solves(monkeypatch)
+        memo_solves, memo_hits = memo.solves, memo.hits
+        solves = _record_channel_solves(monkeypatch)
         for m in range(3):
-            again = build_graph(gains, scenario, grouping, m, store)
+            again = build_graph(gains, scenario, grouping, m, memo)
             assert again.full_adjacency().tobytes() == first[m].full_adjacency().tobytes()
-        assert channels == []
-        assert store.blocks_reused == 3 * scenario.config.num_channels
+        assert solves == []
+        assert memo.solves == memo_solves and memo.hits > memo_hits
 
     def test_rebuild_after_league_solves_touched_subchannels_only(self, monkeypatch):
         scenario, gains = _game_instances()[0]
         grouping = initial_grouping(gains, scenario)
-        store = ColumnStore()
-        graphs = [build_graph(gains, scenario, grouping, m, store) for m in range(3)]
-        league = next(lg for graph in graphs for lg in fga_candidates(graph, DEFAULT_ALPHA))
+        memo = ChannelTotals()
+        graphs = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
+        for graph in graphs:
+            graph.full_adjacency()
+        # a league that leaves some subchannel untouched
+        league = next(
+            lg
+            for graph in graphs
+            for lg in fga_candidates(graph, DEFAULT_ALPHA)
+            if len(lg.groups) < scenario.config.num_channels
+        )
         touched = set(league.groups)
         moved = apply_league(grouping, league)
-        channels = _count_channel_solves(monkeypatch)
+        solves = _record_channel_solves(monkeypatch)
         for m in range(3):
-            del channels[:]
-            solved_before = store.blocks_solved
-            graph = build_graph(gains, scenario, moved, m, store)
+            del solves[:]
+            memo_solves = memo.solves
+            graph = build_graph(gains, scenario, moved, m, memo)
+            # the league's own edges already met every new membership
+            assert solves == []
+            adjacency = graph.full_adjacency()
+            assert solves and {h for h, _members in solves} <= touched
+            assert memo.solves - memo_solves == len(solves)
             fresh = LeagueGraph(gains, scenario, moved, m)
-            assert graph.full_adjacency().tobytes() == fresh.full_adjacency().tobytes()
-            assert channels and set(channels) <= touched
-            if m == 0:  # the bases of the touched subchannels, solved once per store
-                assert set(channels) == touched
-            assert store.blocks_solved - solved_before == len(touched)
+            assert adjacency.tobytes() == fresh.full_adjacency().tobytes()
 
 
 class TestApplyLeague:

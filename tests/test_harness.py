@@ -102,17 +102,16 @@ class TestRunExperiment:
 
 class TestStrategyAlpha:
     def test_alpha_only_for_game_strategies(self):
-        for kind in ("sccd", "gale_shapley", "exhaustive"):
+        for kind in ("eba", "sccd", "gale_shapley", "exhaustive"):
             assert StrategyKind(kind).alpha is None
             for alpha in (3.0, 0.0, 5.0):
                 with pytest.raises(ValueError, match="takes no alpha"):
                     StrategyKind(kind, alpha)
-        assert StrategyKind("eba", 2.0).alpha == 2.0
         assert StrategyKind("fga", 2.0).alpha == 2.0
 
     def test_cli_rejects_alpha_of_other_strategies(self, tmp_path):
         out = tmp_path / "res.csv"
-        for text in ("sccd:3", "exhaustive:0"):
+        for text in ("eba:2", "sccd:3", "exhaustive:0"):
             with pytest.raises(ValueError, match="takes no alpha"):
                 cli_main(["--strategy", "fga", "--strategy", text, "--out", str(out)])
         assert not out.exists()
@@ -123,7 +122,7 @@ class TestExperimentSpec:
         # two rows per trial under one label would merge into one stats row
         for strategies in (
             [StrategyKind("sccd"), StrategyKind("sccd")],
-            [StrategyKind("eba", 2.0), StrategyKind("eba", 10.0)],
+            [StrategyKind("eba"), StrategyKind("eba")],
             [StrategyKind("fga"), StrategyKind("fga", 5.0)],
         ):
             with pytest.raises(ValueError, match="more than once"):
