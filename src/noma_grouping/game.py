@@ -54,7 +54,8 @@ class GameTrace:
     memo_hits and memo_solves count the league graphs' lookups in the
     game's ChannelTotals memo that found a total and that solved one;
     they sum to the lookups, and memo_solves is the number of distinct
-    (subchannel, membership) pairs the graphs met.
+    (subchannel, membership) pairs the graphs met. memo_batch_solves is
+    the part of memo_solves that solve_channel_batch solved.
     """
 
     iterations: list = field(default_factory=list)
@@ -63,6 +64,7 @@ class GameTrace:
     eba_budget_exhaustions: int = 0
     memo_hits: int = 0
     memo_solves: int = 0
+    memo_batch_solves: int = 0
 
 
 def initial_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
@@ -157,6 +159,7 @@ def run_game(
 
     trace.memo_hits = memo.hits
     trace.memo_solves = memo.solves
+    trace.memo_batch_solves = memo.batch_solves
     trace.converged = solution.feasible
     trace.final_total_power_w = total_power_or_inf(solution)
     return grouping, solution, trace

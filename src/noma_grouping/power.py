@@ -26,6 +26,14 @@ Every caller runs the same kernel, one function per layer: decode_orders
 (LU solve and the nonnegativity check) and user_powers (the recursion);
 solve_one_channel iterates the first three, and solve_all_powers ends
 with the fourth.
+
+The kernel has two paths with the same bits. solve_one_channel solves
+one system on nested lists. solve_channel_batch runs the same fixed
+point, under the CCINR rule, on K systems at once as numpy arrays, with
+every sum in the scalar order. Its numpy calls cost the same for one
+system as for hundreds, so it is slower than the scalar path below a few
+dozen systems. The league graph picks the path by its number of memo
+misses (graph.BATCH_MIN_MISSES); solve_all_powers stays scalar.
 """
 
 from __future__ import annotations
@@ -326,6 +334,134 @@ def solve_one_channel(
             return ChannelSolveResult(p_cur, orders, iterations, False)
         p_cur, solved_orders = p_new, orders
     return ChannelSolveResult(p_cur, solved_orders, iterations, False)
+
+
+class ChannelBatchResult(NamedTuple):
+    powers: np.ndarray  # (K, M) group powers
+    iterations: np.ndarray  # (K,)
+    feasible: np.ndarray  # (K,) bool
+
+
+def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> ChannelBatchResult:
+    """solve_one_channel under the CCINR rule for K independent systems at once.
+
+    gain is the (M, G, N) gain table, channels[k] the subchannel of system
+    k and members[k, m] BS m's users on it in ascending id order, padded at
+    the end with -1. pow2r[n] = 2 ** spectral_rate[n]. System k's powers,
+    iterations and verdict equal solve_one_channel's bit for bit: every
+    sum runs in the scalar order (a loop over BSs, over decode positions
+    and over LU columns), the LU keeps the first-max pivot, the 1e-300
+    singular test and the f != 0 skip, and the result check is the same.
+    A system leaves the batch when its orders repeat or its solve fails.
+
+    The system index is the last axis of every working array, so each
+    step is a few numpy operations on contiguous (..., K) blocks.
+    """
+    members = np.asarray(members, dtype=np.intp).transpose(1, 2, 0)  # (M, P, K)
+    num_bs, _width, num_sys = members.shape
+    valid = members >= 0
+    ids = np.where(valid, members, 0)
+    # gg[mp, m, p, k]: BS mp's gain to slot p of BS m's row in system k.
+    # The own-BS gains move to `own`; zeroed in gg, they add exact zeros
+    # where the scalar kernel skips mp == m.
+    gg = np.asarray(gain)[:, np.asarray(channels, dtype=np.intp), ids]
+    bs = np.arange(num_bs)
+    own = gg[bs, bs]  # (M, P, K)
+    gg[bs, bs] = 0.0
+    f = np.where(valid, np.asarray(pow2r)[ids], 1.0)  # a pad adds w = 0
+
+    powers = np.zeros((num_bs, num_sys))
+    iterations = np.full(num_sys, MAX_FIXED_POINT_ITERATIONS)
+    feasible = np.zeros(num_sys, dtype=bool)
+    act = np.arange(num_sys)  # the systems still iterating
+    p_cur = powers.copy()
+    solved = None  # the orders p_cur was solved for
+    with np.errstate(all="ignore"):
+        for it in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
+            interference = np.zeros(own.shape)
+            for mp in range(num_bs):
+                interference = interference + gg[mp] * p_cur[mp]
+            s = np.where(valid, own / (interference + sigma2), np.inf)
+            orders = np.argsort(s, axis=1, kind="stable")  # ties: the lower slot, so the lower id
+            if solved is not None:
+                done = (orders == solved).all(axis=(0, 1))
+                iterations[act[done]] = it
+                feasible[act[done]] = True
+                powers[:, act[done]] = p_cur[:, done]
+                keep = ~done
+                act, orders, p_cur = act[keep], orders[..., keep], p_cur[:, keep]
+                gg, own, f, valid = gg[..., keep], own[..., keep], f[..., keep], valid[..., keep]
+                if act.size == 0:
+                    break
+            p_new, ok = _solve_coupling_batch(*_assemble_coupling_batch(gg, own, f, orders, sigma2))
+            iterations[act[~ok]] = it
+            powers[:, act[~ok]] = p_cur[:, ~ok]
+            if not ok.all():
+                act, orders, p_new = act[ok], orders[..., ok], p_new[:, ok]
+                gg, own, f, valid = gg[..., ok], own[..., ok], f[..., ok], valid[..., ok]
+                if act.size == 0:
+                    break
+            p_cur, solved = p_new, orders
+        else:
+            powers[:, act] = p_cur
+    return ChannelBatchResult(powers.T, iterations, feasible)
+
+
+def _assemble_coupling_batch(gg, own, f, orders, sigma2: float):
+    """assemble_coupling of every system, one decode position at a time."""
+    num_bs, width, num_sys = own.shape
+    # at[m, t, k]: flat index into an (M, P, K) array of the user BS m
+    # decodes at position t in system k.
+    at = (np.arange(num_bs)[:, None, None] * width + orders) * num_sys + np.arange(num_sys)
+    own, f = np.take(own, at), np.take(f, at)
+    gg = gg.reshape(num_bs, -1)
+    a = np.zeros((num_bs, num_bs, num_sys))
+    prod = np.ones((num_bs, num_sys))
+    wsum = np.zeros((num_bs, num_sys))
+    for t in range(width):
+        w = (f[:, t] - 1.0) / own[:, t] * prod
+        wsum = wsum + w
+        # a[m, m', k] += w * (BS m' gain to the user), zero for m' == m
+        a = a + w[:, None] * gg[:, at[:, t]].transpose(1, 0, 2)
+        prod = prod * f[:, t]
+    diag = np.arange(num_bs)
+    a[diag, diag] = -1.0
+    return a, -sigma2 * wsum
+
+
+def _solve_coupling_batch(a, x):
+    """solve_coupling of the systems a[:, :, k] @ P = x[:, k], in place.
+
+    Returns (powers, ok): the (M, K) solutions, meaningful where ok.
+    """
+    n, _n, num_sys = a.shape
+    cols = np.arange(num_sys)
+    ok = np.ones(num_sys, dtype=bool)
+    for k in range(n):
+        col = np.abs(a[k:, k])
+        # The first maximum, as in the scalar search. (A NaN entry can take
+        # the pivot here and not there; either way the solution is NaN.)
+        piv = col.argmax(axis=0)
+        ok &= ~(col[piv, cols] < 1e-300)
+        if k == n - 1:
+            break
+        if piv.any():
+            swap = k + piv
+            row_k, x_k = a[k].copy(), x[k].copy()
+            a[k], x[k] = a[swap, :, cols].T, x[swap, cols]
+            a[swap, :, cols], x[swap, cols] = row_k.T, x_k
+        fac = a[k + 1 :, k] / a[k, k]
+        nz = fac != 0.0
+        sub = a[k + 1 :, k + 1 :]
+        a[k + 1 :, k + 1 :] = np.where(nz[:, None], sub - fac[:, None] * a[k, None, k + 1 :], sub)
+        x[k + 1 :] = np.where(nz, x[k + 1 :] - fac * x[k], x[k + 1 :])
+    for i in range(n - 1, -1, -1):
+        acc = x[i]
+        for j in range(i + 1, n):
+            acc = acc - a[i, j] * x[j]
+        x[i] = acc / a[i, i]
+    ok &= np.isfinite(x).all(axis=0) & ~(x < -ABS_FLOOR_W).any(axis=0)
+    return np.where(x < 0.0, 0.0, x), ok
 
 
 def solve_all_powers(

@@ -432,16 +432,30 @@ class TestFgaMatchesScalarRestarts:
 
 
 def _record_channel_solves(monkeypatch):
-    """Record (channel, per-BS member tuples) of every solve_one_channel call made by graph.py."""
+    """Record (channel, per-BS member tuples) of every system graph.py solves, on either path."""
     solves = []
-    original = graph_module.solve_one_channel
+    scalar = graph_module.solve_one_channel
+    batch = graph_module.solve_channel_batch
 
-    def recording(gain_lists, channel, members_by_bs, *args, **kwargs):
+    def recording_scalar(gain_lists, channel, members_by_bs, *args, **kwargs):
         solves.append((channel, tuple(map(tuple, members_by_bs))))
-        return original(gain_lists, channel, members_by_bs, *args, **kwargs)
+        return scalar(gain_lists, channel, members_by_bs, *args, **kwargs)
 
-    monkeypatch.setattr(graph_module, "solve_one_channel", recording)
+    def recording_batch(gain, channels, members, *args):
+        for channel, rows in zip(channels, np.asarray(members).tolist()):
+            solves.append((channel, tuple(tuple(n for n in row if n >= 0) for row in rows)))
+        return batch(gain, channels, members, *args)
+
+    monkeypatch.setattr(graph_module, "solve_one_channel", recording_scalar)
+    monkeypatch.setattr(graph_module, "solve_channel_batch", recording_batch)
     return solves
+
+
+def _solve_paths(monkeypatch):
+    """Send every memo miss to solve_one_channel, then every one to solve_channel_batch."""
+    for path, threshold in (("scalar", math.inf), ("batch", 1)):
+        monkeypatch.setattr(graph_module, "BATCH_MIN_MISSES", threshold)
+        yield path
 
 
 class TestColumnReuse:
@@ -450,79 +464,90 @@ class TestColumnReuse:
         built = record_game_graphs(monkeypatch)
         solves = _record_channel_solves(monkeypatch)
         lookups = [0]
-        total = LeagueGraph._total
+        lookup = LeagueGraph._lookup
 
-        def counting_total(graph, h, row):
-            lookups[0] += 1
-            return total(graph, h, row)
+        def counting_lookup(graph, keys):
+            lookups[0] += len(keys)
+            return lookup(graph, keys)
 
-        monkeypatch.setattr(LeagueGraph, "_total", counting_total)
-        for scenario, gains in _game_instances():
-            del built[:], solves[:]
-            lookups[0] = 0
-            _grouping, _solution, trace = run_game(gains, scenario, finder=finder)
-            assert trace.iterations
-            assert trace.memo_hits + trace.memo_solves == lookups[0]
-            assert trace.memo_solves == len(solves)
-            assert trace.memo_hits > 0
-            for grouping, bs, graph in built:
-                fresh = LeagueGraph(gains, scenario, grouping, bs)
-                assert graph.full_adjacency().tobytes() == fresh.full_adjacency().tobytes()
+        monkeypatch.setattr(LeagueGraph, "_lookup", counting_lookup)
+        adjacencies = {}
+        for path in _solve_paths(monkeypatch):
+            adjacencies[path] = []
+            for scenario, gains in _game_instances():
+                del built[:], solves[:]
+                lookups[0] = 0
+                _grouping, _solution, trace = run_game(gains, scenario, finder=finder)
+                assert trace.iterations
+                assert trace.memo_hits + trace.memo_solves == lookups[0]
+                assert trace.memo_solves == len(solves)
+                assert trace.memo_batch_solves == (trace.memo_solves if path == "batch" else 0)
+                assert trace.memo_hits > 0
+                for grouping, bs, graph in built:
+                    fresh = LeagueGraph(gains, scenario, grouping, bs)
+                    assert graph.full_adjacency().tobytes() == fresh.full_adjacency().tobytes()
+                    adjacencies[path].append(graph.full_adjacency().tobytes())
+        # both paths make the same game, graph for graph
+        assert adjacencies["batch"] == adjacencies["scalar"]
 
     def test_no_membership_solved_twice_in_a_game(self, monkeypatch):
         # Memberships recur across a game's builds: every league's new
         # memberships are edges of the graph that proposed it.
         solves = _record_channel_solves(monkeypatch)
         scenario, gains = _game_instances()[0]
-        for finder in ("fga", "eba"):
-            del solves[:]
-            run_game(gains, scenario, finder=finder)
-            assert solves
-            assert len(set(solves)) == len(solves), finder
+        for path in _solve_paths(monkeypatch):
+            for finder in ("fga", "eba"):
+                del solves[:]
+                run_game(gains, scenario, finder=finder)
+                assert solves
+                assert len(set(solves)) == len(solves), (path, finder)
 
     def test_unchanged_rebuild_solves_nothing(self, monkeypatch):
         scenario, gains = _game_instances()[0]
         grouping = initial_grouping(gains, scenario)
-        memo = ChannelTotals()
-        first = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
-        for graph in first:
-            graph.full_adjacency()
-        memo_solves, memo_hits = memo.solves, memo.hits
         solves = _record_channel_solves(monkeypatch)
-        for m in range(3):
-            again = build_graph(gains, scenario, grouping, m, memo)
-            assert again.full_adjacency().tobytes() == first[m].full_adjacency().tobytes()
-        assert solves == []
-        assert memo.solves == memo_solves and memo.hits > memo_hits
+        for _path in _solve_paths(monkeypatch):
+            memo = ChannelTotals()
+            first = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
+            for graph in first:
+                graph.full_adjacency()
+            memo_solves, memo_hits = memo.solves, memo.hits
+            del solves[:]
+            for m in range(3):
+                again = build_graph(gains, scenario, grouping, m, memo)
+                assert again.full_adjacency().tobytes() == first[m].full_adjacency().tobytes()
+            assert solves == []
+            assert memo.solves == memo_solves and memo.hits > memo_hits
 
     def test_rebuild_after_league_solves_touched_subchannels_only(self, monkeypatch):
         scenario, gains = _game_instances()[0]
         grouping = initial_grouping(gains, scenario)
-        memo = ChannelTotals()
-        graphs = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
-        for graph in graphs:
-            graph.full_adjacency()
-        # a league that leaves some subchannel untouched
-        league = next(
-            lg
-            for graph in graphs
-            for lg in fga_candidates(graph, DEFAULT_ALPHA)
-            if len(lg.groups) < scenario.config.num_channels
-        )
-        touched = set(league.groups)
-        moved = apply_league(grouping, league)
         solves = _record_channel_solves(monkeypatch)
-        for m in range(3):
-            del solves[:]
-            memo_solves = memo.solves
-            graph = build_graph(gains, scenario, moved, m, memo)
-            # the league's own edges already met every new membership
-            assert solves == []
-            adjacency = graph.full_adjacency()
-            assert solves and {h for h, _members in solves} <= touched
-            assert memo.solves - memo_solves == len(solves)
-            fresh = LeagueGraph(gains, scenario, moved, m)
-            assert adjacency.tobytes() == fresh.full_adjacency().tobytes()
+        for _path in _solve_paths(monkeypatch):
+            memo = ChannelTotals()
+            graphs = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
+            for graph in graphs:
+                graph.full_adjacency()
+            # a league that leaves some subchannel untouched
+            league = next(
+                lg
+                for graph in graphs
+                for lg in fga_candidates(graph, DEFAULT_ALPHA)
+                if len(lg.groups) < scenario.config.num_channels
+            )
+            touched = set(league.groups)
+            moved = apply_league(grouping, league)
+            for m in range(3):
+                del solves[:]
+                memo_solves = memo.solves
+                graph = build_graph(gains, scenario, moved, m, memo)
+                # the league's own edges already met every new membership
+                assert solves == []
+                adjacency = graph.full_adjacency()
+                assert solves and {h for h, _members in solves} <= touched
+                assert memo.solves - memo_solves == len(solves)
+                fresh = LeagueGraph(gains, scenario, moved, m)
+                assert adjacency.tobytes() == fresh.full_adjacency().tobytes()
 
 
 class TestApplyLeague:

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +26,14 @@ from noma_grouping import (
     total_power,
     user_powers,
 )
+from noma_grouping import graph as graph_module
 from noma_grouping import power
+from noma_grouping import run_game
 from noma_grouping.power import (
     CCINR_ORDER,
     CHANNEL_GAIN_ORDER,
     assemble_coupling,
+    solve_channel_batch,
     solve_one_channel,
     total_power_or_inf,
 )
@@ -463,3 +468,105 @@ class TestChannelFixedPoint:
         assert converged > 0
         if order_rule == CCINR_ORDER:
             assert reordered > 0
+
+
+def _assert_batch_matches_scalar(gain, systems, pow2r, sigma2):
+    """solve_channel_batch on the (channel, members_by_bs) systems equals
+    solve_one_channel on each: the same powers to the bit, iterations and verdict."""
+    num_bs = gain.shape[0]
+    width = max([len(row) for _h, members in systems for row in members] + [0])
+    packed = np.full((len(systems), num_bs, width), -1)
+    for k, (_h, members) in enumerate(systems):
+        for m, row in enumerate(members):
+            packed[k, m, : len(row)] = row
+    res = solve_channel_batch(gain, [h for h, _members in systems], packed, np.asarray(pow2r), sigma2)
+    assert res.powers.shape == (len(systems), num_bs)
+    lists, pow2r_list = gain.tolist(), np.asarray(pow2r, dtype=float).tolist()
+    for k, (h, members) in enumerate(systems):
+        ref = solve_one_channel(lists, h, members, pow2r_list, sigma2)
+        assert [x.hex() for x in res.powers[k].tolist()] == [x.hex() for x in ref.powers], (k, h, members)
+        assert (int(res.iterations[k]), bool(res.feasible[k])) == (ref.iterations, ref.feasible), (k, h, members)
+    return res
+
+
+def _random_systems(rng, num_bs, num_ch, num_users, count, max_row):
+    """count random (channel, members_by_bs) systems; each user belongs to one BS."""
+    bs_of = rng.integers(0, num_bs, num_users)
+    systems = []
+    for _ in range(count):
+        members = []
+        for m in range(num_bs):
+            own = np.flatnonzero(bs_of == m)
+            size = int(rng.integers(0, min(max_row, own.size) + 1))
+            members.append(sorted(rng.choice(own, size, replace=False).tolist()))
+        systems.append((int(rng.integers(0, num_ch)), members))
+    return systems
+
+
+class TestChannelBatch:
+    """solve_channel_batch gives solve_one_channel's bits, system by system."""
+
+    def test_every_membership_of_a_pinned_fga_game(self, monkeypatch):
+        with open(Path(__file__).resolve().parents[1] / "bench" / "seeds.json") as fh:
+            seed = dict(json.load(fh)["game"])[50]
+        scenario, gains = make_instance(50, 10, 4, seed)
+        systems = []
+        scalar = graph_module.solve_one_channel
+
+        def recording(gain_lists, channel, members_by_bs, *args, **kwargs):
+            systems.append((channel, [list(row) for row in members_by_bs]))
+            return scalar(gain_lists, channel, members_by_bs, *args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "solve_one_channel", recording)
+        monkeypatch.setattr(graph_module, "BATCH_MIN_MISSES", math.inf)
+        _grouping, _solution, trace = run_game(gains, scenario, finder="fga")
+        assert len(systems) == trace.memo_solves > 1000
+        pow2r = np.exp2(scenario.spectral_rates())
+        res = _assert_batch_matches_scalar(gains.gain, systems, pow2r, scenario.noise_power_w)
+        assert res.feasible.any() and not res.feasible.all()
+        assert (res.iterations > 2).any()
+        # batches of other sizes, K = 1 included
+        for lo, hi in ((0, 1), (1, 8), (8, 40), (40, 200)):
+            _assert_batch_matches_scalar(gains.gain, systems[lo:hi], pow2r, scenario.noise_power_w)
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(91)
+        verdicts = set()
+        for _trial in range(60):
+            num_bs = int(rng.integers(1, 5))
+            num_ch = int(rng.integers(1, 4))
+            num_users = int(rng.integers(1, 25))
+            # coarse gain levels make CCINR ties between users of one row
+            gain = rng.choice([0.25, 0.5, 1.0, 2.0, 4.0], (num_bs, num_ch, num_users)) * 1e-9
+            pow2r = np.exp2(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], num_users))
+            sigma2 = float(rng.choice([1e-12, 1e-10, 1e-9]))
+            count = int(rng.choice([1, 2, 5, 30]))
+            max_row = int(rng.choice([1, 4, 12]))
+            systems = _random_systems(rng, num_bs, num_ch, num_users, count, max_row)
+            res = _assert_batch_matches_scalar(gain, systems, pow2r, sigma2)
+            verdicts |= set(zip(res.feasible.tolist(), (res.iterations > 2).tolist()))
+        # feasible and infeasible systems; some feasible ones reorder
+        assert {(True, True), (True, False), (False, False)} <= verdicts
+
+    def test_singular_empty_and_single_user_rows(self):
+        # On channel 0 every gain is 0.5 and users 0 and 1 have 2^r = 2, so
+        # w = 2 exactly and eliminating the first column of the coupling
+        # system leaves a zero pivot; BS 2 has no users there.
+        gain = np.full((3, 2, 4), 0.5)
+        gain[:, 1, :] = [[0.5, 0.25, 2.0, 1.0], [0.125, 0.5, 1.0, 4.0], [1.0, 1.0, 0.5, 2.0]]
+        pow2r = np.array([2.0, 2.0, 3.0, 1.5])
+        systems = [
+            (0, [[0], [1], []]),  # singular
+            (0, [[], [], []]),  # nobody on the channel
+            (1, [[0], [], []]),  # one user alone
+            (1, [[0, 2], [1], [3]]),
+            (0, [[0, 2], [], [1, 3]]),
+        ]
+        a, _b = assemble_coupling([gain[m, 0].tolist() for m in range(3)], ((0,), (1,), ()), pow2r.tolist(), 1e-3)
+        assert a == [[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [0.0, 0.0, -1.0]]
+        res = _assert_batch_matches_scalar(gain, systems, pow2r, 1e-3)
+        assert res.feasible.tolist()[:3] == [False, True, True]
+        assert res.iterations[0] == 1
+        for k in range(len(systems)):
+            _assert_batch_matches_scalar(gain, systems[k : k + 1], pow2r, 1e-3)
+
