@@ -56,6 +56,9 @@ class GameTrace:
     they sum to the lookups, and memo_solves is the number of distinct
     (subchannel, membership) pairs the graphs met. memo_batch_solves is
     the part of memo_solves that solve_channel_batch solved.
+    eba_relaxations sums the budget units (V * V * |group| per relaxed
+    (state, group) pair) that the game's eba searches used, exhausted
+    ones included.
     """
 
     iterations: list = field(default_factory=list)
@@ -65,6 +68,7 @@ class GameTrace:
     memo_hits: int = 0
     memo_solves: int = 0
     memo_batch_solves: int = 0
+    eba_relaxations: int = 0
 
 
 def initial_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
@@ -133,6 +137,7 @@ def run_game(
                     candidates = fga_candidates(league_graph, alpha)[:1]
                 else:
                     candidates = [league] if league is not None else []
+                trace.eba_relaxations += league_graph.eba_relaxations
             else:
                 candidates = fga_candidates(league_graph, alpha)
 

@@ -10,7 +10,10 @@ applying it; a negative cycle is therefore a strict improvement.
 
 Two detectors are provided: an exact, budget-bounded extension of
 Bellman-Ford over group-disjoint paths, and a fast greedy search seeded
-from the most negative edges.
+from the most negative edges. The exact one runs each path length as one
+array sweep over all of that level's subset states; its relaxation budget
+stops a level after a prefix of its (state, group) pairs, in a fixed
+order, so an exhausted search is deterministic.
 
 A weight is a difference of two subchannel totals, each a function of
 that subchannel's membership alone. A game keeps them in one
@@ -145,7 +148,8 @@ class LeagueGraph:
     ChannelTotals memo. The current total of each subchannel is looked up
     when the graph is built; the first full_adjacency call looks up the
     totals after each move and caches the V x V matrix. Without a memo
-    the graph gets a fresh one and solves everything.
+    the graph gets a fresh one and solves everything. eba_relaxations is
+    the budget count of the last find_negative_loop_eba on the graph.
     """
 
     def __init__(
@@ -176,6 +180,7 @@ class LeagueGraph:
             self._masks[g] |= 1 << n
         self._totals = self._lookup([(h, mask) for h, mask in enumerate(self._masks)])
         self._adj: np.ndarray | None = None
+        self.eba_relaxations = 0
 
     @property
     def num_nodes(self) -> int:
@@ -305,96 +310,121 @@ def find_negative_loop_eba(graph: LeagueGraph):
     level by level in path length; every node is a source at distance 0
     and a cycle closes by the edge back to its start (the cycle's minimum
     node index, so each cycle is examined once). Among the closures of the
-    earliest level containing any, the most negative is returned.
+    earliest level containing any, the most negative is returned (ties:
+    the least subset, then the least (start, end)).
 
-    Raises EbaBudgetExhausted when the relaxation budget
-    (EBA_DEFAULT_BUDGET) runs out before
-    either a cycle or a completed search; returning None is a proof that
-    no negative differ-group cycle of length <= G exists.
+    Each level is one array sweep over all of its states. A state's
+    distances are finite only at starts and mids in its own groups, so
+    step j of the sweep takes every state's j-th own node as mid, in
+    ascending order, and keeps the least dist[start, mid] + w[mid, k]
+    under a strict < (the first minimizing mid is the parent). Extending
+    a state by group h writes only the columns of h's nodes in state
+    sub | h, so every column of a new state has exactly one source: each
+    (state, k) column is scattered, at starts below k, into its new state,
+    and a new state exists when one of its columns has a finite entry.
+
+    The budget counts V * V * |group h| per (state, group h) pair, in the
+    order of ascending subsets, then ascending h, skipping used and empty
+    groups. The first pair that takes the count above EBA_DEFAULT_BUDGET
+    (read at call time) is the last one relaxed: its level keeps only the
+    pairs up to it, its closures are scanned, and without a negative one
+    EbaBudgetExhausted is raised. Returning None is a proof that no
+    negative differ-group cycle of length <= G exists. The count reached
+    is left in graph.eba_relaxations, also when the search raises.
     """
+    budget = EBA_DEFAULT_BUDGET
     w = graph.full_adjacency()
-    groups = np.asarray(graph.node_groups)
     v = w.shape[0]
     num_groups = graph.num_channels
+    graph.eba_relaxations = 0
     if v == 0:
         return None
-    wt = w.T.copy()
-    starts_mask = np.arange(v)[None, :] > np.arange(v)[:, None]  # [start, node]
-    group_nodes = [np.flatnonzero(groups == h) for h in range(num_groups)]
+    groups = np.asarray(graph.node_groups, dtype=np.int64)
+    bits = np.left_shift(1, groups)
+    # Budget units of a pair extending a state by group h; 0 for an empty group.
+    units = v * v * np.bincount(groups, minlength=num_groups)
+    group_bits = np.left_shift(1, np.arange(num_groups))
 
-    # all_levels[subset] = (dist, parent), each (V, V) over [start, end]:
-    # the least weight of a path from start to end through one node of
-    # each group in subset, and the node before end on it (-1 at the
-    # source). That node's state is subset without end's group.
-    all_levels: dict[int, tuple] = {}
-
-    def _state(sub: int) -> tuple:
-        if sub not in all_levels:
-            all_levels[sub] = (np.full((v, v), np.inf), np.full((v, v), -1, dtype=np.int32))
-        return all_levels[sub]
-
-    for s in range(v):
-        _state(1 << int(groups[s]))[0][s, s] = 0.0
+    # subs holds a level's subsets, ascending, and dist[i] the (V, V)
+    # distances of subs[i] over [start, end]: the least weight of a path
+    # from start to end through one node of each group in the subset.
+    # parent_of[sub] holds, from level 2 on, the node before end on that
+    # path (meaningful where dist is finite); its state is sub without
+    # end's group.
+    subs, state_of = np.unique(bits, return_inverse=True)
+    dist = np.full((subs.size, v, v), np.inf)
+    dist[state_of, np.arange(v), np.arange(v)] = 0.0
+    parent_of: dict[int, np.ndarray] = {}
 
     def _extract(sub: int, start: int, end: int) -> list[int]:
         rev = [end]
         node = end
-        while (parent := int(all_levels[sub][1][start, node])) >= 0:
+        while sub in parent_of:
+            parent = int(parent_of[sub][start, node])
             sub ^= 1 << int(groups[node])
             node = parent
             rev.append(node)
         rev.reverse()
         return rev
 
-    current = dict(all_levels)
     used = 0
-    exhausted = False
     for _level in range(2, num_groups + 1):
-        nxt: dict[int, tuple] = {}
-        for sub in sorted(current):
-            dist = current[sub][0]
-            for h in range(num_groups):
-                if sub & (1 << h):
-                    continue
-                ks = group_nodes[h]
-                if ks.size == 0:
-                    continue
-                used += v * v * ks.size
-                cand = dist[:, :, None] + w[None, :, ks]
-                cand_min = cand.min(axis=1)
-                cand_arg = cand.argmin(axis=1)
-                cand_min = np.where(starts_mask[:, ks], cand_min, np.inf)
-                if np.isfinite(cand_min).any():
-                    sub2 = sub | (1 << h)
-                    nxt[sub2] = _state(sub2)
-                    dist2, parent2 = nxt[sub2]
-                    old = dist2[:, ks]
-                    sel = cand_min < old
-                    if sel.any():
-                        dist2[:, ks] = np.where(sel, cand_min, old)
-                        parent2[:, ks] = np.where(sel, cand_arg.astype(np.int32), parent2[:, ks])
-                if used > EBA_DEFAULT_BUDGET:
-                    exhausted = True
-                    break
-            if exhausted:
-                break
+        # The level's (state, group) pairs in budget order, and the prefix relaxed.
+        pair_units = np.where((subs[:, None] & group_bits) == 0, units, 0)
+        spent = used + np.cumsum(pair_units)
+        over = np.flatnonzero(spent > budget)
+        exhausted = over.size > 0
+        last = int(over[0]) if exhausted else spent.size - 1
+        used = int(spent[last])
+        graph.eba_relaxations = used
+        relaxed = pair_units.ravel() > 0
+        relaxed[last + 1:] = False
+        relaxed = relaxed.reshape(pair_units.shape)
+        rows = last // num_groups + 1  # the states with a relaxed pair
 
-        # Scan this level's states for negative closures back to the start.
-        best = None
-        for sub2 in sorted(nxt):
-            closure = nxt[sub2][0] + wt
-            val = closure.min()
-            if is_improvement(val) and (best is None or val < best[0]):
-                st, en = np.unravel_index(int(closure.argmin()), closure.shape)
-                best = (float(val), int(st), int(en), sub2)
-        if best is not None:
-            delta, st, en, sub2 = best
-            return _make_league(graph, _extract(sub2, st, en), delta)
+        # own[i]: the nodes of subs[i]'s groups, ascending, padded with
+        # other nodes, at which dist[i] is inf, so a padded mid is never taken.
+        outside = (subs[:rows, None] >> groups) & 1 == 0
+        width = v - int(outside.sum(axis=1).min())
+        own = np.argsort(outside, axis=1, kind="stable")[:, :width]
+        src = dist[np.arange(rows)[:, None, None], own[:, :, None], own[:, None, :]]
+        best = np.full((rows, width, v), np.inf)  # [state, own start, k]
+        arg = np.full(best.shape, -1, dtype=np.int16)
+        cand = np.empty_like(best)
+        less = np.empty(best.shape, dtype=bool)
+        for j in range(width):
+            mid = own[:, j]
+            np.add(src[:, :, j, None], w[mid][:, None, :], out=cand)
+            np.less(cand, best, out=less)
+            np.copyto(best, cand, where=less)
+            np.copyto(arg, mid[:, None, None], where=less)
+        np.copyto(best, np.inf, where=own[:, :, None] >= np.arange(v))  # keep start < k
+
+        # A new state exists when one of its columns has a finite entry.
+        filled = np.isfinite(best).any(axis=1) & relaxed[:rows][:, groups]  # [state, k]
+        s_idx, k_idx = np.nonzero(filled)
+        subs, t_idx = np.unique(subs[s_idx] | bits[k_idx], return_inverse=True)
+        cells = (t_idx[:, None], own[s_idx], k_idx[:, None])
+        column = best[s_idx, :, k_idx]
+        dist = np.full((subs.size, v, v), np.inf)
+        parent = np.full(dist.shape, -1, dtype=np.int16)
+        dist[cells] = column
+        parent[cells] = arg[s_idx, :, k_idx]
+        parent_of.update(zip(subs.tolist(), parent))
+
+        # The least closure back to the start, first in (subset, start, end)
+        # order on ties; every finite entry of dist is in some column.
+        if column.size:
+            closure = column + w[k_idx[:, None], own[s_idx]]
+            delta = float(closure.min())
+            if is_improvement(delta):
+                at = np.ravel_multi_index(cells, dist.shape)[closure == delta].min()
+                t, st, en = np.unravel_index(at, dist.shape)
+                return _make_league(graph, _extract(int(subs[t]), int(st), int(en)), delta)
         if exhausted:
-            raise EbaBudgetExhausted(f"relaxation budget {EBA_DEFAULT_BUDGET} exceeded")
-        if not nxt:
+            raise EbaBudgetExhausted(f"relaxation budget {budget} exceeded")
+        if not subs.size:
             return None
-        current = nxt
     return None
 
 

@@ -17,6 +17,7 @@ from noma_grouping import (
     user_powers,
 )
 from noma_grouping import game as game_module
+from noma_grouping import graph as graph_module
 from noma_grouping.graph import League, is_improvement
 from noma_grouping.power import CCINR_ORDER
 
@@ -195,6 +196,113 @@ def fga_candidates_reference(graph, alpha):
         )
         for canon, delta in sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
     ]
+
+
+def find_negative_loop_eba_reference(graph):
+    """The exact finder's subset DP run one (state, group) pair at a time (oracle).
+
+    States are (start, end, set of used groups), expanded level by level
+    in path length, with every node a source at distance 0. Each level
+    visits its states in ascending subset order and, per state, the
+    groups h not yet used in ascending order; the pair adds
+    V * V * |group h| to the budget count and takes, for every
+    (start, k in group h) with start < k, the least dist[start, mid] +
+    w[mid, k] with its first minimizing mid as the parent. When the count
+    exceeds graph.EBA_DEFAULT_BUDGET (read at call time) after a pair,
+    the level stops there. Each level's closures back to the start are
+    then scanned subset by subset; the first strictly least improving
+    one is returned, else the exhausted search raises EbaBudgetExhausted
+    and an empty level returns None. graph.eba_relaxations is set to the
+    budget count.
+    """
+    budget = graph_module.EBA_DEFAULT_BUDGET
+    w = graph.full_adjacency()
+    groups = np.asarray(graph.node_groups)
+    v = w.shape[0]
+    num_groups = graph.num_channels
+    graph.eba_relaxations = 0
+    if v == 0:
+        return None
+    wt = w.T.copy()
+    starts_mask = np.arange(v)[None, :] > np.arange(v)[:, None]  # [start, node]
+    group_nodes = [np.flatnonzero(groups == h) for h in range(num_groups)]
+
+    # all_levels[subset] = (dist, parent), each (V, V) over [start, end].
+    all_levels = {}
+
+    def state(sub):
+        if sub not in all_levels:
+            all_levels[sub] = (np.full((v, v), np.inf), np.full((v, v), -1, dtype=np.int32))
+        return all_levels[sub]
+
+    for s in range(v):
+        state(1 << int(groups[s]))[0][s, s] = 0.0
+
+    def extract(sub, start, end):
+        rev = [end]
+        node = end
+        while (parent := int(all_levels[sub][1][start, node])) >= 0:
+            sub ^= 1 << int(groups[node])
+            node = parent
+            rev.append(node)
+        rev.reverse()
+        return rev
+
+    current = dict(all_levels)
+    used = 0
+    exhausted = False
+    for _level in range(2, num_groups + 1):
+        nxt = {}
+        for sub in sorted(current):
+            dist = current[sub][0]
+            for h in range(num_groups):
+                if sub & (1 << h):
+                    continue
+                ks = group_nodes[h]
+                if ks.size == 0:
+                    continue
+                used += v * v * ks.size
+                cand = dist[:, :, None] + w[None, :, ks]
+                cand_min = cand.min(axis=1)
+                cand_arg = cand.argmin(axis=1)
+                cand_min = np.where(starts_mask[:, ks], cand_min, np.inf)
+                if np.isfinite(cand_min).any():
+                    sub2 = sub | (1 << h)
+                    nxt[sub2] = state(sub2)
+                    dist2, parent2 = nxt[sub2]
+                    old = dist2[:, ks]
+                    sel = cand_min < old
+                    if sel.any():
+                        dist2[:, ks] = np.where(sel, cand_min, old)
+                        parent2[:, ks] = np.where(sel, cand_arg.astype(np.int32), parent2[:, ks])
+                if used > budget:
+                    exhausted = True
+                    break
+            if exhausted:
+                break
+        graph.eba_relaxations = used
+
+        best = None
+        for sub2 in sorted(nxt):
+            closure = nxt[sub2][0] + wt
+            val = closure.min()
+            if is_improvement(val) and (best is None or val < best[0]):
+                st, en = np.unravel_index(int(closure.argmin()), closure.shape)
+                best = (float(val), int(st), int(en), sub2)
+        if best is not None:
+            delta, st, en, sub2 = best
+            cycle = extract(sub2, st, en)
+            return League(
+                cycle=[graph.nodes[i] for i in cycle],
+                predicted_delta_w=delta,
+                groups=tuple(graph.node_groups[i] for i in cycle),
+            )
+        if exhausted:
+            raise graph_module.EbaBudgetExhausted(f"relaxation budget {budget} exceeded")
+        if not nxt:
+            return None
+        current = nxt
+    return None
 
 
 def record_game_graphs(monkeypatch):

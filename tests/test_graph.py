@@ -9,6 +9,7 @@ from conftest import (
     assert_close,
     feasible_instances,
     fga_candidates_reference,
+    find_negative_loop_eba_reference,
     make_instance,
     record_game_graphs,
 )
@@ -25,9 +26,10 @@ from noma_grouping import (
     run_game,
     solve_all_powers,
 )
+from noma_grouping import game as game_module
 from noma_grouping import graph as graph_module
 from noma_grouping.game import DEFAULT_ALPHA
-from noma_grouping.graph import ChannelTotals, League, LeagueGraph
+from noma_grouping.graph import ChannelTotals, EbaBudgetExhausted, League, LeagueGraph, is_improvement
 from noma_grouping.power import solve_one_channel, total_power_or_inf
 
 SEEDS_FILE = Path(__file__).resolve().parents[1] / "bench" / "seeds.json"
@@ -323,6 +325,193 @@ def _check_eba_against_enumeration(weights, groups, num_groups):
         total = sum(weights[a, b] for a, b in zip(idx, idx[1:] + idx[:1]))
         assert_close(total, league.predicted_delta_w, rel=1e-12)
     return league
+
+
+def _eba_outcome(finder, graph):
+    """(cycle, groups, delta hex) of an eba search's league, None or "exhausted"; and its budget count."""
+    try:
+        league = finder(graph)
+    except EbaBudgetExhausted:
+        found = "exhausted"
+    else:
+        found = None if league is None else _candidate_bits([league])[0]
+    return found, graph.eba_relaxations
+
+
+def _assert_eba_matches_reference(graph):
+    outcome = _eba_outcome(find_negative_loop_eba, graph)
+    assert outcome == _eba_outcome(find_negative_loop_eba_reference, graph)
+    return outcome
+
+
+def _random_tie_graph(rng, max_nodes=14, max_groups=7, lowest=-3):
+    """Integer weights from lowest to 5 (many ties), about 30% inf entries, groups possibly empty."""
+    v = int(rng.integers(1, max_nodes))
+    num_groups = int(rng.integers(1, max_groups))
+    groups = [int(g) for g in rng.integers(0, num_groups, v)]
+    weights = rng.integers(lowest, 6, (v, v)).astype(float)
+    weights[rng.random((v, v)) < 0.3] = math.inf
+    return _fake_graph(weights, groups)
+
+
+def _walk_budgets(monkeypatch, graph):
+    """Compare both searches at every budget boundary of the graph; return the outcomes.
+
+    From budget 0, each exhausted search reports the cumulative count U of
+    its last pair; the walk checks U - 1 (the same last pair) and U (the
+    strict > lets that pair pass) and goes on from U until a search ends
+    within its budget.
+    """
+    outcomes = []
+    budget = 0
+    while True:
+        monkeypatch.setattr(graph_module, "EBA_DEFAULT_BUDGET", budget)
+        outcome = _assert_eba_matches_reference(graph)
+        outcomes.append(outcome)
+        used = outcome[1]
+        if used <= budget:
+            return outcomes
+        monkeypatch.setattr(graph_module, "EBA_DEFAULT_BUDGET", used - 1)
+        assert _assert_eba_matches_reference(graph)[1] == used
+        budget = used
+
+
+def _deep_cycle_graph(closing_weight):
+    """Five nodes, one per group; the cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0 has four
+    edges of -1 and a closing edge of the given weight, all other edges +10.
+
+    Every other cycle takes a +10 edge and at most three edges of the
+    five-cycle, so for closing weights above -3 the five-cycle is the only
+    one that can be negative, and it is when closing_weight < 4. Each pair
+    costs 5 * 5 * 1 = 25 budget units: levels 2, 3, 4 and 5 have 20, 30, 20
+    and 5 pairs, 1,875 units in all, 1,750 before level 5. The first level-5
+    pair (state {0, 1, 2, 3}, group 4) writes the cycle's path.
+    """
+    weights = np.full((5, 5), 10.0)
+    np.fill_diagonal(weights, math.inf)
+    for node in range(4):
+        weights[node, node + 1] = -1.0
+    weights[4, 0] = closing_weight
+    return _fake_graph(weights, [0, 1, 2, 3, 4])
+
+
+class TestEbaMatchesReference:
+    """One array sweep per level gives the pair-at-a-time DP's result bit for bit."""
+
+    def test_every_game_graph(self, monkeypatch):
+        built = record_game_graphs(monkeypatch)
+        for scenario, gains in _game_instances():
+            run_game(gains, scenario, finder="eba")
+        assert len(built) > 6
+        found = [_assert_eba_matches_reference(graph)[0] for _grouping, _bs, graph in built]
+        assert None in found and any(isinstance(f, tuple) for f in found)
+
+    def test_pinned_game(self, monkeypatch):
+        scenario, gains = _pinned_game(50)
+        built = record_game_graphs(monkeypatch)
+        _grouping, solution, trace = run_game(gains, scenario, finder="eba")
+        outcomes = [_assert_eba_matches_reference(graph) for _grouping, _bs, graph in built]
+        assert "exhausted" in [found for found, _used in outcomes]
+        assert trace.eba_relaxations == sum(used for _found, used in outcomes)
+
+        monkeypatch.setattr(game_module, "find_negative_loop_eba", find_negative_loop_eba_reference)
+        _grouping, ref_solution, ref_trace = run_game(gains, scenario, finder="eba")
+        assert ref_trace.eba_relaxations == trace.eba_relaxations
+        assert ref_trace.eba_budget_exhaustions == trace.eba_budget_exhaustions
+        assert [(s.bs, _candidate_bits([s.action])) for s in ref_trace.iterations] == [
+            (s.bs, _candidate_bits([s.action])) for s in trace.iterations
+        ]
+        assert total_power_or_inf(ref_solution).hex() == total_power_or_inf(solution).hex()
+
+    def test_random_integer_weights_with_ties_and_inf(self):
+        rng = np.random.default_rng(81)
+        found = [_assert_eba_matches_reference(_random_tie_graph(rng))[0] for _ in range(400)]
+        assert found.count(None) > 50 and sum(isinstance(f, tuple) for f in found) > 100
+
+    def test_twin_nodes_tie_every_mid(self):
+        # Each node has a twin in its group with the same edges, and no
+        # 2-cycle is negative, so every league's path has tied mids.
+        rng = np.random.default_rng(83)
+        found = []
+        for _ in range(200):
+            v = int(rng.integers(1, 8))
+            groups = rng.integers(0, int(rng.integers(1, 6)), v)
+            weights = rng.integers(-3, 6, (v, v)).astype(float)
+            weights[rng.random((v, v)) < 0.3] = math.inf
+            weights = np.maximum(weights, -weights.T)
+            twins = np.repeat(np.arange(v), 2)
+            graph = _fake_graph(weights[np.ix_(twins, twins)], groups[twins].tolist())
+            found.append(_assert_eba_matches_reference(graph)[0])
+        assert sum(isinstance(f, tuple) for f in found) > 20
+
+    def test_edge_cases(self):
+        inf = math.inf
+        one_group = _fake_graph([[inf, -2.0, 1.0], [-1.0, inf, 3.0], [0.5, -4.0, inf]], [0, 0, 0])
+        all_inf = _fake_graph(np.full((4, 4), inf), [0, 1, 0, 1])
+        for graph in (one_group, all_inf):
+            assert _assert_eba_matches_reference(graph)[0] is None
+
+    def test_budget_boundaries(self, monkeypatch):
+        # first pair, mid-level, exactly at and one below every cumulative
+        # count, and never
+        rng = np.random.default_rng(82)
+        outcomes = _walk_budgets(monkeypatch, _deep_cycle_graph(-1.0))
+        for _ in range(12):
+            graph = _random_tie_graph(rng, max_nodes=10, max_groups=6, lowest=-1)
+            outcomes += _walk_budgets(monkeypatch, graph)
+        found = [f for f, _used in outcomes]
+        assert found.count("exhausted") > 100 and None in found and any(isinstance(f, tuple) for f in found)
+
+
+class TestEbaBudget:
+    def test_deep_cycle_needs_the_budget(self, monkeypatch):
+        graph = _deep_cycle_graph(-1.0)
+        monkeypatch.setattr(graph_module, "EBA_DEFAULT_BUDGET", 1749)
+        with pytest.raises(EbaBudgetExhausted):
+            find_negative_loop_eba(graph)
+        assert graph.eba_relaxations == 1750
+        for budget, used in ((1750, 1775), (10 ** 6, 1875)):
+            monkeypatch.setattr(graph_module, "EBA_DEFAULT_BUDGET", budget)
+            league = find_negative_loop_eba(graph)
+            assert league.cycle == [0, 1, 2, 3, 4]
+            assert league.predicted_delta_w == -5.0
+            assert graph.eba_relaxations == used
+
+    def test_none_is_a_proof_only_within_budget(self, monkeypatch):
+        graph = _deep_cycle_graph(5.0)
+        monkeypatch.setattr(graph_module, "EBA_DEFAULT_BUDGET", 1874)
+        with pytest.raises(EbaBudgetExhausted):
+            find_negative_loop_eba(graph)
+        monkeypatch.setattr(graph_module, "EBA_DEFAULT_BUDGET", 1875)
+        assert find_negative_loop_eba(graph) is None
+        assert graph.eba_relaxations == 1875
+
+    def test_game_falls_back_to_greedy_and_descends(self, monkeypatch):
+        scenario, gains = _game_instances()[0]
+        _grouping, _solution, full = run_game(gains, scenario, finder="eba")
+        assert full.eba_budget_exhaustions == 0
+
+        fallbacks = []
+        greedy = game_module.fga_candidates
+
+        def recording_greedy(graph, alpha):
+            leagues = greedy(graph, alpha)
+            fallbacks.extend(leagues[:1])
+            return leagues
+
+        monkeypatch.setattr(game_module, "fga_candidates", recording_greedy)
+        monkeypatch.setattr(graph_module, "EBA_DEFAULT_BUDGET", 500)
+        _grouping, solution, trace = run_game(gains, scenario, finder="eba")
+        assert trace.eba_budget_exhaustions > 0
+        assert trace.eba_relaxations < full.eba_relaxations
+        assert any(any(step.action is league for league in fallbacks) for step in trace.iterations)
+        assert trace.converged
+        powers = [trace.iterations[0].total_power_before_w]
+        for step in trace.iterations:
+            assert step.total_power_before_w == powers[-1]
+            assert is_improvement(step.total_power_after_w - step.total_power_before_w)
+            powers.append(step.total_power_after_w)
+        assert total_power_or_inf(solution) == powers[-1]
 
 
 class TestFga:
