@@ -6,8 +6,10 @@ shared objective (total transmit power) is an exact potential for these
 moves: a BS's improvement is everyone's improvement, so the sequence of
 accepted actions strictly descends and must stop, and the stopping point
 admits no improving loop the finder can reach. Every candidate move is
-re-validated with a full coupled solve and graph.is_improvement before
-acceptance; the graph's prediction is never trusted blindly.
+re-validated before acceptance: its realized total is re-read from the
+game's memo of subchannel totals, not summed from the graph's predicted
+weights, and graph.is_improvement judges it. At the end an independent
+solve_all_powers of the final grouping must match the memo's total.
 """
 
 from __future__ import annotations
@@ -24,15 +26,21 @@ from .graph import (
     League,
     apply_league,
     build_graph,
+    check_alpha,
     fga_candidates,
     find_negative_loop_eba,
     is_improvement,
 )
-from .power import Grouping, solve_all_powers, total_power_or_inf
+from .power import Grouping, check_grouping, solve_all_powers, total_power_or_inf
 from .scenario import ChannelGains, Scenario
 
 # Restart factor of the greedy finder ("fga" without an explicit alpha).
 DEFAULT_ALPHA = 5.0
+
+# The final grouping's memo total and its solve_all_powers total must
+# agree to this relative gap. Both solve the same systems from zero power
+# and differ only in summation order (group totals versus user powers).
+END_CHECK_REL = 1e-9
 
 
 @dataclass
@@ -51,14 +59,18 @@ class GameTrace:
 
     eba_budget_exhaustions counts the searches that fell back to the
     greedy finder; zero means the exact search completed everywhere.
-    memo_hits and memo_solves count the league graphs' lookups in the
-    game's ChannelTotals memo that found a total and that solved one;
+    memo_hits and memo_solves count the lookups in the game's
+    ChannelTotals memo (by graph builds and re-validations) that found a
+    total and that solved one;
     they sum to the lookups, and memo_solves is the number of distinct
     (subchannel, membership) pairs the graphs met. memo_batch_solves is
     the part of memo_solves that solve_channel_batch solved.
     eba_relaxations sums the budget units (V * V * |group| per relaxed
     (state, group) pair) that the game's eba searches used, exhausted
-    ones included.
+    ones included. candidates_tried counts the leagues the game applied
+    and re-validated, accepted or not. final_gap_rel is the relative gap
+    between the final grouping's memo total and the total of
+    solve_all_powers on it (0.0 when both are inf).
     """
 
     iterations: list = field(default_factory=list)
@@ -69,6 +81,8 @@ class GameTrace:
     memo_solves: int = 0
     memo_batch_solves: int = 0
     eba_relaxations: int = 0
+    candidates_tried: int = 0
+    final_gap_rel: float = 0.0
 
 
 def initial_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
@@ -99,29 +113,38 @@ def run_game(
 
     finder is "eba" (exact search; falls back to the greedy search when
     its budget is exhausted) or "fga" (greedy with restart factor alpha).
-    start_grouping resumes the game from a caller-supplied state, e.g.
-    after users connect or disconnect; by default every user starts on its
-    strongest own-BS subchannel. A start that does not fit the scenario
-    raises ValueError (see solve_all_powers).
+    An unknown finder, an alpha that is not finite and > 0
+    (graph.check_alpha) and a start_grouping that does not fit the
+    scenario (power.check_grouping) raise ValueError. start_grouping
+    resumes the game from a caller-supplied state, e.g. after users
+    connect or disconnect; by default every user starts on its strongest
+    own-BS subchannel.
 
     Returns (grouping, power solution, trace). With "eba" at most one
     candidate loop is tried per BS per sweep (the exact search's loop, or
     the greedy search's best when the budget runs out); with "fga" the
-    candidates are tried best-first until one survives re-validation.
+    candidates are tried best-first until one is accepted.
 
-    Every league graph reads its subchannel totals from one ChannelTotals
-    memo per game, so each (subchannel, membership) is solved once per
-    game; the weights are the same as those of a fresh build.
+    The game's state is its grouping and one ChannelTotals memo, which
+    every league graph reads its subchannel totals from, so each
+    (subchannel, membership) is solved once per game. The total power of
+    a grouping is the fsum of its G memo totals. A candidate is accepted
+    when is_improvement holds for its total after minus the total
+    before; only the subchannels it touches change, and their new totals
+    are memo entries its graph has already met. solve_all_powers runs
+    once, on the final grouping, for the returned solution; its total
+    must match the memo's to END_CHECK_REL, else RuntimeError is raised.
 
     An infeasible start is returned unchanged after 0 actions. Every edge
     into an infeasible subchannel weighs +inf, so no finder proposes a
     move out of it (is_improvement would accept one), and a move that
-    leaves it untouched leaves the grouping infeasible and is rejected.
+    leaves it untouched leaves the total at +inf and is rejected.
     """
     if finder not in ("eba", "fga"):
         raise ValueError(f"unknown finder {finder!r}")
+    check_alpha(alpha)
     grouping = start_grouping if start_grouping is not None else initial_grouping(gains, scenario)
-    solution = solve_all_powers(gains, grouping, scenario)
+    check_grouping(grouping, scenario)
     trace = GameTrace()
     memo = ChannelTotals()
 
@@ -129,6 +152,7 @@ def run_game(
         accepted_in_sweep = False
         for m in range(scenario.config.num_bs):
             league_graph = build_graph(gains, scenario, grouping, m, memo)
+            total_w = league_graph.total_w
             if finder == "eba":
                 try:
                     league = find_negative_loop_eba(league_graph)
@@ -142,29 +166,36 @@ def run_game(
                 candidates = fga_candidates(league_graph, alpha)
 
             for league in candidates:
+                trace.candidates_tried += 1
                 new_grouping = apply_league(grouping, league)
-                new_solution = solve_all_powers(gains, new_grouping, scenario)
-                before_w = total_power_or_inf(solution)
-                after_w = total_power_or_inf(new_solution)
-                if is_improvement(after_w - before_w):
+                after_w = league_graph.total_after_w(league)
+                if is_improvement(after_w - total_w):
                     trace.iterations.append(
                         TraceStep(
                             bs=m,
                             action=league,
-                            total_power_before_w=before_w,
+                            total_power_before_w=total_w,
                             total_power_after_w=after_w,
                         )
                     )
                     grouping = new_grouping
-                    solution = new_solution
                     accepted_in_sweep = True
                     break
         if not accepted_in_sweep:
             break
 
+    solution = solve_all_powers(gains, grouping, scenario)
+    solved_w = total_power_or_inf(solution)
+    # inf against a finite total gives NaN or inf, which fails the check.
+    gap = 0.0 if solved_w == total_w else abs(total_w - solved_w) / abs(solved_w)
+    if not gap <= END_CHECK_REL:
+        raise RuntimeError(
+            f"the final grouping's memo total {total_w!r} W differs from its solve, {solved_w!r} W"
+        )
+    trace.final_gap_rel = gap
     trace.memo_hits = memo.hits
     trace.memo_solves = memo.solves
     trace.memo_batch_solves = memo.batch_solves
     trace.converged = solution.feasible
-    trace.final_total_power_w = total_power_or_inf(solution)
+    trace.final_total_power_w = solved_w
     return grouping, solution, trace

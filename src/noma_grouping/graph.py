@@ -22,13 +22,15 @@ rebuild after a move solves only memberships that no earlier build of the
 game has met. A build collects the keys of all its entries first and
 solves their misses together: in one solve_channel_batch call when there
 are at least BATCH_MIN_MISSES of them, else one solve_one_channel call
-each. Both paths give the same bits.
+each. Both paths give the same bits. A game also re-validates its moves
+from this memo (LeagueGraph.total_after_w).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,8 +174,11 @@ class LeagueGraph:
         self.nodes, self.node_groups = league_nodes(grouping, self.bs, self.num_channels)
         self.num_real = len(self.nodes) - self.num_channels
 
-        self._members = [grouping.members_by_bs(g, cfg.num_bs) for g in range(self.num_channels)]
-        self._own_mask = sum(1 << n for n in self.nodes[: self.num_real])
+        self._bs_of = grouping.bs_of
+        self._num_bs = cfg.num_bs
+        # _pack pads to at least the longest row of another BS on any subchannel.
+        others = grouping.bs_of != self.bs
+        self._width = int(np.bincount(grouping.channel_of[others] * cfg.num_bs + grouping.bs_of[others]).max(initial=0))
         # Bit n of _masks[h] is set when user n is on subchannel h.
         self._masks = [0] * self.num_channels
         for n, g in enumerate(grouping.channel_of.tolist()):
@@ -185,6 +190,33 @@ class LeagueGraph:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def total_w(self) -> float:
+        """Total power of the grouping the graph was built on: the fsum of its G memo totals."""
+        return math.fsum(self._totals)
+
+    def total_after_w(self, league: League) -> float:
+        """Total power once this graph's league is applied: the fsum of the new G memo totals.
+
+        Node k of the cycle leaves subchannel groups[k] and node k - 1 joins
+        it. Only those subchannels' totals change, and the league's own
+        edges have met each new membership, so their lookups are hits.
+        """
+        keys = []
+        for k, node in enumerate(league.cycle):
+            h = league.groups[k]
+            mask = self._masks[h]
+            if not isinstance(node, VirtualUser):
+                mask ^= 1 << node
+            joiner = league.cycle[k - 1]
+            if not isinstance(joiner, VirtualUser):
+                mask |= 1 << joiner
+            keys.append((h, mask))
+        totals = list(self._totals)
+        for (h, _mask), total in zip(keys, self._lookup(keys)):
+            totals[h] = total
+        return math.fsum(totals)
 
     def full_adjacency(self) -> np.ndarray:
         """The V x V edge weights in watts, computed on the first call.
@@ -245,43 +277,43 @@ class LeagueGraph:
         totals = memo.totals
         misses = list(dict.fromkeys(key for key in keys if key not in totals))
         memo.hits += len(keys) - len(misses)
-        rows = [self._own_row(mask) for _h, mask in misses]
+        if not misses:
+            return [totals[key] for key in keys]
+        channels = [h for h, _mask in misses]
+        packed = self._pack([mask for _h, mask in misses])
         if len(misses) >= BATCH_MIN_MISSES:
-            channels = [h for h, _mask in misses]
-            packed = self._pack(channels, rows)
             res = solve_channel_batch(self._gain, channels, packed, self._pow2r, self._sigma2)
             for key, powers, feasible in zip(misses, res.powers.tolist(), res.feasible.tolist()):
                 totals[key] = math.fsum(powers) if feasible else math.inf
             memo.batch_solves += len(misses)
         else:
-            for (h, mask), row in zip(misses, rows):
-                members = list(self._members[h])
-                members[self.bs] = row
-                res = solve_one_channel(self._lists, h, members, self._pow2r, self._sigma2)
-                totals[h, mask] = math.fsum(res.powers) if res.feasible else math.inf
+            for key, rows in zip(misses, packed.tolist()):
+                members = [[n for n in row if n >= 0] for row in rows]
+                res = solve_one_channel(self._lists, key[0], members, self._pow2r, self._sigma2)
+                totals[key] = math.fsum(res.powers) if res.feasible else math.inf
         return [totals[key] for key in keys]
 
-    def _own_row(self, mask: int) -> list[int]:
-        """This BS's users among the set bits of mask, ascending."""
-        own = mask & self._own_mask
-        row = []
-        while own:
-            low = own & -own
-            row.append(low.bit_length() - 1)
-            own ^= low
-        return row
+    def _pack(self, masks: list) -> np.ndarray:
+        """solve_channel_batch's members of the memberships masks: (K, M, width) user ids.
 
-    def _pack(self, channels: list, rows: list) -> np.ndarray:
-        """solve_channel_batch's members: subchannel channels[k] with this BS's row rows[k]."""
-        others = [[[] if m == self.bs else row for m, row in enumerate(members)] for members in self._members]
-        width = max(len(row) for row in rows + [row for members in others for row in members])
-
-        def pad(row):
-            return row + [-1] * (width - len(row))
-
-        packed = np.array([[pad(row) for row in members] for members in others])[channels]
-        packed[:, self.bs] = [pad(row) for row in rows]
-        return packed
+        Row [k, m] holds BS m's users among the set bits of masks[k],
+        ascending, padded with -1 to the longest row of the masks or of
+        another BS on any subchannel. The masks are unpacked through
+        bytes, since they are wider than 64 bits above 64 users.
+        """
+        num_users = self._bs_of.size
+        nbytes = (num_users + 7) // 8
+        raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=num_users, bitorder="little")
+        system, users = np.nonzero(bits)  # users ascending within each system
+        rows = system * self._num_bs + self._bs_of[users]
+        order = np.argsort(rows, kind="stable")
+        rows, users = rows[order], users[order]
+        slots = np.arange(rows.size) - np.searchsorted(rows, rows)
+        width = max(self._width, int(slots.max(initial=-1)) + 1)
+        packed = np.full((len(masks) * self._num_bs, width), -1)
+        packed[rows, slots] = users
+        return packed.reshape(len(masks), self._num_bs, width)
 
 
 def build_graph(
@@ -434,23 +466,48 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
 
 
-def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
-    """All distinct negative cycles the greedy search finds, best first.
+class Candidates(Sequence):
+    """fga_candidates' result: a League per cycle, built on first access and kept.
 
-    There are ceil(alpha * (real users + groups)) restarts, at least one.
-    Their seeds are the least finite edges in (weight, flat index) order,
-    one edge each. Every restart checks its seed's 2-cycle; then all of
-    them advance together, one greedy hop at a time to the cheapest node
-    of a group not yet on their path, and check the closure back to the
-    seed after every hop. A restart stops when it has no finite hop left
-    or its path visits every group.
+    found holds the (delta, node index cycle) pairs, best first. A game
+    tries a few of the dozens of cycles a search finds.
+    """
+
+    def __init__(self, graph: LeagueGraph, found: list):
+        self._graph = graph
+        self._found = found
+        self._leagues: list[League | None] = [None] * len(found)
+
+    def __len__(self) -> int:
+        return len(self._found)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if self._leagues[k] is None:
+            delta, cycle = self._found[k]
+            self._leagues[k] = _make_league(self._graph, cycle, delta)
+        return self._leagues[k]
+
+
+def fga_candidates(graph: LeagueGraph, alpha: float) -> Candidates:
+    """All distinct negative cycles the greedy search finds, best first, as Leagues.
+
+    The result is a Candidates sequence, which builds each League when it
+    is first read. There are ceil(alpha * (real users + groups))
+    restarts, at least one. Their seeds are the least finite edges in
+    (weight, flat index) order, one edge each. Every restart checks its
+    seed's 2-cycle; then all of them advance together, one greedy hop at a
+    time to the cheapest node of a group not yet on their path, and check
+    the closure back to the seed after every hop. A restart stops when it
+    has no finite hop left or its path visits every group.
     """
     check_alpha(alpha)
     w = graph.full_adjacency()
     v = w.shape[0]
     num_groups = graph.num_channels
     if v == 0:
-        return []
+        return Candidates(graph, [])
     restarts = max(1, math.ceil(alpha * (graph.num_real + num_groups)))
     flat = w.ravel()
     seeds = np.argsort(flat, kind="stable")[:restarts]
@@ -467,8 +524,9 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
     length = 2
     while True:
         closure = cost + w[cur, start]
-        for k in np.flatnonzero(is_improvement(closure)).tolist():
-            _record(found, paths[k, :length].tolist(), float(closure[k]))
+        hit = is_improvement(closure)
+        for path, delta in zip(paths[hit, :length].tolist(), closure[hit].tolist()):
+            _record(found, path, delta)
         if length >= num_groups:
             break
         rows = np.where(blocked, np.inf, w[cur])
@@ -483,8 +541,7 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
         paths[:, length] = cur
         length += 1
 
-    ordered = sorted(found.items(), key=lambda kv: (kv[1][0], kv[0]))
-    return [_make_league(graph, cyc, delta) for _key, (delta, cyc) in ordered]
+    return Candidates(graph, sorted(found.values()))
 
 
 def _record(found: dict, path: list[int], closure: float) -> None:

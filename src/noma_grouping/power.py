@@ -464,6 +464,21 @@ def _solve_coupling_batch(a, x):
     return np.where(x < 0.0, 0.0, x), ok
 
 
+def check_grouping(grouping: Grouping, scenario: Scenario) -> None:
+    """Raise ValueError unless the grouping fits the scenario.
+
+    It must have one entry per user of the scenario, every channel in
+    [0, G) and bs_of equal to the scenario's association.
+    """
+    cfg = scenario.config
+    if grouping.num_users != cfg.num_users:
+        raise ValueError(f"grouping has {grouping.num_users} users, the scenario {cfg.num_users}")
+    if np.any((grouping.channel_of < 0) | (grouping.channel_of >= cfg.num_channels)):
+        raise ValueError(f"grouping uses a subchannel outside [0, {cfg.num_channels})")
+    if not np.array_equal(grouping.bs_of, scenario.association):
+        raise ValueError("grouping does not match the scenario association")
+
+
 def solve_all_powers(
     gains: ChannelGains,
     grouping: Grouping,
@@ -475,19 +490,11 @@ def solve_all_powers(
     Subchannels are orthogonal, so each one is solved by its own fixed
     point (started from zero power). Per-user powers are then recovered
     from the converged interference. feasible is False when any channel's
-    solve is singular, negative, or fails to converge.
-
-    Raises ValueError unless the grouping has one entry per user of the
-    scenario, every channel in [0, G) and bs_of equal to the scenario's
-    association.
+    solve is singular, negative, or fails to converge. A grouping that
+    does not fit the scenario raises ValueError (see check_grouping).
     """
+    check_grouping(grouping, scenario)
     cfg = scenario.config
-    if grouping.num_users != cfg.num_users:
-        raise ValueError(f"grouping has {grouping.num_users} users, the scenario {cfg.num_users}")
-    if np.any((grouping.channel_of < 0) | (grouping.channel_of >= cfg.num_channels)):
-        raise ValueError(f"grouping uses a subchannel outside [0, {cfg.num_channels})")
-    if not np.array_equal(grouping.bs_of, scenario.association):
-        raise ValueError("grouping does not match the scenario association")
     sigma2 = scenario.noise_power_w
     pow2r = np.exp2(scenario.spectral_rates()).tolist()
     lists = gains.as_lists()

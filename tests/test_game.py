@@ -13,6 +13,7 @@ from noma_grouping import (
     run_game,
     solve_all_powers,
 )
+from noma_grouping import game as game_module
 from noma_grouping.graph import NEG_DELTA_FLOOR_W
 from noma_grouping.power import total_power_or_inf
 from noma_grouping.scenario import ChannelGains
@@ -168,6 +169,19 @@ class TestRunGame:
         with pytest.raises(ValueError):
             run_game(gains, scenario, finder="magic")
 
+    @pytest.mark.parametrize("instance", [(12, 3, 2, 1), (50, 10, 4, 90001)])
+    def test_bad_alpha_rejected_before_any_search(self, monkeypatch, instance):
+        # On the small instance no eba search exhausts its budget, so alpha
+        # would never reach the greedy finder; on the pinned one it would.
+        scenario, gains = make_instance(*instance)
+        builds = []
+        monkeypatch.setattr(game_module, "build_graph", lambda *args: builds.append(args))
+        for finder in ("eba", "fga"):
+            for alpha in (-1.0, 0.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite and > 0"):
+                    run_game(gains, scenario, finder=finder, alpha=alpha)
+        assert builds == []
+
     def test_infeasible_start_without_repair(self):
         # hunt for an instance whose starting grouping cannot be powered
         found = False
@@ -186,3 +200,92 @@ class TestRunGame:
             assert trace.final_total_power_w == math.inf
             break
         assert found
+
+
+def _count_end_solves(monkeypatch):
+    """Patch run_game's solve_all_powers to count its calls."""
+    calls = []
+    solve = game_module.solve_all_powers
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(game_module, "solve_all_powers", counting_solve)
+    return calls
+
+
+class TestEndCheck:
+    """Moves are re-validated from the memo; one solve_all_powers checks the end."""
+
+    def test_one_solve_per_game(self, monkeypatch):
+        calls = _count_end_solves(monkeypatch)
+        scenario, gains, _grouping, solution = next(feasible_instances(1, 14, 3, 2, start_seed=50))
+        for finder in ("fga", "eba"):
+            del calls[:]
+            final, end, trace = run_game(gains, scenario, finder=finder)
+            assert trace.iterations and len(calls) == 1
+            assert np.array_equal(calls[0][1].channel_of, final.channel_of)
+            assert trace.final_total_power_w == total_power_or_inf(end)
+            assert trace.iterations[0].total_power_before_w == pytest.approx(total_power_or_inf(solution), rel=1e-12)
+            assert 0.0 <= trace.final_gap_rel <= 1e-12
+
+    def test_one_solve_for_an_infeasible_start(self, monkeypatch):
+        calls = _count_end_solves(monkeypatch)
+        scenario, gains = make_instance(50, 10, 4, 200001)
+        start = initial_grouping(gains, scenario)
+        for finder in ("fga", "eba"):
+            del calls[:]
+            final, solution, trace = run_game(gains, scenario, finder=finder)
+            assert len(calls) == 1
+            assert trace.iterations == [] and not solution.feasible and not trace.converged
+            assert np.array_equal(final.channel_of, start.channel_of)
+            assert trace.final_gap_rel == 0.0
+
+    def test_candidates_tried_counts_applied_leagues(self, monkeypatch):
+        applied = []
+        apply = game_module.apply_league
+
+        def counting_apply(grouping, league):
+            applied.append(league)
+            return apply(grouping, league)
+
+        monkeypatch.setattr(game_module, "apply_league", counting_apply)
+        for scenario, gains, _grouping, _sol in feasible_instances(2, 14, 3, 2, start_seed=50):
+            for finder in ("fga", "eba"):
+                del applied[:]
+                _final, _solution, trace = run_game(gains, scenario, finder=finder)
+                assert trace.candidates_tried == len(applied) >= len(trace.iterations)
+
+    @pytest.mark.parametrize("poison", [1 + 1e-6, math.inf])
+    def test_poisoned_memo_total_raises(self, monkeypatch, poison):
+        # Every build scales the memo's total of subchannel 0's current
+        # membership once, so the final grouping's memo total is off (or
+        # inf) while its independent solve is not.
+        build = game_module.build_graph
+        poisoned = set()
+
+        def poisoning_build(gains, scenario, grouping, bs, memo):
+            key = (0, sum(1 << int(n) for n in np.flatnonzero(grouping.channel_of == 0)))
+            if key in memo.totals and key not in poisoned:
+                memo.totals[key] *= poison
+                poisoned.add(key)
+            return build(gains, scenario, grouping, bs, memo)
+
+        monkeypatch.setattr(game_module, "build_graph", poisoning_build)
+        scenario, gains, _grouping, _sol = next(feasible_instances(1, 14, 3, 2, start_seed=50))
+        with pytest.raises(RuntimeError, match="memo total"):
+            run_game(gains, scenario, finder="fga")
+
+    def test_infeasible_end_solve_of_a_feasible_memo_raises(self, monkeypatch):
+        solve = game_module.solve_all_powers
+
+        def infeasible_solve(*args, **kwargs):
+            solution = solve(*args, **kwargs)
+            solution.feasible = False
+            return solution
+
+        monkeypatch.setattr(game_module, "solve_all_powers", infeasible_solve)
+        scenario, gains, _grouping, _sol = next(feasible_instances(1, 14, 3, 2, start_seed=50))
+        with pytest.raises(RuntimeError, match="memo total"):
+            run_game(gains, scenario, finder="fga")

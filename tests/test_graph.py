@@ -522,7 +522,7 @@ class TestFga:
             [2.5, 3.0, math.inf],
         ]
         graph = _fake_graph(weights, [0, 1, 2])
-        assert fga_candidates(graph, 5.0) == []
+        assert list(fga_candidates(graph, 5.0)) == []
 
     def test_hand_built_three_cycle_traced(self):
         # seed edge 0->1 (-5), extension 1->2 (+2), closure 2->0 (+1)
@@ -602,7 +602,7 @@ class TestFgaMatchesScalarRestarts:
         # 30 restarts for 3 finite edges
         _assert_fga_matches_reference(_fake_graph(few_edges, [0, 1, 2]), 10.0)
         all_inf = np.full((4, 4), inf)
-        assert fga_candidates(_fake_graph(all_inf, [0, 1, 0, 1]), 5.0) == []
+        assert list(fga_candidates(_fake_graph(all_inf, [0, 1, 0, 1]), 5.0)) == []
         _assert_fga_matches_reference(_fake_graph(all_inf, [0, 1, 0, 1]), 5.0)
         one_group = [[inf, -2.0, 1.0], [-1.0, inf, 3.0], [0.5, -4.0, inf]]
         _assert_fga_matches_reference(_fake_graph(one_group, [0, 0, 0]), 5.0)
@@ -737,6 +737,82 @@ class TestColumnReuse:
                 assert memo.solves - memo_solves == len(solves)
                 fresh = LeagueGraph(gains, scenario, moved, m)
                 assert adjacency.tobytes() == fresh.full_adjacency().tobytes()
+
+
+def _pack_reference(grouping, bs, num_bs, num_channels, masks):
+    """Per-row decode of membership masks (oracle for LeagueGraph._pack).
+
+    Row [k, m] holds BS m's users among the set bits of masks[k], found bit
+    by bit in ascending order, padded with -1 to the longest such row or
+    row of a BS other than bs on any subchannel of grouping.
+    """
+    bs_of = grouping.bs_of.tolist()
+    systems = []
+    for mask in masks:
+        rows = [[] for _ in range(num_bs)]
+        n = 0
+        while mask >> n:
+            if mask >> n & 1:
+                rows[bs_of[n]].append(n)
+            n += 1
+        systems.append(rows)
+    others = [
+        row
+        for g in range(num_channels)
+        for m, row in enumerate(grouping.members_by_bs(g, num_bs))
+        if m != bs
+    ]
+    width = max(len(row) for row in others + [row for rows in systems for row in rows])
+    return np.array(
+        [[row + [-1] * (width - len(row)) for row in rows] for rows in systems], dtype=np.int64
+    ).reshape(len(masks), num_bs, width)
+
+
+class TestPack:
+    """The numpy unpacking of memo-miss masks gives the per-row decode."""
+
+    @pytest.mark.parametrize("finder", ["fga", "eba"])
+    def test_every_memo_miss_of_the_pinned_games(self, monkeypatch, finder):
+        built = record_game_graphs(monkeypatch)
+        packs = []
+        pack = LeagueGraph._pack
+
+        def recording_pack(graph, masks):
+            packed = pack(graph, masks)
+            packs.append((graph, masks, packed))
+            return packed
+
+        monkeypatch.setattr(LeagueGraph, "_pack", recording_pack)
+        with open(SEEDS_FILE) as fh:
+            pinned = json.load(fh)["game"]
+        high_bit = False
+        for num_users, _seed in pinned:
+            scenario, gains = _pinned_game(num_users)
+            del built[:], packs[:]
+            _grouping, _solution, trace = run_game(gains, scenario, finder=finder)
+            # every miss is packed once: the build-time and full_adjacency lookups
+            assert sum(len(masks) for _graph, masks, _packed in packs) == trace.memo_solves
+            groupings = {id(graph): grouping for grouping, _bs, graph in built}
+            for graph, masks, packed in packs:
+                expected = _pack_reference(groupings[id(graph)], graph.bs, 4, 10, masks)
+                assert packed.dtype == np.int64
+                assert np.array_equal(packed, expected)
+                high_bit |= any(mask >> 64 for mask in masks)
+        assert high_bit  # user 64 of the N = 65 game
+
+    def test_random_masks_up_to_130_users(self):
+        rng = np.random.default_rng(91)
+        for num_users in (1, 7, 63, 64, 65, 66, 127, 128, 129, 130):
+            scenario, gains = make_instance(num_users, 10, 4, seed=num_users)
+            grouping = initial_grouping(gains, scenario)
+            for bs in range(4):
+                graph = build_graph(gains, scenario, grouping, bs)
+                masks = [0, (1 << num_users) - 1] + [
+                    sum(1 << n for n in np.flatnonzero(rng.random(num_users) < share).tolist())
+                    for share in rng.random(30)
+                ]
+                expected = _pack_reference(grouping, bs, 4, 10, masks)
+                assert np.array_equal(graph._pack(masks), expected)
 
 
 class TestApplyLeague:
