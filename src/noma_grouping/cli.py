@@ -35,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="CSV output path")
-    parser.add_argument("--oracle", action="store_true",
-                        help="also run the exhaustive oracle (tiny instances only)")
     parser.add_argument("--trace-dir", default=None,
                         help="write per-trial game trace logs into this directory")
     return parser
@@ -57,8 +55,6 @@ def main(argv=None) -> int:
         rate_ranges = [cfg.rate_range_bps]
 
     strategies = [_parse_strategy(s) for s in (args.strategy or ["fga", "sccd", "gale_shapley"])]
-    if args.oracle and not any(s.kind == "exhaustive" for s in strategies):
-        strategies.append(StrategyKind("exhaustive"))
 
     spec = ExperimentSpec(
         strategies=strategies,

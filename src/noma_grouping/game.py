@@ -31,7 +31,7 @@ from .graph import (
     find_negative_loop_eba,
     is_improvement,
 )
-from .power import Grouping, check_grouping, solve_all_powers, total_power_or_inf
+from .power import Grouping, solve_all_powers, total_power_or_inf
 from .scenario import ChannelGains, Scenario
 
 # Restart factor of the greedy finder ("fga" without an explicit alpha).
@@ -113,9 +113,9 @@ def run_game(
 
     finder is "eba" (exact search; falls back to the greedy search when
     its budget is exhausted) or "fga" (greedy with restart factor alpha).
-    An unknown finder, an alpha that is not finite and > 0
-    (graph.check_alpha) and a start_grouping that does not fit the
-    scenario (power.check_grouping) raise ValueError. start_grouping
+    An unknown finder and an alpha that is not finite and > 0
+    (graph.check_alpha) raise ValueError, and so does a start_grouping
+    that does not fit the scenario, at the first graph build. start_grouping
     resumes the game from a caller-supplied state, e.g. after users
     connect or disconnect; by default every user starts on its strongest
     own-BS subchannel.
@@ -144,9 +144,8 @@ def run_game(
         raise ValueError(f"unknown finder {finder!r}")
     check_alpha(alpha)
     grouping = start_grouping if start_grouping is not None else initial_grouping(gains, scenario)
-    check_grouping(grouping, scenario)
     trace = GameTrace()
-    memo = ChannelTotals()
+    memo = ChannelTotals(gains, scenario)
 
     while True:
         accepted_in_sweep = False

@@ -18,12 +18,12 @@ order, so an exhausted search is deterministic.
 A weight is a difference of two subchannel totals, each a function of
 that subchannel's membership alone. A game keeps them in one
 ChannelTotals memo, keyed by (subchannel, bitmask of its users), so a
-rebuild after a move solves only memberships that no earlier build of the
-game has met. A build collects the keys of all its entries first and
-solves their misses together: in one solve_channel_batch call when there
-are at least BATCH_MIN_MISSES of them, else one solve_one_channel call
-each. Both paths give the same bits. A game also re-validates its moves
-from this memo (LeagueGraph.total_after_w).
+rebuild after a move solves only memberships no earlier build has met.
+A build hands the keys of all its entries to ChannelTotals.lookup, the
+one caller of a channel kernel here, which solves the misses together:
+in one solve_channel_batch call when there are BATCH_MIN_MISSES or more,
+else in one solve_one_channel call each, with the same bits. A game also
+re-validates its moves from this memo (LeagueGraph.total_after_w).
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .power import ABS_FLOOR_W, Grouping, solve_channel_batch, solve_one_channel
+from .power import ABS_FLOOR_W, Grouping, check_grouping, solve_channel_batch, solve_one_channel
 from .scenario import ChannelGains, Scenario
 
 EBA_DEFAULT_BUDGET = 10 ** 6
@@ -120,27 +120,80 @@ def league_nodes(grouping: Grouping, bs: int, num_channels: int) -> tuple[list, 
     return nodes, [int(ch[n]) for n in real] + list(range(num_channels))
 
 
-@dataclass
 class ChannelTotals:
     """Per-game memo of subchannel total powers, keyed by membership.
 
     totals maps (h, mask) to subchannel h's total power across all cells
     (math.fsum of its group powers) when exactly the users n with bit n
-    of mask set share it, or inf when they cannot be powered. A channel
-    solve starts from zero power, so its result is a function of that
-    membership alone. The key leaves out every user's BS, the gains and
-    the scenario, which must therefore stay fixed: use one memo per game.
-    batch_solves counts the solves that solve_channel_batch made.
+    of mask set share it, or inf when they cannot be powered. A solve
+    starts from zero power, so it is a function of that membership, the
+    gains and the scenario alone; LeagueGraph refuses a memo made for
+    other gains or another scenario. lookup solves the misses, and
+    batch_solves counts those that solve_channel_batch solved.
     """
 
-    totals: dict = field(default_factory=dict)
-    hits: int = 0
-    batch_solves: int = 0
+    def __init__(self, gains: ChannelGains, scenario: Scenario):
+        self.gains = gains
+        self.scenario = scenario
+        self.totals: dict = {}
+        self.hits = 0
+        self.batch_solves = 0
+        self._pow2r = np.exp2(scenario.spectral_rates()).tolist()
 
     @property
     def solves(self) -> int:
         """Lookups that missed and ran a channel solve, one per entry."""
         return len(self.totals)
+
+    def lookup(self, keys: list) -> list[float]:
+        """Memoized totals of the (h, mask) keys, after solving the distinct misses.
+
+        BATCH_MIN_MISSES or more misses go to solve_channel_batch in one
+        call, fewer to solve_one_channel one at a time; both give the same
+        bits.
+        """
+        totals = self.totals
+        misses = list(dict.fromkeys(key for key in keys if key not in totals))
+        self.hits += len(keys) - len(misses)
+        if not misses:
+            return [totals[key] for key in keys]
+        channels = [h for h, _mask in misses]
+        packed = self._pack([mask for _h, mask in misses])
+        sigma2 = self.scenario.noise_power_w
+        if len(misses) >= BATCH_MIN_MISSES:
+            res = solve_channel_batch(self.gains.gain, channels, packed, self._pow2r, sigma2)
+            for key, powers, feasible in zip(misses, res.powers.tolist(), res.feasible.tolist()):
+                totals[key] = math.fsum(powers) if feasible else math.inf
+            self.batch_solves += len(misses)
+        else:
+            for key, rows in zip(misses, packed.tolist()):
+                members = [[n for n in row if n >= 0] for row in rows]
+                res = solve_one_channel(self.gains.as_lists(), key[0], members, self._pow2r, sigma2)
+                totals[key] = math.fsum(res.powers) if res.feasible else math.inf
+        return [totals[key] for key in keys]
+
+    def _pack(self, masks: list) -> np.ndarray:
+        """solve_channel_batch's members of the memberships masks: (K, M, width) user ids.
+
+        Row [k, m] holds BS m's users among the set bits of masks[k],
+        ascending, padded with -1 to the longest row of the masks (width 0
+        when every mask is empty). The masks are unpacked through bytes,
+        since they are wider than 64 bits above 64 users.
+        """
+        bs_of = self.scenario.association
+        num_bs = self.scenario.config.num_bs
+        nbytes = (bs_of.size + 7) // 8
+        raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=bs_of.size, bitorder="little")
+        system, users = np.nonzero(bits)  # users ascending within each system
+        rows = system * num_bs + bs_of[users]
+        order = np.argsort(rows, kind="stable")
+        rows, users = rows[order], users[order]
+        slots = np.arange(rows.size) - np.searchsorted(rows, rows)
+        width = int(slots.max(initial=-1)) + 1
+        packed = np.full((len(masks) * num_bs, width), -1)
+        packed[rows, slots] = users
+        return packed.reshape(len(masks), num_bs, width)
 
 
 class LeagueGraph:
@@ -150,8 +203,9 @@ class LeagueGraph:
     ChannelTotals memo. The current total of each subchannel is looked up
     when the graph is built; the first full_adjacency call looks up the
     totals after each move and caches the V x V matrix. Without a memo
-    the graph gets a fresh one and solves everything. eba_relaxations is
-    the budget count of the last find_negative_loop_eba on the graph.
+    the graph makes a fresh one. A grouping that fails check_grouping and
+    another instance's memo raise ValueError before any solve.
+    eba_relaxations is the budget count of the last eba search on it.
     """
 
     def __init__(
@@ -162,28 +216,22 @@ class LeagueGraph:
         bs: int,
         memo: ChannelTotals | None = None,
     ):
+        check_grouping(grouping, scenario)
+        if memo is None:
+            memo = ChannelTotals(gains, scenario)
+        elif memo.gains is not gains or memo.scenario is not scenario:
+            raise ValueError("the memo was made for other gains or another scenario")
+        self._memo = memo
         self.bs = int(bs)
-        cfg = scenario.config
-        self.num_channels = cfg.num_channels
-        self._sigma2 = scenario.noise_power_w
-        self._pow2r = np.exp2(scenario.spectral_rates()).tolist()
-        self._gain = gains.gain
-        self._lists = gains.as_lists()
-        self._memo = memo if memo is not None else ChannelTotals()
-
+        self.num_channels = scenario.config.num_channels
         self.nodes, self.node_groups = league_nodes(grouping, self.bs, self.num_channels)
         self.num_real = len(self.nodes) - self.num_channels
 
-        self._bs_of = grouping.bs_of
-        self._num_bs = cfg.num_bs
-        # _pack pads to at least the longest row of another BS on any subchannel.
-        others = grouping.bs_of != self.bs
-        self._width = int(np.bincount(grouping.channel_of[others] * cfg.num_bs + grouping.bs_of[others]).max(initial=0))
         # Bit n of _masks[h] is set when user n is on subchannel h.
         self._masks = [0] * self.num_channels
         for n, g in enumerate(grouping.channel_of.tolist()):
             self._masks[g] |= 1 << n
-        self._totals = self._lookup([(h, mask) for h, mask in enumerate(self._masks)])
+        self._totals = memo.lookup([(h, mask) for h, mask in enumerate(self._masks)])
         self._adj: np.ndarray | None = None
         self.eba_relaxations = 0
 
@@ -214,7 +262,7 @@ class LeagueGraph:
                 mask |= 1 << joiner
             keys.append((h, mask))
         totals = list(self._totals)
-        for (h, _mask), total in zip(keys, self._lookup(keys)):
+        for (h, _mask), total in zip(keys, self._memo.lookup(keys)):
             totals[h] = total
         return math.fsum(totals)
 
@@ -230,8 +278,8 @@ class LeagueGraph:
         h's users without j, plus i when i is real. So it is the memo's
         total of that membership minus h's current total, and all virtual
         joiners of a column share one lookup. The keys of all entries are
-        collected first and looked up in one _lookup call, which solves
-        the build's memo misses together.
+        collected first and looked up in one ChannelTotals.lookup call,
+        which solves the build's memo misses together.
         """
         if self._adj is None:
             v = len(self.nodes)
@@ -255,7 +303,7 @@ class LeagueGraph:
                 rows += joiners[h]
                 cols += [j] * len(joiners[h])
                 keys += [(h, mask | bits[i]) for i in joiners[h]]
-            totals = np.array(self._lookup(leave_keys + keys))
+            totals = np.array(self._memo.lookup(leave_keys + keys))
             now = np.array(self._totals)
             node_groups = np.array(groups, dtype=np.intp)
             split = len(leave_keys)
@@ -264,56 +312,6 @@ class LeagueGraph:
             adj[r + node_groups[:r], np.arange(r)] = np.inf  # each real node's own virtual node
             self._adj = adj
         return self._adj
-
-    def _lookup(self, keys: list) -> list[float]:
-        """Memoized totals of the (h, mask) keys, after solving the distinct misses.
-
-        A key's membership differs from the grouping's in this BS's row
-        only. BATCH_MIN_MISSES or more misses go to solve_channel_batch in
-        one call, fewer to solve_one_channel one at a time; both give the
-        same bits.
-        """
-        memo = self._memo
-        totals = memo.totals
-        misses = list(dict.fromkeys(key for key in keys if key not in totals))
-        memo.hits += len(keys) - len(misses)
-        if not misses:
-            return [totals[key] for key in keys]
-        channels = [h for h, _mask in misses]
-        packed = self._pack([mask for _h, mask in misses])
-        if len(misses) >= BATCH_MIN_MISSES:
-            res = solve_channel_batch(self._gain, channels, packed, self._pow2r, self._sigma2)
-            for key, powers, feasible in zip(misses, res.powers.tolist(), res.feasible.tolist()):
-                totals[key] = math.fsum(powers) if feasible else math.inf
-            memo.batch_solves += len(misses)
-        else:
-            for key, rows in zip(misses, packed.tolist()):
-                members = [[n for n in row if n >= 0] for row in rows]
-                res = solve_one_channel(self._lists, key[0], members, self._pow2r, self._sigma2)
-                totals[key] = math.fsum(res.powers) if res.feasible else math.inf
-        return [totals[key] for key in keys]
-
-    def _pack(self, masks: list) -> np.ndarray:
-        """solve_channel_batch's members of the memberships masks: (K, M, width) user ids.
-
-        Row [k, m] holds BS m's users among the set bits of masks[k],
-        ascending, padded with -1 to the longest row of the masks or of
-        another BS on any subchannel. The masks are unpacked through
-        bytes, since they are wider than 64 bits above 64 users.
-        """
-        num_users = self._bs_of.size
-        nbytes = (num_users + 7) // 8
-        raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=num_users, bitorder="little")
-        system, users = np.nonzero(bits)  # users ascending within each system
-        rows = system * self._num_bs + self._bs_of[users]
-        order = np.argsort(rows, kind="stable")
-        rows, users = rows[order], users[order]
-        slots = np.arange(rows.size) - np.searchsorted(rows, rows)
-        width = max(self._width, int(slots.max(initial=-1)) + 1)
-        packed = np.full((len(masks) * self._num_bs, width), -1)
-        packed[rows, slots] = users
-        return packed.reshape(len(masks), self._num_bs, width)
 
 
 def build_graph(

@@ -32,8 +32,8 @@ one system on nested lists. solve_channel_batch runs the same fixed
 point, under the CCINR rule, on K systems at once as numpy arrays, with
 every sum in the scalar order. Its numpy calls cost the same for one
 system as for hundreds, so it is slower than the scalar path below a few
-dozen systems. The league graph picks the path by its number of memo
-misses (graph.BATCH_MIN_MISSES); solve_all_powers stays scalar.
+dozen systems. graph.ChannelTotals.lookup picks the path by its number
+of misses (graph.BATCH_MIN_MISSES); solve_all_powers stays scalar.
 """
 
 from __future__ import annotations

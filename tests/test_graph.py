@@ -222,6 +222,40 @@ class TestBuildGraph:
         assert lines[0] == "from,to,group_from,group_to,weight_w"
         assert len(lines) == 1 + graph.num_nodes ** 2
 
+    def test_grouping_that_does_not_fit_rejected(self):
+        scenario, gains = make_instance(12, 3, 2, seed=1)
+        grouping = initial_grouping(gains, scenario)
+        user = scenario.users_of_bs(0)[0]
+        for channel in (-1, 3):
+            with pytest.raises(ValueError, match="subchannel outside"):
+                build_graph(gains, scenario, grouping.with_moves([(user, channel)]), 0)
+        bs_of = grouping.bs_of.copy()
+        bs_of[user] = 1
+        with pytest.raises(ValueError, match="association"):
+            build_graph(gains, scenario, Grouping(grouping.channel_of, bs_of), 0)
+
+    def test_memo_of_another_instance_rejected_before_any_solve(self):
+        scenario, gains = make_instance(12, 3, 2, seed=1)
+        grouping = initial_grouping(gains, scenario)
+        other_scenario, other_gains = make_instance(12, 3, 2, seed=2)
+        # an equal draw is still another instance: the memo is bound by identity
+        twin_scenario, twin_gains = make_instance(12, 3, 2, seed=1)
+        pairs = [
+            (other_gains, other_scenario),
+            (twin_gains, twin_scenario),
+            (twin_gains, scenario),
+            (gains, twin_scenario),
+        ]
+        for memo_gains, memo_scenario in pairs:
+            memo = ChannelTotals(memo_gains, memo_scenario)
+            build_graph(memo_gains, memo_scenario, initial_grouping(memo_gains, memo_scenario), 0, memo)
+            totals = dict(memo.totals)
+            with pytest.raises(ValueError, match="memo"):
+                build_graph(gains, scenario, grouping, 0, memo)
+            assert memo.totals == totals
+        own = build_graph(gains, scenario, grouping, 0, ChannelTotals(gains, scenario))
+        assert own.total_w == build_graph(gains, scenario, grouping, 0).total_w
+
 
 class TestEba:
     def test_all_positive_weights(self):
@@ -653,13 +687,13 @@ class TestColumnReuse:
         built = record_game_graphs(monkeypatch)
         solves = _record_channel_solves(monkeypatch)
         lookups = [0]
-        lookup = LeagueGraph._lookup
+        lookup = ChannelTotals.lookup
 
-        def counting_lookup(graph, keys):
+        def counting_lookup(memo, keys):
             lookups[0] += len(keys)
-            return lookup(graph, keys)
+            return lookup(memo, keys)
 
-        monkeypatch.setattr(LeagueGraph, "_lookup", counting_lookup)
+        monkeypatch.setattr(ChannelTotals, "lookup", counting_lookup)
         adjacencies = {}
         for path in _solve_paths(monkeypatch):
             adjacencies[path] = []
@@ -696,7 +730,7 @@ class TestColumnReuse:
         grouping = initial_grouping(gains, scenario)
         solves = _record_channel_solves(monkeypatch)
         for _path in _solve_paths(monkeypatch):
-            memo = ChannelTotals()
+            memo = ChannelTotals(gains, scenario)
             first = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
             for graph in first:
                 graph.full_adjacency()
@@ -713,7 +747,7 @@ class TestColumnReuse:
         grouping = initial_grouping(gains, scenario)
         solves = _record_channel_solves(monkeypatch)
         for _path in _solve_paths(monkeypatch):
-            memo = ChannelTotals()
+            memo = ChannelTotals(gains, scenario)
             graphs = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
             for graph in graphs:
                 graph.full_adjacency()
@@ -739,14 +773,13 @@ class TestColumnReuse:
                 assert adjacency.tobytes() == fresh.full_adjacency().tobytes()
 
 
-def _pack_reference(grouping, bs, num_bs, num_channels, masks):
-    """Per-row decode of membership masks (oracle for LeagueGraph._pack).
+def _pack_reference(bs_of, num_bs, masks):
+    """Per-row decode of membership masks (oracle for ChannelTotals._pack).
 
     Row [k, m] holds BS m's users among the set bits of masks[k], found bit
-    by bit in ascending order, padded with -1 to the longest such row or
-    row of a BS other than bs on any subchannel of grouping.
+    by bit in ascending order, padded with -1 to the longest such row.
     """
-    bs_of = grouping.bs_of.tolist()
+    bs_of = bs_of.tolist()
     systems = []
     for mask in masks:
         rows = [[] for _ in range(num_bs)]
@@ -756,13 +789,7 @@ def _pack_reference(grouping, bs, num_bs, num_channels, masks):
                 rows[bs_of[n]].append(n)
             n += 1
         systems.append(rows)
-    others = [
-        row
-        for g in range(num_channels)
-        for m, row in enumerate(grouping.members_by_bs(g, num_bs))
-        if m != bs
-    ]
-    width = max(len(row) for row in others + [row for rows in systems for row in rows])
+    width = max(len(row) for rows in systems for row in rows)
     return np.array(
         [[row + [-1] * (width - len(row)) for row in rows] for rows in systems], dtype=np.int64
     ).reshape(len(masks), num_bs, width)
@@ -773,28 +800,26 @@ class TestPack:
 
     @pytest.mark.parametrize("finder", ["fga", "eba"])
     def test_every_memo_miss_of_the_pinned_games(self, monkeypatch, finder):
-        built = record_game_graphs(monkeypatch)
         packs = []
-        pack = LeagueGraph._pack
+        pack = ChannelTotals._pack
 
-        def recording_pack(graph, masks):
-            packed = pack(graph, masks)
-            packs.append((graph, masks, packed))
+        def recording_pack(memo, masks):
+            packed = pack(memo, masks)
+            packs.append((masks, packed))
             return packed
 
-        monkeypatch.setattr(LeagueGraph, "_pack", recording_pack)
+        monkeypatch.setattr(ChannelTotals, "_pack", recording_pack)
         with open(SEEDS_FILE) as fh:
             pinned = json.load(fh)["game"]
         high_bit = False
         for num_users, _seed in pinned:
             scenario, gains = _pinned_game(num_users)
-            del built[:], packs[:]
+            del packs[:]
             _grouping, _solution, trace = run_game(gains, scenario, finder=finder)
             # every miss is packed once: the build-time and full_adjacency lookups
-            assert sum(len(masks) for _graph, masks, _packed in packs) == trace.memo_solves
-            groupings = {id(graph): grouping for grouping, _bs, graph in built}
-            for graph, masks, packed in packs:
-                expected = _pack_reference(groupings[id(graph)], graph.bs, 4, 10, masks)
+            assert sum(len(masks) for masks, _packed in packs) == trace.memo_solves
+            for masks, packed in packs:
+                expected = _pack_reference(scenario.association, 4, masks)
                 assert packed.dtype == np.int64
                 assert np.array_equal(packed, expected)
                 high_bit |= any(mask >> 64 for mask in masks)
@@ -804,15 +829,28 @@ class TestPack:
         rng = np.random.default_rng(91)
         for num_users in (1, 7, 63, 64, 65, 66, 127, 128, 129, 130):
             scenario, gains = make_instance(num_users, 10, 4, seed=num_users)
-            grouping = initial_grouping(gains, scenario)
-            for bs in range(4):
-                graph = build_graph(gains, scenario, grouping, bs)
-                masks = [0, (1 << num_users) - 1] + [
-                    sum(1 << n for n in np.flatnonzero(rng.random(num_users) < share).tolist())
-                    for share in rng.random(30)
-                ]
-                expected = _pack_reference(grouping, bs, 4, 10, masks)
-                assert np.array_equal(graph._pack(masks), expected)
+            masks = [0, (1 << num_users) - 1] + [
+                sum(1 << n for n in np.flatnonzero(rng.random(num_users) < share).tolist())
+                for share in rng.random(120)
+            ]
+            expected = _pack_reference(scenario.association, 4, masks)
+            assert np.array_equal(ChannelTotals(gains, scenario)._pack(masks), expected)
+
+    def test_empty_memberships_pack_to_width_zero_and_solve_as_scalar(self):
+        scenario, gains = make_instance(12, 3, 2, seed=1)
+        memo = ChannelTotals(gains, scenario)
+        channels = [0, 1, 2, 1]
+        packed = memo._pack([0] * len(channels))
+        assert packed.shape == (len(channels), 2, 0)
+        pow2r = np.exp2(scenario.spectral_rates()).tolist()
+        sigma2 = scenario.noise_power_w
+        res = graph_module.solve_channel_batch(gains.gain, channels, packed, pow2r, sigma2)
+        for k, channel in enumerate(channels):
+            one = solve_one_channel(gains.as_lists(), channel, [[], []], pow2r, sigma2)
+            assert (one.feasible, one.iterations) == (True, 2)
+            assert one.powers == [0.0, 0.0]
+            assert bool(res.feasible[k]) and int(res.iterations[k]) == 2
+            assert np.array(one.powers).tobytes() == res.powers[k].tobytes()
 
 
 class TestApplyLeague:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -276,17 +277,24 @@ class TestCli:
         assert out.exists()
 
     def test_oracle_flag(self, tmp_path):
+        # the exhaustive oracle is one more --strategy; there is no flag of its own
         out = tmp_path / "res.csv"
         rc = cli_main(
             [
                 "--strategy", "sccd",
-                "--oracle",
+                "--strategy", "exhaustive",
                 "--users", "4",
                 "--groups", "2",
                 "--bs", "2",
-                "--trials", "1",
+                "--trials", "2",
                 "--out", str(out),
             ]
         )
         assert rc == 0
-        assert "exhaustive" in out.read_text()
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["trial"], row["strategy"]) for row in rows] == [
+            ("0", "sccd"), ("0", "exhaustive"), ("1", "sccd"), ("1", "exhaustive")
+        ]
+        with pytest.raises(SystemExit):
+            cli_main(["--strategy", "sccd", "--oracle", "--out", str(out)])

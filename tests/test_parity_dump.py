@@ -32,5 +32,13 @@ def test_parity_dump_runs():
     lines = proc.stdout.splitlines()
     for header in SECTION_HEADERS:
         assert any(line.startswith(header) for line in lines), f"no {header!r} section"
+    # one line of the deterministic GameTrace counters per game
+    counters = [line for line in lines if line.startswith("  memo_hits=")]
+    assert len(counters) == sum(line.startswith("game ") for line in lines) > 0
+    names = ["memo_hits", "memo_solves", "memo_batch_solves", "eba_relaxations", "candidates_tried"]
+    for line in counters:
+        fields = dict(item.split("=") for item in line.split())
+        assert list(fields) == names
+        assert all(value.isdigit() for value in fields.values())
     for rule in ("ccinr", "channel_gain", "rate_descending"):
         assert any(line.startswith("power N=") and f" rule={rule} " in line for line in lines)

@@ -10,9 +10,11 @@ Two trees print the same bytes when they make the same decisions:
 
 - run_game with the fga and the eba finder on every pinned game instance:
   each accepted step (BS, moves, total power before and after as
-  float.hex), converged, eba_budget_exhaustions, the final channel_of and
-  the SHA-256 of p, then the SHA-256 of the full_adjacency() of every
-  league graph the game built;
+  float.hex), converged, eba_budget_exhaustions, the deterministic
+  GameTrace counters (memo_hits, memo_solves, memo_batch_solves,
+  eba_relaxations, candidates_tried), the final channel_of and the
+  SHA-256 of p, then the SHA-256 of the full_adjacency() of every league
+  graph the game built;
 - enumerate_leagues (up to 3 nodes) on the starting grouping and
   is_nash_equilibrium on the starting and on the fga game's final grouping
   of make_instance(10, 3, 1, seed) for seeds 0-59;
@@ -93,6 +95,10 @@ def dump_games(pkg, out) -> None:
             out.write(
                 f"  converged={trace.converged} "
                 f"eba_budget_exhaustions={trace.eba_budget_exhaustions}\n"
+                f"  memo_hits={trace.memo_hits} memo_solves={trace.memo_solves} "
+                f"memo_batch_solves={trace.memo_batch_solves} "
+                f"eba_relaxations={trace.eba_relaxations} "
+                f"candidates_tried={trace.candidates_tried}\n"
                 f"  channel_of={grouping.channel_of.tolist()}\n"
                 f"  p_sha256={sha(solution.p.tobytes())}\n"
                 f"  graphs={len(graphs)}\n"
