@@ -5,7 +5,7 @@ loop (a League, the one representation of a move) and applies it. The
 shared objective (total transmit power) is an exact potential for these
 moves: a BS's improvement is everyone's improvement, so the sequence of
 accepted actions strictly descends and must stop, and the stopping point
-admits no improving loop the finder can reach. Every candidate move is
+admits no improving loop the finder can reach. Every proposed move is
 re-validated before acceptance: its realized total is re-read from the
 game's memo of subchannel totals, not summed from the graph's predicted
 weights, and graph.is_improvement judges it. At the end an independent
@@ -68,7 +68,7 @@ class GameTrace:
     eba_relaxations sums the budget units (V * V * |group| per relaxed
     (state, group) pair) that the game's eba searches used, exhausted
     ones included. candidates_tried counts the leagues the game applied
-    and re-validated, accepted or not. final_gap_rel is the relative gap
+    and re-validated, accepted or not, at most one per BS turn. final_gap_rel is the relative gap
     between the final grouping's memo total and the total of
     solve_all_powers on it (0.0 when both are inf).
     """
@@ -120,15 +120,14 @@ def run_game(
     connect or disconnect; by default every user starts on its strongest
     own-BS subchannel.
 
-    Returns (grouping, power solution, trace). With "eba" at most one
-    candidate loop is tried per BS per sweep (the exact search's loop, or
-    the greedy search's best when the budget runs out); with "fga" the
-    candidates are tried best-first until one is accepted.
+    Returns (grouping, power solution, trace). At most one league is
+    tried per BS per sweep: the exact search's, or with "fga" and when
+    the exact search's budget runs out, the greedy search's best.
 
     The game's state is its grouping and one ChannelTotals memo, which
     every league graph reads its subchannel totals from, so each
     (subchannel, membership) is solved once per game. The total power of
-    a grouping is the fsum of its G memo totals. A candidate is accepted
+    a grouping is the fsum of its G memo totals. A league is accepted
     when is_improvement holds for its total after minus the total
     before; only the subchannels it touches change, and their new totals
     are memo entries its graph has already met. solve_all_powers runs
@@ -154,32 +153,31 @@ def run_game(
             total_w = league_graph.total_w
             if finder == "eba":
                 try:
-                    league = find_negative_loop_eba(league_graph)
+                    leagues = [find_negative_loop_eba(league_graph)]
                 except EbaBudgetExhausted:
                     trace.eba_budget_exhaustions += 1
-                    candidates = fga_candidates(league_graph, alpha)[:1]
-                else:
-                    candidates = [league] if league is not None else []
+                    leagues = fga_candidates(league_graph, alpha)
                 trace.eba_relaxations += league_graph.eba_relaxations
             else:
-                candidates = fga_candidates(league_graph, alpha)
+                leagues = fga_candidates(league_graph, alpha)
+            league = leagues[0] if leagues else None
+            if league is None:
+                continue
 
-            for league in candidates:
-                trace.candidates_tried += 1
-                new_grouping = apply_league(grouping, league)
-                after_w = league_graph.total_after_w(league)
-                if is_improvement(after_w - total_w):
-                    trace.iterations.append(
-                        TraceStep(
-                            bs=m,
-                            action=league,
-                            total_power_before_w=total_w,
-                            total_power_after_w=after_w,
-                        )
+            trace.candidates_tried += 1
+            new_grouping = apply_league(grouping, league)
+            after_w = league_graph.total_after_w(league)
+            if is_improvement(after_w - total_w):
+                trace.iterations.append(
+                    TraceStep(
+                        bs=m,
+                        action=league,
+                        total_power_before_w=total_w,
+                        total_power_after_w=after_w,
                     )
-                    grouping = new_grouping
-                    accepted_in_sweep = True
-                    break
+                )
+                grouping = new_grouping
+                accepted_in_sweep = True
         if not accepted_in_sweep:
             break
 

@@ -8,9 +8,10 @@ pairwise distinct groups changes each touched subchannel's membership
 exactly once, so the cycle's weight sum equals the total-power change of
 applying it; a negative cycle is therefore a strict improvement.
 
-Two detectors are provided: an exact, budget-bounded extension of
-Bellman-Ford over group-disjoint paths, and a fast greedy search seeded
-from the most negative edges. The exact one runs each path length as one
+Two detectors are provided, each proposing at most one cycle: an exact,
+budget-bounded extension of Bellman-Ford over group-disjoint paths, and a
+fast greedy search seeded from the most negative edges that keeps the
+most negative closure it meets. The exact one runs each path length as one
 array sweep over all of that level's subset states; its relaxation budget
 stops a level after a prefix of its (state, group) pairs, in a fixed
 order, so an exhausted search is deterministic.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,8 +203,9 @@ class LeagueGraph:
     ChannelTotals memo. The current total of each subchannel is looked up
     when the graph is built; the first full_adjacency call looks up the
     totals after each move and caches the V x V matrix. Without a memo
-    the graph makes a fresh one. A grouping that fails check_grouping and
-    another instance's memo raise ValueError before any solve.
+    the graph makes a fresh one. A grouping that fails check_grouping, a
+    BS outside [0, M) and another instance's memo raise ValueError before
+    any solve.
     eba_relaxations is the budget count of the last eba search on it.
     """
 
@@ -217,6 +218,9 @@ class LeagueGraph:
         memo: ChannelTotals | None = None,
     ):
         check_grouping(grouping, scenario)
+        num_bs = scenario.config.num_bs
+        if not 0 <= bs < num_bs:
+            raise ValueError(f"BS {bs} is outside [0, {num_bs})")
         if memo is None:
             memo = ChannelTotals(gains, scenario)
         elif memo.gains is not gains or memo.scenario is not scenario:
@@ -464,48 +468,25 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
 
 
-class Candidates(Sequence):
-    """fga_candidates' result: a League per cycle, built on first access and kept.
+def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
+    """The best negative cycle the greedy search finds, as a list of at most one League.
 
-    found holds the (delta, node index cycle) pairs, best first. A game
-    tries a few of the dozens of cycles a search finds.
-    """
-
-    def __init__(self, graph: LeagueGraph, found: list):
-        self._graph = graph
-        self._found = found
-        self._leagues: list[League | None] = [None] * len(found)
-
-    def __len__(self) -> int:
-        return len(self._found)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        if self._leagues[k] is None:
-            delta, cycle = self._found[k]
-            self._leagues[k] = _make_league(self._graph, cycle, delta)
-        return self._leagues[k]
-
-
-def fga_candidates(graph: LeagueGraph, alpha: float) -> Candidates:
-    """All distinct negative cycles the greedy search finds, best first, as Leagues.
-
-    The result is a Candidates sequence, which builds each League when it
-    is first read. There are ceil(alpha * (real users + groups))
-    restarts, at least one. Their seeds are the least finite edges in
-    (weight, flat index) order, one edge each. Every restart checks its
-    seed's 2-cycle; then all of them advance together, one greedy hop at a
-    time to the cheapest node of a group not yet on their path, and check
-    the closure back to the seed after every hop. A restart stops when it
-    has no finite hop left or its path visits every group.
+    There are ceil(alpha * (real users + groups)) restarts, at least one.
+    Their seeds are the least finite edges in (weight, flat index) order,
+    one edge each. Every restart checks its seed's 2-cycle; then all of
+    them advance together, one greedy hop at a time to the cheapest node
+    of a group not yet on their path, and check the closure back to the
+    seed after every hop. A restart stops when it has no finite hop left
+    or its path visits every group. The result is the least (closure,
+    node index rotation that starts at the least index) over all
+    improving closures.
     """
     check_alpha(alpha)
     w = graph.full_adjacency()
     v = w.shape[0]
     num_groups = graph.num_channels
     if v == 0:
-        return Candidates(graph, [])
+        return []
     restarts = max(1, math.ceil(alpha * (graph.num_real + num_groups)))
     flat = w.ravel()
     seeds = np.argsort(flat, kind="stable")[:restarts]
@@ -518,13 +499,15 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> Candidates:
     paths[:, 0], paths[:, 1] = start, cur
     cost = flat[seeds]
     blocked = in_group[groups[start]] | in_group[groups[cur]]
-    found: dict[tuple, tuple[float, list[int]]] = {}
+    best = (math.inf, [])
     length = 2
     while True:
         closure = cost + w[cur, start]
-        hit = is_improvement(closure)
-        for path, delta in zip(paths[hit, :length].tolist(), closure[hit].tolist()):
-            _record(found, path, delta)
+        least = float(closure.min(initial=math.inf))
+        if is_improvement(least):
+            for path in paths[closure == least, :length].tolist():
+                k = path.index(min(path))
+                best = min(best, (least, path[k:] + path[:k]))
         if length >= num_groups:
             break
         rows = np.where(blocked, np.inf, w[cur])
@@ -539,17 +522,8 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> Candidates:
         paths[:, length] = cur
         length += 1
 
-    return Candidates(graph, sorted(found.values()))
-
-
-def _record(found: dict, path: list[int], closure: float) -> None:
-    # Canonical rotation (start at the minimum node index) dedups cycles
-    # rediscovered from different seeds.
-    k = path.index(min(path))
-    canon = tuple(path[k:] + path[:k])
-    prev = found.get(canon)
-    if prev is None or closure < prev[0]:
-        found[canon] = (closure, list(canon))
+    delta, cycle = best
+    return [_make_league(graph, cycle, delta)] if cycle else []
 
 
 def apply_league(grouping: Grouping, league: League) -> Grouping:

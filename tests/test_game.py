@@ -239,6 +239,8 @@ class TestEndCheck:
             final, solution, trace = run_game(gains, scenario, finder=finder)
             assert len(calls) == 1
             assert trace.iterations == [] and not solution.feasible and not trace.converged
+            # one sweep, one rejected league per BS
+            assert trace.candidates_tried == 4
             assert np.array_equal(final.channel_of, start.channel_of)
             assert trace.final_gap_rel == 0.0
 

@@ -233,6 +233,11 @@ class TestBuildGraph:
         bs_of[user] = 1
         with pytest.raises(ValueError, match="association"):
             build_graph(gains, scenario, Grouping(grouping.channel_of, bs_of), 0)
+        memo = ChannelTotals(gains, scenario)
+        for bs in (2, -1, 7):
+            with pytest.raises(ValueError, match=r"BS -?\d+ is outside \[0, 2\)"):
+                build_graph(gains, scenario, grouping, bs, memo)
+        assert memo.totals == {} and memo.hits == 0
 
     def test_memo_of_another_instance_rejected_before_any_solve(self):
         scenario, gains = make_instance(12, 3, 2, seed=1)
@@ -556,7 +561,7 @@ class TestFga:
             [2.5, 3.0, math.inf],
         ]
         graph = _fake_graph(weights, [0, 1, 2])
-        assert list(fga_candidates(graph, 5.0)) == []
+        assert fga_candidates(graph, 5.0) == []
 
     def test_hand_built_three_cycle_traced(self):
         # seed edge 0->1 (-5), extension 1->2 (+2), closure 2->0 (+1)
@@ -577,7 +582,9 @@ class TestFga:
         for scenario, gains, grouping, _sol in feasible_instances(4, 12, 3, 2, start_seed=40):
             for m in range(2):
                 graph = build_graph(gains, scenario, grouping, m)
-                for league in fga_candidates(graph, 5.0):
+                leagues = fga_candidates(graph, 5.0)
+                assert len(leagues) <= 1
+                for league in leagues:
                     assert league.predicted_delta_w < 0
                     assert len(set(league.groups)) == len(league.groups)
 
@@ -594,7 +601,7 @@ def _candidate_bits(leagues):
 
 def _assert_fga_matches_reference(graph, alpha):
     assert _candidate_bits(fga_candidates(graph, alpha)) == _candidate_bits(
-        fga_candidates_reference(graph, alpha)
+        fga_candidates_reference(graph, alpha)[:1]
     )
 
 
@@ -604,7 +611,7 @@ def _game_instances():
 
 
 class TestFgaMatchesScalarRestarts:
-    """The batched restarts give the scalar loop's candidates bit for bit."""
+    """The batched restarts give the scalar loop's best candidate bit for bit."""
 
     def test_random_integer_weights_with_ties(self):
         rng = np.random.default_rng(71)
@@ -636,7 +643,7 @@ class TestFgaMatchesScalarRestarts:
         # 30 restarts for 3 finite edges
         _assert_fga_matches_reference(_fake_graph(few_edges, [0, 1, 2]), 10.0)
         all_inf = np.full((4, 4), inf)
-        assert list(fga_candidates(_fake_graph(all_inf, [0, 1, 0, 1]), 5.0)) == []
+        assert fga_candidates(_fake_graph(all_inf, [0, 1, 0, 1]), 5.0) == []
         _assert_fga_matches_reference(_fake_graph(all_inf, [0, 1, 0, 1]), 5.0)
         one_group = [[inf, -2.0, 1.0], [-1.0, inf, 3.0], [0.5, -4.0, inf]]
         _assert_fga_matches_reference(_fake_graph(one_group, [0, 0, 0]), 5.0)

@@ -8,7 +8,8 @@ TREE is the root of a checkout whose src/noma_grouping is imported
 pinned ones in this repository's bench/seeds.json, which is only read.
 Two trees print the same bytes when they make the same decisions:
 
-- run_game with the fga and the eba finder on every pinned game instance:
+- run_game with the fga and the eba finder on every pinned game instance
+  and on the infeasible start make_instance(50, 10, 4, 200001):
   each accepted step (BS, moves, total power before and after as
   float.hex), converged, eba_budget_exhaustions, the deterministic
   GameTrace counters (memo_hits, memo_solves, memo_batch_solves,
@@ -40,6 +41,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SEEDS_FILE = REPO / "bench" / "seeds.json"
 GAME_CHANNELS, GAME_BS, ALPHA = 10, 4, 5.0
+# (N, seed) of a game instance whose starting grouping is infeasible.
+INFEASIBLE_START = (50, 200001)
 ORDER_RULES = ("ccinr", "channel_gain", "rate_descending")
 
 
@@ -66,7 +69,7 @@ def node_name(pkg, node) -> str:
 
 def dump_games(pkg, out) -> None:
     with open(SEEDS_FILE) as fh:
-        game_seeds = json.load(fh)["game"]
+        game_seeds = json.load(fh)["game"] + [INFEASIBLE_START]
     game_module = pkg.game
     original_build = game_module.build_graph
     for finder in ("fga", "eba"):
