@@ -41,7 +41,6 @@ from .graph import (
 from .game import (
     GameTrace,
     initial_grouping,
-    is_nash_equilibrium,
     run_game,
 )
 from .baselines import (
@@ -49,6 +48,7 @@ from .baselines import (
     enumerate_leagues,
     exhaustive_best_grouping,
     gale_shapley_grouping,
+    is_nash_equilibrium,
     sccd_grouping,
 )
 from .harness import (

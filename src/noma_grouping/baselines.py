@@ -186,3 +186,10 @@ def enumerate_leagues(
         for s in range(v):
             _extend(s, [s], {node_groups[s]})
     return leagues
+
+
+def is_nash_equilibrium(
+    gains: ChannelGains, scenario: Scenario, grouping: Grouping, max_league_len: int
+) -> bool:
+    """No BS has any improving league up to the given length (oracle check)."""
+    return not enumerate_leagues(gains, scenario, grouping, max_league_len)

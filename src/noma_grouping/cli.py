@@ -7,6 +7,7 @@ import sys
 
 from .game import DEFAULT_ALPHA
 from .harness import ExperimentSpec, StrategyKind, load_config, run_experiment, summarize, watts_to_dbm
+from .scenario import default_config
 
 
 def _parse_strategy(text: str) -> StrategyKind:
@@ -43,27 +44,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    users = args.users
-    groups = args.groups
-    bs = args.bs
-    rate_ranges = None
-    if args.config:
-        cfg = load_config(args.config)
-        users = users or [cfg.num_users]
-        groups = groups or [cfg.num_channels]
-        bs = bs or [cfg.num_bs]
-        rate_ranges = [cfg.rate_range_bps]
-
+    cfg = load_config(args.config) if args.config else default_config()
     strategies = [_parse_strategy(s) for s in (args.strategy or ["fga", "sccd", "gale_shapley"])]
 
     spec = ExperimentSpec(
         strategies=strategies,
         trials=args.trials,
         base_seed=args.seed,
-        num_users_list=users or [50],
-        num_channels_list=groups or [10],
-        num_bs_list=bs or [4],
-        rate_ranges_bps=rate_ranges or [(60e3, 600e3)],
+        num_users_list=args.users or [cfg.num_users],
+        num_channels_list=args.groups or [cfg.num_channels],
+        num_bs_list=args.bs or [cfg.num_bs],
+        rate_ranges_bps=[cfg.rate_range_bps],
         output_path=args.out,
     )
     results = run_experiment(spec, trace_dir=args.trace_dir)

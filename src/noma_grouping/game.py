@@ -1,25 +1,27 @@
 """Sequential best-response game over the BSs' grouping strategies.
 
-Each BS in turn searches its league graph for a negative differ-group
+On its turn a BS searches its league graph for a negative differ-group
 loop (a League, the one representation of a move) and applies it. The
 shared objective (total transmit power) is an exact potential for these
 moves: a BS's improvement is everyone's improvement, so the sequence of
-accepted actions strictly descends and must stop, and the stopping point
-admits no improving loop the finder can reach. Every proposed move is
-re-validated before acceptance: its realized total is re-read from the
-game's memo of subchannel totals, not summed from the graph's predicted
-weights, and graph.is_improvement judges it. At the end an independent
-solve_all_powers of the final grouping must match the memo's total.
+accepted actions strictly descends and must stop. The game stops once
+every BS has searched the current grouping without a move, so no BS has
+an improving loop its finder can reach (baselines.is_nash_equilibrium is
+the brute-force check of that). Every proposed move is re-validated
+before acceptance: its realized total is re-read from the game's memo of
+subchannel totals, not summed from the graph's predicted weights, and
+graph.is_improvement judges it. At the end an independent solve_all_powers
+of the final grouping must match the memo's total.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines
 from .graph import (
     ChannelTotals,
     EbaBudgetExhausted,
@@ -95,13 +97,6 @@ def initial_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
     )
 
 
-def is_nash_equilibrium(
-    gains: ChannelGains, scenario: Scenario, grouping: Grouping, max_league_len: int
-) -> bool:
-    """No BS has any improving league up to the given length (oracle check)."""
-    return not baselines.enumerate_leagues(gains, scenario, grouping, max_league_len)
-
-
 def run_game(
     gains: ChannelGains,
     scenario: Scenario,
@@ -109,7 +104,12 @@ def run_game(
     alpha: float = DEFAULT_ALPHA,
     start_grouping: Grouping | None = None,
 ):
-    """Best-response sweeps until a full sweep accepts no action.
+    """Best-response turns until M turns in a row accept no league.
+
+    The BSs take turns in the order 0, 1, ..., M - 1, 0, .... A search
+    depends only on the grouping, so after M turns without a move no BS
+    has a move left to find: the game stops there, and no BS searches a
+    grouping twice.
 
     finder is "eba" (exact search; falls back to the greedy search when
     its budget is exhausted) or "fga" (greedy with restart factor alpha).
@@ -121,7 +121,7 @@ def run_game(
     own-BS subchannel.
 
     Returns (grouping, power solution, trace). At most one league is
-    tried per BS per sweep: the exact search's, or with "fga" and when
+    tried per turn: the exact search's, or with "fga" and when
     the exact search's budget runs out, the greedy search's best.
 
     The game's state is its grouping and one ChannelTotals memo, which
@@ -146,40 +146,41 @@ def run_game(
     trace = GameTrace()
     memo = ChannelTotals(gains, scenario)
 
-    while True:
-        accepted_in_sweep = False
-        for m in range(scenario.config.num_bs):
-            league_graph = build_graph(gains, scenario, grouping, m, memo)
-            total_w = league_graph.total_w
-            if finder == "eba":
-                try:
-                    leagues = [find_negative_loop_eba(league_graph)]
-                except EbaBudgetExhausted:
-                    trace.eba_budget_exhaustions += 1
-                    leagues = fga_candidates(league_graph, alpha)
-                trace.eba_relaxations += league_graph.eba_relaxations
-            else:
-                leagues = fga_candidates(league_graph, alpha)
-            league = leagues[0] if leagues else None
-            if league is None:
-                continue
-
-            trace.candidates_tried += 1
-            new_grouping = apply_league(grouping, league)
-            after_w = league_graph.total_after_w(league)
-            if is_improvement(after_w - total_w):
-                trace.iterations.append(
-                    TraceStep(
-                        bs=m,
-                        action=league,
-                        total_power_before_w=total_w,
-                        total_power_after_w=after_w,
-                    )
-                )
-                grouping = new_grouping
-                accepted_in_sweep = True
-        if not accepted_in_sweep:
+    num_bs = scenario.config.num_bs
+    idle = 0  # turns in a row that accepted no league
+    for m in itertools.cycle(range(num_bs)):
+        if idle == num_bs:
             break
+        idle += 1
+        league_graph = build_graph(gains, scenario, grouping, m, memo)
+        total_w = league_graph.total_w
+        if finder == "eba":
+            try:
+                leagues = [find_negative_loop_eba(league_graph)]
+            except EbaBudgetExhausted:
+                trace.eba_budget_exhaustions += 1
+                leagues = fga_candidates(league_graph, alpha)
+            trace.eba_relaxations += league_graph.eba_relaxations
+        else:
+            leagues = fga_candidates(league_graph, alpha)
+        league = leagues[0] if leagues else None
+        if league is None:
+            continue
+
+        trace.candidates_tried += 1
+        new_grouping = apply_league(grouping, league)
+        after_w = league_graph.total_after_w(league)
+        if is_improvement(after_w - total_w):
+            trace.iterations.append(
+                TraceStep(
+                    bs=m,
+                    action=league,
+                    total_power_before_w=total_w,
+                    total_power_after_w=after_w,
+                )
+            )
+            grouping = new_grouping
+            idle = 0
 
     solution = solve_all_powers(gains, grouping, scenario)
     solved_w = total_power_or_inf(solution)

@@ -371,8 +371,6 @@ def find_negative_loop_eba(graph: LeagueGraph):
     v = w.shape[0]
     num_groups = graph.num_channels
     graph.eba_relaxations = 0
-    if v == 0:
-        return None
     groups = np.asarray(graph.node_groups, dtype=np.int64)
     bits = np.left_shift(1, groups)
     # Budget units of a pair extending a state by group h; 0 for an empty group.
@@ -471,7 +469,7 @@ def check_alpha(alpha: float) -> None:
 def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
     """The best negative cycle the greedy search finds, as a list of at most one League.
 
-    There are ceil(alpha * (real users + groups)) restarts, at least one.
+    There are ceil(alpha * (real users + groups)) restarts, at most V * V.
     Their seeds are the least finite edges in (weight, flat index) order,
     one edge each. Every restart checks its seed's 2-cycle; then all of
     them advance together, one greedy hop at a time to the cheapest node
@@ -485,9 +483,8 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
     w = graph.full_adjacency()
     v = w.shape[0]
     num_groups = graph.num_channels
-    if v == 0:
-        return []
-    restarts = max(1, math.ceil(alpha * (graph.num_real + num_groups)))
+    # Restarts beyond the V * V seed edges change nothing; the cap keeps ceil finite.
+    restarts = math.ceil(min(alpha * (graph.num_real + num_groups), v * v))
     flat = w.ravel()
     seeds = np.argsort(flat, kind="stable")[:restarts]
     seeds = seeds[np.isfinite(flat[seeds])]

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -119,12 +119,12 @@ class ExperimentSpec:
     """
 
     strategies: list
+    num_users_list: list
+    num_channels_list: list
+    num_bs_list: list
+    rate_ranges_bps: list
     trials: int = 1
     base_seed: int = 0
-    num_users_list: list = field(default_factory=lambda: [50])
-    num_channels_list: list = field(default_factory=lambda: [10])
-    num_bs_list: list = field(default_factory=lambda: [4])
-    rate_ranges_bps: list = field(default_factory=lambda: [(60e3, 600e3)])
     output_path: str | None = None
 
     def __post_init__(self):

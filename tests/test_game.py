@@ -1,9 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import assert_close, feasible_instances, make_instance
+from conftest import assert_close, feasible_instances, make_instance, record_game_graphs
 from noma_grouping import (
     apply_league,
     enumerate_leagues,
@@ -17,6 +19,8 @@ from noma_grouping import game as game_module
 from noma_grouping.graph import NEG_DELTA_FLOOR_W
 from noma_grouping.power import total_power_or_inf
 from noma_grouping.scenario import ChannelGains
+
+SEEDS_FILE = Path(__file__).resolve().parents[1] / "bench" / "seeds.json"
 
 
 class TestInitialGrouping:
@@ -182,6 +186,14 @@ class TestRunGame:
                     run_game(gains, scenario, finder=finder, alpha=alpha)
         assert builds == []
 
+    def test_huge_alpha_runs(self):
+        # alpha = N + G >= V already takes all V * V seed edges in every search.
+        scenario, gains = make_instance(12, 3, 2, 1)
+        final, _solution, trace = run_game(gains, scenario, finder="fga", alpha=1e308)
+        capped, _solution, capped_trace = run_game(gains, scenario, finder="fga", alpha=15.0)
+        assert trace.iterations == capped_trace.iterations
+        assert final.key() == capped.key()
+
     def test_infeasible_start_without_repair(self):
         # hunt for an instance whose starting grouping cannot be powered
         found = False
@@ -239,7 +251,7 @@ class TestEndCheck:
             final, solution, trace = run_game(gains, scenario, finder=finder)
             assert len(calls) == 1
             assert trace.iterations == [] and not solution.feasible and not trace.converged
-            # one sweep, one rejected league per BS
+            # one turn per BS, each rejecting its league
             assert trace.candidates_tried == 4
             assert np.array_equal(final.channel_of, start.channel_of)
             assert trace.final_gap_rel == 0.0
@@ -291,3 +303,21 @@ class TestEndCheck:
         scenario, gains, _grouping, _sol = next(feasible_instances(1, 14, 3, 2, start_seed=50))
         with pytest.raises(RuntimeError, match="memo total"):
             run_game(gains, scenario, finder="fga")
+
+
+class TestStoppingRule:
+    """The game stops once every BS has searched the current grouping without a move."""
+
+    @pytest.mark.parametrize("finder", ["fga", "eba"])
+    def test_every_bs_searches_each_grouping_at_most_once(self, monkeypatch, finder):
+        built = record_game_graphs(monkeypatch)
+        with open(SEEDS_FILE) as fh:
+            instances = [tuple(game) for game in json.load(fh)["game"]]
+        # the pinned games and an infeasible start
+        for num_users, seed in instances + [(50, 200001)]:
+            del built[:]
+            scenario, gains = make_instance(num_users, 10, 4, seed)
+            final, _solution, _trace = run_game(gains, scenario, finder=finder)
+            searched = [(bs, grouping.key()) for grouping, bs, _graph in built]
+            assert len(set(searched)) == len(searched), (num_users, seed)
+            assert sorted(searched[-4:]) == [(bs, final.key()) for bs in range(4)]

@@ -588,6 +588,15 @@ class TestFga:
                     assert league.predicted_delta_w < 0
                     assert len(set(league.groups)) == len(league.groups)
 
+    def test_huge_alpha_takes_every_seed(self):
+        # alpha * (real + groups) overflows to inf; the restarts stop at the V * V seed edges.
+        scenario, gains = _pinned_game(50)
+        graph = build_graph(gains, scenario, initial_grouping(gains, scenario), 0)
+        v = graph.num_nodes
+        leagues = fga_candidates(graph, 1e308)
+        assert leagues
+        assert _candidate_bits(leagues) == _candidate_bits(fga_candidates(graph, float(v * v)))
+
     def test_alpha_validation(self):
         graph = _fake_graph([[math.inf]], [0])
         for alpha in (0.0, -1.0, math.nan, math.inf):
