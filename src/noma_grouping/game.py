@@ -8,10 +8,10 @@ accepted actions strictly descends and must stop. The game stops once
 every BS has searched the current grouping without a move, so no BS has
 an improving loop its finder can reach (baselines.is_nash_equilibrium is
 the brute-force check of that). Every proposed move is re-validated
-before acceptance: its realized total is re-read from the game's memo of
-subchannel totals, not summed from the graph's predicted weights, and
-graph.is_improvement judges it. At the end an independent solve_all_powers
-of the final grouping must match the memo's total.
+before acceptance: the total of the grouping apply_league returns is
+read from the game's memo, not summed from the graph's predicted
+weights, and graph.is_improvement judges it. At the end an independent
+solve_all_powers of the final grouping must match the memo's total.
 """
 
 from __future__ import annotations
@@ -62,17 +62,19 @@ class GameTrace:
     eba_budget_exhaustions counts the searches that fell back to the
     greedy finder; zero means the exact search completed everywhere.
     memo_hits and memo_solves count the lookups in the game's
-    ChannelTotals memo (by graph builds and re-validations) that found a
-    total and that solved one;
+    ChannelTotals memo (by graph builds, re-validations and the reads of
+    the start and end totals) that found a total and that solved one;
     they sum to the lookups, and memo_solves is the number of distinct
-    (subchannel, membership) pairs the graphs met. memo_batch_solves is
+    (subchannel, membership) pairs the game met. memo_batch_solves is
     the part of memo_solves that solve_channel_batch solved.
     eba_relaxations sums the budget units (V * V * |group| per relaxed
     (state, group) pair) that the game's eba searches used, exhausted
     ones included. candidates_tried counts the leagues the game applied
     and re-validated, accepted or not, at most one per BS turn. final_gap_rel is the relative gap
     between the final grouping's memo total and the total of
-    solve_all_powers on it (0.0 when both are inf).
+    solve_all_powers on it (0.0 when both are inf). delta_gap_max_rel is
+    the largest |predicted - realized| / |realized| delta of an accepted
+    league, realized being its total after minus before (0.0 without one).
     """
 
     iterations: list = field(default_factory=list)
@@ -85,6 +87,7 @@ class GameTrace:
     eba_relaxations: int = 0
     candidates_tried: int = 0
     final_gap_rel: float = 0.0
+    delta_gap_max_rel: float = 0.0
 
 
 def initial_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
@@ -115,7 +118,7 @@ def run_game(
     its budget is exhausted) or "fga" (greedy with restart factor alpha).
     An unknown finder and an alpha that is not finite and > 0
     (graph.check_alpha) raise ValueError, and so does a start_grouping
-    that does not fit the scenario, at the first graph build. start_grouping
+    that does not fit the scenario, before any solve. start_grouping
     resumes the game from a caller-supplied state, e.g. after users
     connect or disconnect; by default every user starts on its strongest
     own-BS subchannel.
@@ -124,15 +127,15 @@ def run_game(
     tried per turn: the exact search's, or with "fga" and when
     the exact search's budget runs out, the greedy search's best.
 
-    The game's state is its grouping and one ChannelTotals memo, which
-    every league graph reads its subchannel totals from, so each
-    (subchannel, membership) is solved once per game. The total power of
-    a grouping is the fsum of its G memo totals. A league is accepted
-    when is_improvement holds for its total after minus the total
-    before; only the subchannels it touches change, and their new totals
-    are memo entries its graph has already met. solve_all_powers runs
-    once, on the final grouping, for the returned solution; its total
-    must match the memo's to END_CHECK_REL, else RuntimeError is raised.
+    The game's state is its grouping and that grouping's total, read by
+    ChannelTotals.total_w from the one memo every league graph reads, so
+    each (subchannel, membership) is solved once per game. A league is
+    accepted when is_improvement holds for the total of the grouping
+    apply_league returns minus the current total; that read solves
+    nothing, since the league's graph met every new membership.
+    solve_all_powers runs once, on the final grouping, for the returned
+    solution; its total must match a fresh memo total of that grouping
+    to END_CHECK_REL, else RuntimeError is raised.
 
     An infeasible start is returned unchanged after 0 actions. Every edge
     into an infeasible subchannel weighs +inf, so no finder proposes a
@@ -145,6 +148,7 @@ def run_game(
     grouping = start_grouping if start_grouping is not None else initial_grouping(gains, scenario)
     trace = GameTrace()
     memo = ChannelTotals(gains, scenario)
+    total_w = memo.total_w(grouping)
 
     num_bs = scenario.config.num_bs
     idle = 0  # turns in a row that accepted no league
@@ -153,7 +157,6 @@ def run_game(
             break
         idle += 1
         league_graph = build_graph(gains, scenario, grouping, m, memo)
-        total_w = league_graph.total_w
         if finder == "eba":
             try:
                 leagues = [find_negative_loop_eba(league_graph)]
@@ -169,8 +172,11 @@ def run_game(
 
         trace.candidates_tried += 1
         new_grouping = apply_league(grouping, league)
-        after_w = league_graph.total_after_w(league)
-        if is_improvement(after_w - total_w):
+        after_w = memo.total_w(new_grouping)
+        realized = after_w - total_w
+        if is_improvement(realized):
+            gap = abs(league.predicted_delta_w - realized) / abs(realized)
+            trace.delta_gap_max_rel = max(trace.delta_gap_max_rel, gap)
             trace.iterations.append(
                 TraceStep(
                     bs=m,
@@ -179,16 +185,17 @@ def run_game(
                     total_power_after_w=after_w,
                 )
             )
-            grouping = new_grouping
+            grouping, total_w = new_grouping, after_w
             idle = 0
 
+    memo_w = memo.total_w(grouping)
     solution = solve_all_powers(gains, grouping, scenario)
     solved_w = total_power_or_inf(solution)
     # inf against a finite total gives NaN or inf, which fails the check.
-    gap = 0.0 if solved_w == total_w else abs(total_w - solved_w) / abs(solved_w)
+    gap = 0.0 if solved_w == memo_w else abs(memo_w - solved_w) / abs(solved_w)
     if not gap <= END_CHECK_REL:
         raise RuntimeError(
-            f"the final grouping's memo total {total_w!r} W differs from its solve, {solved_w!r} W"
+            f"the final grouping's memo total {memo_w!r} W differs from its solve, {solved_w!r} W"
         )
     trace.final_gap_rel = gap
     trace.memo_hits = memo.hits

@@ -23,8 +23,10 @@ rebuild after a move solves only memberships no earlier build has met.
 A build hands the keys of all its entries to ChannelTotals.lookup, the
 one caller of a channel kernel here, which solves the misses together:
 in one solve_channel_batch call when there are BATCH_MIN_MISSES or more,
-else in one solve_one_channel call each, with the same bits. A game also
-re-validates its moves from this memo (LeagueGraph.total_after_w).
+else in one solve_one_channel call each, with the same bits. A grouping
+becomes memo keys only in ChannelTotals.keys, after check_grouping; a
+game re-validates a move by the memo total (ChannelTotals.total_w) of
+the grouping apply_league returns.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ NEG_DELTA_FLOOR_W = ABS_FLOOR_W
 def is_improvement(delta_w: float) -> bool:
     """The one acceptance rule: a total-power change below -NEG_DELTA_FLOOR_W.
 
-    For a re-solved move, delta_w is total_power_or_inf(after) minus
-    total_power_or_inf(before). A move out of an infeasible grouping then
-    gives -inf and is accepted; a move into one gives +inf (or NaN from an
-    infeasible start) and is rejected.
+    For a move in a game, delta_w is ChannelTotals.total_w of the grouping
+    after minus that of the grouping before. A move out of an infeasible
+    grouping then gives -inf and is accepted; a move into one gives +inf
+    (or NaN from an infeasible start) and is rejected.
     """
     return delta_w < -NEG_DELTA_FLOOR_W
 
@@ -129,7 +131,8 @@ class ChannelTotals:
     starts from zero power, so it is a function of that membership, the
     gains and the scenario alone; LeagueGraph refuses a memo made for
     other gains or another scenario. lookup solves the misses, and
-    batch_solves counts those that solve_channel_batch solved.
+    batch_solves counts those that solve_channel_batch solved. keys and
+    total_w read a whole grouping, which must fit the scenario.
     """
 
     def __init__(self, gains: ChannelGains, scenario: Scenario):
@@ -144,6 +147,18 @@ class ChannelTotals:
     def solves(self) -> int:
         """Lookups that missed and ran a channel solve, one per entry."""
         return len(self.totals)
+
+    def keys(self, grouping: Grouping) -> list:
+        """The G (h, mask) keys of the grouping's subchannels; ValueError unless it fits."""
+        check_grouping(grouping, self.scenario)
+        masks = [0] * self.scenario.config.num_channels
+        for n, g in enumerate(grouping.channel_of.tolist()):
+            masks[g] |= 1 << n
+        return list(enumerate(masks))
+
+    def total_w(self, grouping: Grouping) -> float:
+        """Total power of the grouping: the fsum of its G memo totals."""
+        return math.fsum(self.lookup(self.keys(grouping)))
 
     def lookup(self, keys: list) -> list[float]:
         """Memoized totals of the (h, mask) keys, after solving the distinct misses.
@@ -203,9 +218,9 @@ class LeagueGraph:
     ChannelTotals memo. The current total of each subchannel is looked up
     when the graph is built; the first full_adjacency call looks up the
     totals after each move and caches the V x V matrix. Without a memo
-    the graph makes a fresh one. A grouping that fails check_grouping, a
-    BS outside [0, M) and another instance's memo raise ValueError before
-    any solve.
+    the graph makes a fresh one. A BS outside [0, M), another instance's
+    memo and a grouping that does not fit (ChannelTotals.keys) raise
+    ValueError before any solve.
     eba_relaxations is the budget count of the last eba search on it.
     """
 
@@ -217,7 +232,6 @@ class LeagueGraph:
         bs: int,
         memo: ChannelTotals | None = None,
     ):
-        check_grouping(grouping, scenario)
         num_bs = scenario.config.num_bs
         if not 0 <= bs < num_bs:
             raise ValueError(f"BS {bs} is outside [0, {num_bs})")
@@ -225,6 +239,7 @@ class LeagueGraph:
             memo = ChannelTotals(gains, scenario)
         elif memo.gains is not gains or memo.scenario is not scenario:
             raise ValueError("the memo was made for other gains or another scenario")
+        keys = memo.keys(grouping)
         self._memo = memo
         self.bs = int(bs)
         self.num_channels = scenario.config.num_channels
@@ -232,43 +247,14 @@ class LeagueGraph:
         self.num_real = len(self.nodes) - self.num_channels
 
         # Bit n of _masks[h] is set when user n is on subchannel h.
-        self._masks = [0] * self.num_channels
-        for n, g in enumerate(grouping.channel_of.tolist()):
-            self._masks[g] |= 1 << n
-        self._totals = memo.lookup([(h, mask) for h, mask in enumerate(self._masks)])
+        self._masks = [mask for _h, mask in keys]
+        self._totals = memo.lookup(keys)
         self._adj: np.ndarray | None = None
         self.eba_relaxations = 0
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def total_w(self) -> float:
-        """Total power of the grouping the graph was built on: the fsum of its G memo totals."""
-        return math.fsum(self._totals)
-
-    def total_after_w(self, league: League) -> float:
-        """Total power once this graph's league is applied: the fsum of the new G memo totals.
-
-        Node k of the cycle leaves subchannel groups[k] and node k - 1 joins
-        it. Only those subchannels' totals change, and the league's own
-        edges have met each new membership, so their lookups are hits.
-        """
-        keys = []
-        for k, node in enumerate(league.cycle):
-            h = league.groups[k]
-            mask = self._masks[h]
-            if not isinstance(node, VirtualUser):
-                mask ^= 1 << node
-            joiner = league.cycle[k - 1]
-            if not isinstance(joiner, VirtualUser):
-                mask |= 1 << joiner
-            keys.append((h, mask))
-        totals = list(self._totals)
-        for (h, _mask), total in zip(keys, self._memo.lookup(keys)):
-            totals[h] = total
-        return math.fsum(totals)
 
     def full_adjacency(self) -> np.ndarray:
         """The V x V edge weights in watts, computed on the first call.

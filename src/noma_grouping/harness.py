@@ -177,10 +177,8 @@ def run_strategy(gains: ChannelGains, scenario: Scenario, strategy: StrategyKind
         grouping = baselines.sccd_grouping(gains, scenario)
     elif strategy.kind == "gale_shapley":
         grouping = baselines.gale_shapley_grouping(gains, scenario)
-    elif strategy.kind == "exhaustive":
+    else:  # "exhaustive"; StrategyKind rejects unknown kinds
         grouping, _ = baselines.exhaustive_best_grouping(gains, scenario)
-    else:
-        raise ValueError(f"unknown strategy {strategy.kind!r}")
     return grouping, solve_all_powers(gains, grouping, scenario), None
 
 

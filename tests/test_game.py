@@ -254,7 +254,7 @@ class TestEndCheck:
             # one turn per BS, each rejecting its league
             assert trace.candidates_tried == 4
             assert np.array_equal(final.channel_of, start.channel_of)
-            assert trace.final_gap_rel == 0.0
+            assert trace.final_gap_rel == 0.0 and trace.delta_gap_max_rel == 0.0
 
     def test_candidates_tried_counts_applied_leagues(self, monkeypatch):
         applied = []
@@ -303,6 +303,22 @@ class TestEndCheck:
         scenario, gains, _grouping, _sol = next(feasible_instances(1, 14, 3, 2, start_seed=50))
         with pytest.raises(RuntimeError, match="memo total"):
             run_game(gains, scenario, finder="fga")
+
+
+class TestDeltaGap:
+    @pytest.mark.parametrize("finder", ["fga", "eba"])
+    def test_predicted_deltas_match_realized_on_pinned_games(self, finder):
+        with open(SEEDS_FILE) as fh:
+            instances = [tuple(game) for game in json.load(fh)["game"]]
+        for num_users, seed in instances:
+            scenario, gains = make_instance(num_users, 10, 4, seed)
+            _final, _solution, trace = run_game(gains, scenario, finder=finder)
+            gaps = []
+            for step in trace.iterations:
+                realized = step.total_power_after_w - step.total_power_before_w
+                gaps.append(abs(step.action.predicted_delta_w - realized) / abs(realized))
+            assert trace.delta_gap_max_rel == max(gaps) > 0.0, (num_users, seed)
+            assert trace.delta_gap_max_rel <= 1e-9, (num_users, seed)
 
 
 class TestStoppingRule:

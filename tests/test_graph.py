@@ -226,14 +226,16 @@ class TestBuildGraph:
         scenario, gains = make_instance(12, 3, 2, seed=1)
         grouping = initial_grouping(gains, scenario)
         user = scenario.users_of_bs(0)[0]
-        for channel in (-1, 3):
-            with pytest.raises(ValueError, match="subchannel outside"):
-                build_graph(gains, scenario, grouping.with_moves([(user, channel)]), 0)
         bs_of = grouping.bs_of.copy()
         bs_of[user] = 1
-        with pytest.raises(ValueError, match="association"):
-            build_graph(gains, scenario, Grouping(grouping.channel_of, bs_of), 0)
         memo = ChannelTotals(gains, scenario)
+        # every reader of a whole grouping checks it before any lookup
+        for read in (lambda g: build_graph(gains, scenario, g, 0), memo.keys, memo.total_w):
+            for channel in (-1, 3):
+                with pytest.raises(ValueError, match="subchannel outside"):
+                    read(grouping.with_moves([(user, channel)]))
+            with pytest.raises(ValueError, match="association"):
+                read(Grouping(grouping.channel_of, bs_of))
         for bs in (2, -1, 7):
             with pytest.raises(ValueError, match=r"BS -?\d+ is outside \[0, 2\)"):
                 build_graph(gains, scenario, grouping, bs, memo)
@@ -259,7 +261,20 @@ class TestBuildGraph:
                 build_graph(gains, scenario, grouping, 0, memo)
             assert memo.totals == totals
         own = build_graph(gains, scenario, grouping, 0, ChannelTotals(gains, scenario))
-        assert own.total_w == build_graph(gains, scenario, grouping, 0).total_w
+        assert np.array_equal(own.full_adjacency(), build_graph(gains, scenario, grouping, 0).full_adjacency())
+
+    def test_memo_keys_and_total_of_a_grouping(self):
+        for scenario, gains, grouping, solution in feasible_instances(2, 12, 3, 2, start_seed=60):
+            memo = ChannelTotals(gains, scenario)
+            keys = memo.keys(grouping)
+            assert [h for h, _mask in keys] == [0, 1, 2] and memo.totals == {}
+            for h, mask in keys:
+                assert mask == sum(1 << int(n) for n in np.flatnonzero(grouping.channel_of == h))
+            total = memo.total_w(grouping)
+            assert total == math.fsum(memo.totals[key] for key in keys)
+            assert total == pytest.approx(total_power_or_inf(solution), rel=1e-12)
+            assert (memo.solves, memo.hits) == (3, 0)
+            assert memo.total_w(grouping) == total and memo.hits == 3
 
 
 class TestEba:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noma_grouping import StrategyKind, load_config, run_experiment, summarize
+from conftest import feasible_instances
+from noma_grouping import StrategyKind, load_config, run_experiment, run_game, summarize
 from noma_grouping.cli import main as cli_main
 from noma_grouping.harness import (
     ExperimentSpec,
@@ -14,6 +16,7 @@ from noma_grouping.harness import (
     results_csv,
     trial_seeds,
     watts_to_dbm,
+    write_trace_log,
 )
 
 
@@ -99,6 +102,23 @@ class TestRunExperiment:
         text = logs[0].read_text()
         assert text.strip().endswith(f"final_dbm={text.strip().split('final_dbm=')[-1]}")
         assert "converged=" in text
+
+    def test_trace_log_step_lines(self):
+        scenario, gains, _grouping, _sol = next(feasible_instances(1, 14, 3, 2, start_seed=50))
+        _final, _solution, trace = run_game(gains, scenario, finder="fga")
+        assert trace.iterations
+        buf = io.StringIO()
+        write_trace_log(trace, buf)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == len(trace.iterations) + 1
+        assert lines[-1].startswith("converged=True final_dbm=")
+        for k, (line, step) in enumerate(zip(lines, trace.iterations)):
+            fields = dict(item.split("=", 1) for item in line.split())
+            assert list(fields) == ["iter", "bs", "moves", "before_dbm", "after_dbm", "delta_db"]
+            assert (fields["iter"], fields["bs"]) == (str(k), str(step.bs))
+            moves = [move.removeprefix("u").split("->g") for move in fields["moves"].split(";")]
+            assert [(int(u), int(g)) for u, g in moves] == step.action.moves
+            assert float(fields["delta_db"]) < 0.0
 
 
 class TestStrategyAlpha:

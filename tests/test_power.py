@@ -506,6 +506,25 @@ def _random_systems(rng, num_bs, num_ch, num_users, count, max_row):
 class TestChannelBatch:
     """solve_channel_batch gives solve_one_channel's bits, system by system."""
 
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_kernels_agree_at_the_iteration_cap(self, monkeypatch, cap):
+        systems = []
+        for seed in range(200000, 200060):
+            scenario, gains = make_instance(50, 10, 4, seed)
+            grouping = initial_grouping(gains, scenario)
+            pow2r = np.exp2(scenario.spectral_rates())
+            systems.append((gains.gain, [(g, grouping.members_by_bs(g, 4)) for g in range(10)], pow2r, scenario.noise_power_w))
+        uncapped = [_assert_batch_matches_scalar(*system).feasible for system in systems]
+        monkeypatch.setattr(power, "MAX_FIXED_POINT_ITERATIONS", cap)
+        cut = 0
+        for system, feasible in zip(systems, uncapped):
+            res = _assert_batch_matches_scalar(*system)
+            assert (res.iterations <= cap).all() and not (res.feasible & ~feasible).any()
+            # systems that converge without the cap and stop at it unconverged
+            cut += int((feasible & ~res.feasible & (res.iterations == cap)).sum())
+        # every one of these systems converges within 3 iterations
+        assert (cut > 0) == (cap < 3)
+
     def test_every_membership_of_a_pinned_fga_game(self, monkeypatch):
         with open(Path(__file__).resolve().parents[1] / "bench" / "seeds.json") as fh:
             seed = dict(json.load(fh)["game"])[50]
