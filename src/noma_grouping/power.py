@@ -25,7 +25,11 @@ Every caller runs the same kernel, one function per layer: decode_orders
 (the order rules), assemble_coupling (the linear system), solve_coupling
 (LU solve and the nonnegativity check) and user_powers (the recursion);
 solve_one_channel iterates the first three, and solve_all_powers ends
-with the fourth.
+with the fourth. solve_all_powers is one pass over a grouping: it sorts
+the users into (subchannel, BS) groups once, calls solve_one_channel per
+subchannel, and under the CCINR rule takes the CCINR table from each
+fixed point's confirming decode, which is the table ccinr() computes at
+the converged powers, bit for bit.
 
 The kernel has two paths with the same bits. solve_one_channel solves
 one system on nested lists. solve_channel_batch runs the same fixed
@@ -126,10 +130,19 @@ class PowerSolution:
 
 
 class ChannelSolveResult(NamedTuple):
+    """One subchannel's fixed point (see solve_one_channel).
+
+    ccinr holds, when feasible, the (S_n, n, I_n) of every member at the
+    returned powers, grouped per BS. Under the CCINR rule these are the
+    confirming decode's values, in decode order. It is None when
+    infeasible.
+    """
+
     powers: list[float]
     orders: tuple
     iterations: int
     feasible: bool
+    ccinr: list | None = None
 
 
 def _member_ccinr(rows, members_by_bs, powers, sigma2: float) -> list[list[tuple]]:
@@ -153,19 +166,20 @@ def _member_ccinr(rows, members_by_bs, powers, sigma2: float) -> list[list[tuple
     return out
 
 
-def _ccinr_table(gain_lists, channel_members, group_power_table, sigma2: float, num_users: int) -> CcinrTable:
-    """CCINR table from channel_members[g], the per-BS member lists of subchannel g."""
-    gp = np.asarray(group_power_table, dtype=float).tolist()
-    s = np.empty(num_users)
-    interference = np.empty(num_users)
-    for g, members_by_bs in enumerate(channel_members):
-        rows = [gain_lists[m][g] for m in range(len(gp))]
-        powers = [gp_m[g] for gp_m in gp]
-        for group in _member_ccinr(rows, members_by_bs, powers, sigma2):
-            for s_n, n, i_n in group:
-                s[n] = s_n
-                interference[n] = i_n
-    return CcinrTable(s=s, interference=interference)
+def _scatter_ccinr(groups, s, interference) -> None:
+    """Write _member_ccinr's (S_n, n, I_n) into s[n] and interference[n]."""
+    for group in groups:
+        for s_n, n, i_n in group:
+            s[n] = s_n
+            interference[n] = i_n
+
+
+def _members_by_channel(grouping: Grouping, num_channels: int, num_bs: int) -> list:
+    """Per-BS member lists of every subchannel, [g][m] (ascending ids), in one pass."""
+    out = [[[] for _ in range(num_bs)] for _ in range(num_channels)]
+    for n, (g, m) in enumerate(zip(grouping.channel_of.tolist(), grouping.bs_of.tolist())):
+        out[g][m].append(n)
+    return out
 
 
 def ccinr(gains: ChannelGains, grouping: Grouping, group_power_table, noise_power_w: float) -> CcinrTable:
@@ -173,13 +187,22 @@ def ccinr(gains: ChannelGains, grouping: Grouping, group_power_table, noise_powe
 
     I_n sums, over the other BSs, their gain to user n on n's subchannel
     times their group power on that subchannel. Entries of
-    group_power_table must be >= 0.
+    group_power_table must be >= 0. A subchannel or BS index outside the
+    gain table raises ValueError.
     """
     num_bs, num_ch = gains.gain.shape[:2]
-    channel_members = [grouping.members_by_bs(g, num_bs) for g in range(num_ch)]
-    return _ccinr_table(
-        gains.as_lists(), channel_members, group_power_table, noise_power_w, grouping.num_users
-    )
+    for name, ids, bound in (("subchannel", grouping.channel_of, num_ch), ("BS", grouping.bs_of, num_bs)):
+        if np.any((ids < 0) | (ids >= bound)):
+            raise ValueError(f"grouping uses a {name} outside [0, {bound})")
+    gain_lists = gains.as_lists()
+    gp = np.asarray(group_power_table, dtype=float).tolist()
+    s = [0.0] * grouping.num_users
+    interference = [0.0] * grouping.num_users
+    for g, members_by_bs in enumerate(_members_by_channel(grouping, num_ch, num_bs)):
+        rows = [gain_lists[m][g] for m in range(len(gp))]
+        powers = [gp_m[g] for gp_m in gp]
+        _scatter_ccinr(_member_ccinr(rows, members_by_bs, powers, noise_power_w), s, interference)
+    return CcinrTable(s=np.array(s), interference=np.array(interference))
 
 
 # ----------------------------------------------------------------------
@@ -194,11 +217,7 @@ def decode_orders(rows, members_by_bs, pow2r, sigma2: float, powers, order_rule:
     rate first. Ties go to the lower user id.
     """
     if order_rule == CCINR_ORDER:
-        orders = []
-        for group in _member_ccinr(rows, members_by_bs, powers, sigma2):
-            group.sort()
-            orders.append(tuple([n for _s, n, _i in group]) if group else ())
-        return tuple(orders)
+        return _ccinr_orders(_member_ccinr(rows, members_by_bs, powers, sigma2))
     if order_rule == CHANNEL_GAIN_ORDER:
         return tuple(
             tuple(sorted(mem, key=lambda n, row=rows[m]: (row[n], n)))
@@ -207,6 +226,13 @@ def decode_orders(rows, members_by_bs, pow2r, sigma2: float, powers, order_rule:
     if order_rule == RATE_DESCENDING_ORDER:
         return tuple(tuple(sorted(mem, key=lambda n: (-pow2r[n], n))) for mem in members_by_bs)
     raise ValueError(f"unknown order rule: {order_rule!r}")
+
+
+def _ccinr_orders(groups) -> tuple:
+    """Ascending-CCINR orders of _member_ccinr's groups, which it sorts in place."""
+    for group in groups:
+        group.sort()
+    return tuple(tuple([n for _s, n, _i in group]) for group in groups)
 
 
 def assemble_coupling(rows, orders, pow2r, sigma2: float) -> tuple[list, list]:
@@ -317,18 +343,26 @@ def solve_one_channel(
     the orders those powers were solved for, the system (a function of the
     orders alone) is unchanged, so the powers are exact and are returned
     without solving again; the confirming decode counts as an iteration.
-    Otherwise the new orders are solved.
+    Otherwise the new orders are solved. A feasible result also carries
+    the CCINR values at the returned powers (see ChannelSolveResult):
+    under the CCINR rule those of the confirming decode, under the
+    fixed-order rules one decode more.
     """
     rows = [gain_lists[m][channel] for m in range(len(members_by_bs))]
     p_cur = [0.0] * len(rows)
-    orders = solved_orders = None
+    orders = solved_orders = table = None
     iterations = 0
     for iterations in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
         # Only the CCINR orders depend on the powers.
-        if orders is None or order_rule == CCINR_ORDER:
+        if order_rule == CCINR_ORDER:
+            table = _member_ccinr(rows, members_by_bs, p_cur, sigma2)
+            orders = _ccinr_orders(table)
+        elif orders is None:
             orders = decode_orders(rows, members_by_bs, pow2r, sigma2, p_cur, order_rule)
         if orders == solved_orders:
-            return ChannelSolveResult(p_cur, orders, iterations, True)
+            if order_rule != CCINR_ORDER:
+                table = _member_ccinr(rows, members_by_bs, p_cur, sigma2)
+            return ChannelSolveResult(p_cur, orders, iterations, True, table)
         p_new = solve_coupling(*assemble_coupling(rows, orders, pow2r, sigma2))
         if p_new is None:
             return ChannelSolveResult(p_cur, orders, iterations, False)
@@ -488,30 +522,33 @@ def solve_all_powers(
     """Coupled power allocation across all cells and subchannels.
 
     Subchannels are orthogonal, so each one is solved by its own fixed
-    point (started from zero power). Per-user powers are then recovered
-    from the converged interference. feasible is False when any channel's
-    solve is singular, negative, or fails to converge. A grouping that
-    does not fit the scenario raises ValueError (see check_grouping).
+    point (started from zero power), in one pass over the subchannels.
+    The CCINR table is the one at the converged powers: under the CCINR
+    rule, the fixed point's confirming decode; under the fixed-order
+    rules, one more decode at those powers. Per-user powers are then
+    recovered by the recursion. feasible is False when any channel's
+    solve is singular, negative, or fails to converge; the channels after
+    the first such one are not solved. A grouping that does not fit the
+    scenario raises ValueError (see check_grouping).
     """
     check_grouping(grouping, scenario)
     cfg = scenario.config
     sigma2 = scenario.noise_power_w
     pow2r = np.exp2(scenario.spectral_rates()).tolist()
     lists = gains.as_lists()
-    num_bs, num_ch = cfg.num_bs, cfg.num_channels
+    num_bs, num_ch, num_users = cfg.num_bs, cfg.num_channels, cfg.num_users
 
     group_power = np.zeros((num_bs, num_ch))
-    channel_members = []
+    s = [0.0] * num_users
+    interference = [0.0] * num_users
     orders: dict = {}
     max_iters = 0
-    for g in range(num_ch):
-        members = grouping.members_by_bs(g, num_bs)
-        channel_members.append(members)
+    for g, members in enumerate(_members_by_channel(grouping, num_ch, num_bs)):
         res = solve_one_channel(lists, g, members, pow2r, sigma2, order_rule=order_rule)
         max_iters = max(max_iters, res.iterations)
         if not res.feasible:
             return PowerSolution(
-                p=np.full(cfg.num_users, np.nan),
+                p=np.full(num_users, np.nan),
                 group_power=np.full((num_bs, num_ch), np.nan),
                 ccinr=None,
                 sic_order={},
@@ -519,18 +556,18 @@ def solve_all_powers(
                 fixed_point_iterations=max_iters,
             )
         group_power[:, g] = res.powers
+        _scatter_ccinr(res.ccinr, s, interference)
         for m in range(num_bs):
             orders[(m, g)] = res.orders[m]
 
-    table = _ccinr_table(lists, channel_members, group_power, sigma2, cfg.num_users)
-    p = np.zeros(cfg.num_users)
+    p = [0.0] * num_users
     for order in orders.values():
-        for n, p_n in user_powers(order, table.s, pow2r).items():
+        for n, p_n in user_powers(order, s, pow2r).items():
             p[n] = p_n
     return PowerSolution(
-        p=p,
+        p=np.array(p),
         group_power=group_power,
-        ccinr=table,
+        ccinr=CcinrTable(s=np.array(s), interference=np.array(interference)),
         sic_order=orders,
         feasible=True,
         fixed_point_iterations=max_iters,

@@ -96,12 +96,13 @@ class TestRunExperiment:
 
     def test_trace_log_written(self, tmp_path):
         spec = _tiny_spec(strategies=[StrategyKind("fga", 5.0)], trials=1)
-        run_experiment(spec, trace_dir=str(tmp_path))
+        results = run_experiment(spec, trace_dir=str(tmp_path))
         logs = list(tmp_path.glob("trace_*.log"))
         assert len(logs) == 1
-        text = logs[0].read_text()
-        assert text.strip().endswith(f"final_dbm={text.strip().split('final_dbm=')[-1]}")
-        assert "converged=" in text
+        last = logs[0].read_text().splitlines()[-1]
+        assert results[0].feasible
+        assert last.startswith("converged=True ")
+        assert last.split("final_dbm=")[1] == f"{results[0].total_power_dbm:.6f}"
 
     def test_trace_log_step_lines(self):
         scenario, gains, _grouping, _sol = next(feasible_instances(1, 14, 3, 2, start_seed=50))

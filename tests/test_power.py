@@ -20,7 +20,9 @@ from noma_grouping import (
     achieved_rates,
     ccinr,
     decode_orders,
+    gale_shapley_grouping,
     initial_grouping,
+    sccd_grouping,
     solve_all_powers,
     solve_coupling,
     total_power,
@@ -32,12 +34,15 @@ from noma_grouping import run_game
 from noma_grouping.power import (
     CCINR_ORDER,
     CHANNEL_GAIN_ORDER,
+    RATE_DESCENDING_ORDER,
     assemble_coupling,
     solve_channel_batch,
     solve_one_channel,
     total_power_or_inf,
 )
 from noma_grouping.scenario import ChannelGains
+
+ORDER_RULES = (CCINR_ORDER, CHANNEL_GAIN_ORDER, RATE_DESCENDING_ORDER)
 
 
 def _toy_gains(gain_array):
@@ -61,6 +66,17 @@ class TestCcinr:
         table = ccinr(_toy_gains(gain), grouping, [[0.0], [1.0]], 1e-15)
         assert table.interference[0] == pytest.approx(1e-12, rel=1e-12)
         assert table.s[0] == pytest.approx(1e-10 / 1.001e-12, rel=1e-12)
+
+    def test_rejects_indices_outside_the_gain_table(self):
+        gains = _toy_gains(np.full((2, 2, 3), 2e-10))
+        for channel_of, bs_of, message in (
+            ([0, 1, -1], [0, 1, 0], "subchannel outside"),
+            ([0, 1, 2], [0, 1, 0], "subchannel outside"),
+            ([0, 1, 1], [0, -1, 0], "BS outside"),
+            ([0, 1, 1], [0, 2, 0], "BS outside"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ccinr(gains, Grouping(channel_of=channel_of, bs_of=bs_of), np.ones((2, 2)), 1e-15)
 
     def test_zero_other_powers_reduce_to_single_cell(self):
         scenario, gains = make_instance(8, 2, 2, seed=1)
@@ -311,6 +327,68 @@ class TestSolveAllPowers:
             assert without.feasible
             assert np.array_equal(with_extra.p[:-1], without.p)
 
+    @pytest.mark.parametrize("num_users", [50, 55, 60, 65])
+    def test_table_and_powers_equal_the_public_forms(self, num_users):
+        # the power-solve benchmark's instances and groupings, every rule
+        feasible = dict.fromkeys(ORDER_RULES, 0)
+        for seed in range(90000, 90010):
+            scenario, gains = make_instance(num_users, 10, 4, seed)
+            for grouping in (
+                initial_grouping(gains, scenario),
+                sccd_grouping(gains, scenario),
+                gale_shapley_grouping(gains, scenario),
+            ):
+                for rule in ORDER_RULES:
+                    feasible[rule] += _assert_public_forms(gains, grouping, scenario, rule)
+        assert all(feasible.values()), feasible
+
+    @pytest.mark.parametrize("order_rule", ORDER_RULES)
+    def test_one_pass_over_the_grouping(self, monkeypatch, order_rule):
+        # Under the CCINR rule the table is the fixed points' last decodes:
+        # no CCINR decode beyond the solves' own; the fixed-order rules
+        # decode once per subchannel at the converged powers.
+        decodes, iterations = [0], [0]
+        member_ccinr, solve = power._member_ccinr, power.solve_one_channel
+
+        def counting_decode(*args):
+            decodes[0] += 1
+            return member_ccinr(*args)
+
+        def counting_solve(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            iterations[0] += res.iterations
+            return res
+
+        def no_per_channel_grouping(*args):
+            raise AssertionError("members_by_bs called")
+
+        checked = 0
+        for scenario, gains, grouping, _sol in feasible_instances(3, 20, 4, 4, start_seed=300):
+            with monkeypatch.context() as patch:
+                patch.setattr(power, "_member_ccinr", counting_decode)
+                patch.setattr(power, "solve_one_channel", counting_solve)
+                patch.setattr(Grouping, "members_by_bs", no_per_channel_grouping)
+                decodes[0] = iterations[0] = 0
+                solution = solve_all_powers(gains, grouping, scenario, order_rule=order_rule)
+            if solution.feasible:
+                checked += 1
+                assert decodes[0] == (iterations[0] if order_rule == CCINR_ORDER else 4)
+        assert checked > 0
+
+    def test_public_forms_with_empty_subchannel_and_empty_group(self):
+        scenario, gains = make_instance(5, 3, 2, seed=2)
+        bs_of = scenario.association
+        assert bs_of.tolist() == [1, 0, 0, 0, 0]
+        # BS 1 serves only on subchannel 0, BS 0 on 0 and 1; subchannel 2 is empty
+        channel_of = np.array([0, 1, 0, 1, 0])
+        grouping = Grouping(channel_of=channel_of, bs_of=bs_of)
+        for rule in ORDER_RULES:
+            assert _assert_public_forms(gains, grouping, scenario, rule)
+            solution = solve_all_powers(gains, grouping, scenario, order_rule=rule)
+            assert solution.sic_order[(0, 2)] == solution.sic_order[(1, 2)] == solution.sic_order[(1, 1)] == ()
+            assert solution.group_power[:, 2].tolist() == [0.0, 0.0]
+            assert solution.group_power[1, 1] == 0.0
+
     def test_monotone_in_target_rate(self):
         for scenario, gains, grouping, solution in feasible_instances(
             5, 14, 3, 4, start_seed=400
@@ -323,6 +401,24 @@ class TestSolveAllPowers:
             bumped = solve_all_powers(gains, grouping, scenario)
             if bumped.feasible:
                 assert total_power(bumped) >= base * (1 - 1e-9)
+
+
+def _assert_public_forms(gains, grouping, scenario, order_rule) -> bool:
+    """A feasible solve's CCINR table is ccinr() at its group powers, and its p
+    the user_powers recursion over its orders, bit for bit. Returns feasible."""
+    solution = solve_all_powers(gains, grouping, scenario, order_rule=order_rule)
+    if not solution.feasible:
+        return False
+    table = ccinr(gains, grouping, solution.group_power, scenario.noise_power_w)
+    assert np.array_equal(solution.ccinr.s.view(np.int64), table.s.view(np.int64))
+    assert np.array_equal(solution.ccinr.interference.view(np.int64), table.interference.view(np.int64))
+    pow2r = np.exp2(scenario.spectral_rates()).tolist()
+    p = np.full(grouping.num_users, np.nan)
+    for order in solution.sic_order.values():
+        for n, p_n in user_powers(order, solution.ccinr.s, pow2r).items():
+            p[n] = p_n
+    assert np.array_equal(solution.p.view(np.int64), p.view(np.int64))
+    return True
 
 
 class TestAchievedRates:
