@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from noma_grouping import (
+    ChannelTotals,
+    LeagueGraph,
     VirtualUser,
     apply_league,
-    build_graph,
     draw_channel_gains,
     dump_adjacency_csv,
     fga_candidates,
@@ -34,7 +35,7 @@ grouping = initial_grouping(gains, scenario)
 base = solve_all_powers(gains, grouping, scenario)
 print(f"base total power: {total_power(base):.4e} W")
 
-graph = build_graph(gains, scenario, grouping, bs=0)
+graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, bs=0)
 adjacency = graph.full_adjacency()
 finite = np.isfinite(adjacency)
 print(f"graph: {graph.num_nodes} nodes ({graph.num_real} real), "

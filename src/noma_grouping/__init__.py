@@ -26,13 +26,13 @@ from .power import (
     user_powers,
 )
 from .graph import (
+    ChannelTotals,
     EbaBudgetExhausted,
     League,
     LeagueGraph,
     StaleLeagueError,
     VirtualUser,
     apply_league,
-    build_graph,
     dump_adjacency_csv,
     fga_candidates,
     find_negative_loop_eba,

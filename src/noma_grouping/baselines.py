@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .graph import League, is_improvement, league_nodes
+from .graph import League, apply_league, is_improvement, league_nodes
 from .power import (
     Grouping,
     InfeasibleSolutionError,
@@ -160,10 +160,9 @@ def enumerate_leagues(
                 predicted_delta_w=math.nan,
                 groups=tuple(node_groups[i] for i in path),
             )
-            moves = league.moves
-            if not moves:
+            if not league.moves:
                 return
-            solution = solve_all_powers(gains, grouping.with_moves(moves), scenario)
+            solution = solve_all_powers(gains, apply_league(grouping, league), scenario)
             delta = total_power_or_inf(solution) - base_total
             if is_improvement(delta):
                 league.predicted_delta_w = float(delta)

@@ -156,7 +156,7 @@ def run_game(
         if idle == num_bs:
             break
         idle += 1
-        league_graph = build_graph(gains, scenario, grouping, m, memo)
+        league_graph = build_graph(memo, grouping, m)
         if finder == "eba":
             try:
                 leagues = [find_negative_loop_eba(league_graph)]

@@ -18,8 +18,9 @@ order, so an exhausted search is deterministic.
 
 A weight is a difference of two subchannel totals, each a function of
 that subchannel's membership alone. A game keeps them in one
-ChannelTotals memo, keyed by (subchannel, bitmask of its users), so a
-rebuild after a move solves only memberships no earlier build has met.
+ChannelTotals memo, keyed by (subchannel, bitmask of its users), and
+builds every LeagueGraph from that memo alone, so a rebuild after a move
+solves only memberships no earlier build has met.
 A build hands the keys of all its entries to ChannelTotals.lookup, the
 one caller of a channel kernel here, which solves the misses together:
 in one solve_channel_batch call when there are BATCH_MIN_MISSES or more,
@@ -129,8 +130,8 @@ class ChannelTotals:
     (math.fsum of its group powers) when exactly the users n with bit n
     of mask set share it, or inf when they cannot be powered. A solve
     starts from zero power, so it is a function of that membership, the
-    gains and the scenario alone; LeagueGraph refuses a memo made for
-    other gains or another scenario. lookup solves the misses, and
+    gains and the scenario alone, and the memo is the one holder of both
+    for the LeagueGraphs that read it. lookup solves the misses, and
     batch_solves counts those that solve_channel_batch solved. keys and
     total_w read a whole grouping, which must fit the scenario.
     """
@@ -214,35 +215,24 @@ class ChannelTotals:
 class LeagueGraph:
     """Weighted digraph over one BS's real and virtual users.
 
-    Every weight is a difference of two subchannel totals read from a
-    ChannelTotals memo. The current total of each subchannel is looked up
-    when the graph is built; the first full_adjacency call looks up the
-    totals after each move and caches the V x V matrix. Without a memo
-    the graph makes a fresh one. A BS outside [0, M), another instance's
-    memo and a grouping that does not fit (ChannelTotals.keys) raise
-    ValueError before any solve.
+    Every weight is a difference of two subchannel totals read from the
+    ChannelTotals memo, which also supplies the gains and the scenario.
+    The current total of each subchannel is looked up when the graph is
+    built; the first full_adjacency call looks up the totals after each
+    move and caches the V x V matrix. A BS outside [0, M) and a grouping
+    that does not fit (ChannelTotals.keys) raise ValueError before any
+    solve.
     eba_relaxations is the budget count of the last eba search on it.
     """
 
-    def __init__(
-        self,
-        gains: ChannelGains,
-        scenario: Scenario,
-        grouping: Grouping,
-        bs: int,
-        memo: ChannelTotals | None = None,
-    ):
-        num_bs = scenario.config.num_bs
-        if not 0 <= bs < num_bs:
-            raise ValueError(f"BS {bs} is outside [0, {num_bs})")
-        if memo is None:
-            memo = ChannelTotals(gains, scenario)
-        elif memo.gains is not gains or memo.scenario is not scenario:
-            raise ValueError("the memo was made for other gains or another scenario")
+    def __init__(self, memo: ChannelTotals, grouping: Grouping, bs: int):
+        config = memo.scenario.config
+        if not 0 <= bs < config.num_bs:
+            raise ValueError(f"BS {bs} is outside [0, {config.num_bs})")
         keys = memo.keys(grouping)
         self._memo = memo
         self.bs = int(bs)
-        self.num_channels = scenario.config.num_channels
+        self.num_channels = config.num_channels
         self.nodes, self.node_groups = league_nodes(grouping, self.bs, self.num_channels)
         self.num_real = len(self.nodes) - self.num_channels
 
@@ -304,15 +294,8 @@ class LeagueGraph:
         return self._adj
 
 
-def build_graph(
-    gains: ChannelGains,
-    scenario: Scenario,
-    grouping: Grouping,
-    bs: int,
-    memo: ChannelTotals | None = None,
-) -> LeagueGraph:
-    """League graph of one BS against the current grouping (see LeagueGraph)."""
-    return LeagueGraph(gains, scenario, grouping, bs, memo)
+# bench/tracing.py wraps this name, and bench/tests assert its graph.build span.
+build_graph = LeagueGraph
 
 
 def _make_league(graph: LeagueGraph, idx_cycle: list[int], delta: float) -> League:
@@ -514,14 +497,15 @@ def apply_league(grouping: Grouping, league: League) -> Grouping:
 
     Raises ValueError unless the league is a cycle of at least two nodes
     in pairwise distinct groups (so no user moves twice or stays put)
-    whose real users all belong to one BS, and StaleLeagueError when a
-    node has left the group recorded at build time.
+    whose real users are in [0, N) and belong to one BS, and
+    StaleLeagueError when a node has left the group recorded at build time.
     """
     if len(league.cycle) != len(league.groups):
         raise ValueError("league is missing its group snapshot")
     if len(league.cycle) < 2 or len(set(league.groups)) != len(league.groups):
         raise ValueError(f"league groups {league.groups} are not a cycle of distinct groups")
-    owners = {int(grouping.bs_of[n]) for n in league.cycle if not isinstance(n, VirtualUser)}
+    moved = grouping.with_moves(league.moves)  # first, since it checks each user is in [0, N)
+    owners = {int(grouping.bs_of[n]) for n, _g in league.moves}
     if len(owners) > 1:
         raise ValueError(f"league moves users of several BSs {sorted(owners)}")
     for node, g in zip(league.cycle, league.groups):
@@ -530,7 +514,7 @@ def apply_league(grouping: Grouping, league: League) -> Grouping:
             raise StaleLeagueError(
                 f"node {node!r} moved from group {g} to {current} since the league was built"
             )
-    return grouping.with_moves(league.moves)
+    return moved
 
 
 def dump_adjacency_csv(graph: LeagueGraph, path) -> None:

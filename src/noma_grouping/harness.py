@@ -330,16 +330,24 @@ def summarize(results: list[TrialResult]) -> dict:
 def load_config(path: str) -> SimConfig:
     """Default-layout SimConfig from a JSON file.
 
-    The sweep reads only the keys in CONFIG_KEYS; any other key raises
-    ValueError rather than being ignored.
+    The file must hold a JSON object of integer sizes and a rate range of
+    two finite numbers. The sweep reads only the keys in CONFIG_KEYS; any other
+    key, like any other value, raises ValueError rather than being ignored.
     """
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config must be a JSON object, not {type(raw).__name__}")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
-        raise ValueError(
-            f"unsupported config keys {unknown}; allowed: {', '.join(CONFIG_KEYS)}"
-        )
+        raise ValueError(f"unsupported config keys {unknown}; allowed: {', '.join(CONFIG_KEYS)}")
+    for key in ("num_users", "num_channels", "num_bs"):
+        if type(raw.get(key, 0)) is not int:
+            raise ValueError(f"{key} must be an integer, got {raw[key]!r}")
     if "rate_range_bps" in raw:
-        raw["rate_range_bps"] = tuple(raw["rate_range_bps"])
+        rates = raw["rate_range_bps"]
+        numbers = isinstance(rates, list) and all(type(r) in (int, float) and math.isfinite(r) for r in rates)
+        if not (numbers and len(rates) == 2):
+            raise ValueError(f"rate_range_bps must be two finite numbers, got {rates!r}")
+        raw["rate_range_bps"] = tuple(rates)
     return default_config(**raw)

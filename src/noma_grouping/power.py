@@ -94,9 +94,11 @@ class Grouping:
         return out
 
     def with_moves(self, moves) -> "Grouping":
-        """New grouping with each (user, target_channel) move applied."""
+        """New grouping with each (user, channel) move applied; ValueError for a user outside [0, N)."""
         ch = self.channel_of.copy()
         for n, g in moves:
+            if not 0 <= n < ch.size:
+                raise ValueError(f"user {n} is outside [0, {ch.size})")
             ch[n] = g
         return Grouping(channel_of=ch, bs_of=self.bs_of)
 
@@ -186,20 +188,23 @@ def ccinr(gains: ChannelGains, grouping: Grouping, group_power_table, noise_powe
     """CCINR table at the given per-group power levels.
 
     I_n sums, over the other BSs, their gain to user n on n's subchannel
-    times their group power on that subchannel. Entries of
-    group_power_table must be >= 0. A subchannel or BS index outside the
-    gain table raises ValueError.
+    times their group power on that subchannel. group_power_table is
+    (M, G) with entries >= 0; another shape, or a subchannel or BS index
+    outside the gain table, raises ValueError.
     """
     num_bs, num_ch = gains.gain.shape[:2]
+    gp = np.asarray(group_power_table, dtype=float)
+    if gp.shape != (num_bs, num_ch):
+        raise ValueError(f"group_power_table has shape {gp.shape}, not {(num_bs, num_ch)}")
     for name, ids, bound in (("subchannel", grouping.channel_of, num_ch), ("BS", grouping.bs_of, num_bs)):
         if np.any((ids < 0) | (ids >= bound)):
             raise ValueError(f"grouping uses a {name} outside [0, {bound})")
     gain_lists = gains.as_lists()
-    gp = np.asarray(group_power_table, dtype=float).tolist()
+    gp = gp.tolist()
     s = [0.0] * grouping.num_users
     interference = [0.0] * grouping.num_users
     for g, members_by_bs in enumerate(_members_by_channel(grouping, num_ch, num_bs)):
-        rows = [gain_lists[m][g] for m in range(len(gp))]
+        rows = [gain_lists[m][g] for m in range(num_bs)]
         powers = [gp_m[g] for gp_m in gp]
         _scatter_ccinr(_member_ccinr(rows, members_by_bs, powers, noise_power_w), s, interference)
     return CcinrTable(s=np.array(s), interference=np.array(interference))

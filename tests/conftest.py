@@ -310,8 +310,8 @@ def record_game_graphs(monkeypatch):
     built = []
     original = game_module.build_graph
 
-    def recording_build(gains, scenario, grouping, bs, *args):
-        graph = original(gains, scenario, grouping, bs, *args)
+    def recording_build(memo, grouping, bs):
+        graph = original(memo, grouping, bs)
         built.append((grouping, bs, graph))
         return graph
 

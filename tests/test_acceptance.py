@@ -23,10 +23,11 @@ from conftest import (
     single_cell_group,
 )
 from noma_grouping import (
+    ChannelTotals,
     League,
+    LeagueGraph,
     achieved_rates,
     apply_league,
-    build_graph,
     enumerate_leagues,
     exhaustive_best_grouping,
     gale_shapley_grouping,
@@ -178,7 +179,7 @@ def test_criterion_05_cycle_sum_identity():
         base = solve_all_powers(gains, grouping, scenario)
         assert base.feasible  # single cell is uncoupled, always solvable
         base_total = total_power_or_inf(base)
-        graph = build_graph(gains, scenario, grouping, 0)
+        graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 0)
         adjacency = graph.full_adjacency()
         cycles_done = 0
         guard = 0

@@ -18,6 +18,7 @@ from noma_grouping import (
     sccd_grouping,
     solve_all_powers,
 )
+from noma_grouping import baselines as baselines_module
 from noma_grouping.power import CHANNEL_GAIN_ORDER, RATE_DESCENDING_ORDER, total_power_or_inf
 from noma_grouping.scenario import ChannelGains
 
@@ -162,6 +163,28 @@ class TestEnumerateLeagues:
                 after = solve_all_powers(gains, applied, scenario)
                 assert after.feasible
                 assert total_power_or_inf(after) < base_total
+
+    def test_every_candidate_applied_through_apply_league(self, monkeypatch):
+        # Each cycle that moves somebody is applied by apply_league and
+        # solved once; only the base grouping is solved without it.
+        applied, solved = [], []
+        apply, solve = baselines_module.apply_league, baselines_module.solve_all_powers
+
+        def counting_apply(grouping, league):
+            applied.append(apply(grouping, league))
+            return applied[-1]
+
+        def recording_solve(gains, grouping, scenario):
+            solved.append(grouping)
+            return solve(gains, grouping, scenario)
+
+        monkeypatch.setattr(baselines_module, "apply_league", counting_apply)
+        monkeypatch.setattr(baselines_module, "solve_all_powers", recording_solve)
+        scenario, gains, grouping, _base = next(feasible_instances(1, 9, 3, 2, start_seed=100))
+        leagues = enumerate_leagues(gains, scenario, grouping, 3)
+        assert leagues and len(applied) > len(leagues)
+        assert solved[0] is grouping
+        assert [id(g) for g in solved[1:]] == [id(g) for g in applied]
 
     def test_empty_after_eba_convergence(self):
         done = 0

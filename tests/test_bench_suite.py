@@ -3,7 +3,12 @@
 They run in a subprocess because bench/tests has its own conftest, which
 cannot be collected in the same pytest session as tests/conftest.py. They
 check the names the benchmark's tracer wraps, so a refactor that breaks
-one fails here.
+one fails here. Three package names stay only because bench/ pins them:
+graph.build_graph (an alias of LeagueGraph that the tracer wraps as its
+graph.build span), the list result of fga_candidates (the tracer counts
+its length), and solve_one_channel called under full_adjacency (the
+scalar branch of ChannelTotals.lookup, whose calls the tracer counts as
+edge solves).
 """
 
 import subprocess

@@ -279,12 +279,12 @@ class TestEndCheck:
         build = game_module.build_graph
         poisoned = set()
 
-        def poisoning_build(gains, scenario, grouping, bs, memo):
+        def poisoning_build(memo, grouping, bs):
             key = (0, sum(1 << int(n) for n in np.flatnonzero(grouping.channel_of == 0)))
             if key in memo.totals and key not in poisoned:
                 memo.totals[key] *= poison
                 poisoned.add(key)
-            return build(gains, scenario, grouping, bs, memo)
+            return build(memo, grouping, bs)
 
         monkeypatch.setattr(game_module, "build_graph", poisoning_build)
         scenario, gains, _grouping, _sol = next(feasible_instances(1, 14, 3, 2, start_seed=50))

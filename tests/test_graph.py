@@ -18,7 +18,6 @@ from noma_grouping import (
     StaleLeagueError,
     VirtualUser,
     apply_league,
-    build_graph,
     dump_adjacency_csv,
     fga_candidates,
     find_negative_loop_eba,
@@ -56,7 +55,7 @@ class TestEdgeWeight:
     def test_virtual_to_virtual_is_zero(self):
         scenario, gains = make_instance(6, 3, 1, seed=1)
         grouping = initial_grouping(gains, scenario)
-        graph = build_graph(gains, scenario, grouping, 0)
+        graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 0)
         assert _edge(graph, VirtualUser(0), VirtualUser(1)) == 0.0
 
     def test_move_into_globally_empty_group(self):
@@ -68,7 +67,7 @@ class TestEdgeWeight:
         # (2^r - 1) * sigma^2 / gain
         users0 = scenario.users_of_bs(0)
         n = users0[0]
-        delta = _edge(build_graph(gains, scenario, grouping, 0), n, VirtualUser(2))
+        delta = _edge(LeagueGraph(ChannelTotals(gains, scenario), grouping, 0), n, VirtualUser(2))
         r = scenario.spectral_rates()[n]
         expected = (2.0 ** r - 1.0) * scenario.noise_power_w / gains.gain[0, 2, n]
         assert_close(delta, expected, rel=1e-12)
@@ -85,7 +84,7 @@ class TestEdgeWeight:
                 if pair:
                     break
             a, b = pair
-            graph = build_graph(gains, scenario, grouping, 0)
+            graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 0)
             forward = _edge(graph, a, b)
             backward = _edge(graph, b, a)
             swapped = grouping.with_moves(
@@ -98,7 +97,7 @@ class TestEdgeWeight:
     def test_same_group_rejected(self):
         scenario, gains = make_instance(6, 2, 1, seed=3)
         grouping = Grouping(channel_of=np.zeros(6, dtype=int), bs_of=scenario.association.copy())
-        graph = build_graph(gains, scenario, grouping, 0)
+        graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 0)
         # a same-group pair is no edge: its weight is +inf, as is a self loop
         assert _edge(graph, 0, 1) == math.inf
         assert _edge(graph, 0, 0) == math.inf
@@ -151,7 +150,7 @@ class TestFullAdjacency:
         cases = [case[:3] for case in feasible_instances(2, 12, 3, 2, start_seed=60)]
         cases.append(_wrecked_instance())
         graphs = [
-            (scenario, gains, grouping, build_graph(gains, scenario, grouping, m))
+            (scenario, gains, grouping, LeagueGraph(ChannelTotals(gains, scenario), grouping, m))
             for scenario, gains, grouping in cases
             for m in range(scenario.config.num_bs)
         ]
@@ -175,7 +174,7 @@ class TestFullAdjacency:
         members = wreck.members_by_bs(0, 2)
         assert not solve_one_channel(gains.as_lists(), 0, members, pow2r, scenario.noise_power_w).feasible
         for m in range(2):
-            graph = build_graph(gains, scenario, wreck, m)
+            graph = LeagueGraph(ChannelTotals(gains, scenario), wreck, m)
             adjacency = graph.full_adjacency()
             r = graph.num_real
             for j, h in enumerate(graph.node_groups):
@@ -193,7 +192,7 @@ class TestBuildGraph:
     def test_structure(self):
         scenario, gains = make_instance(5, 2, 1, seed=4)
         grouping = Grouping(channel_of=np.zeros(5, dtype=int), bs_of=scenario.association.copy())
-        graph = build_graph(gains, scenario, grouping, 0)
+        graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 0)
         assert graph.num_nodes == 5 + 2
         adjacency = graph.full_adjacency()
         assert np.all(np.isinf(np.diag(adjacency)))
@@ -207,7 +206,7 @@ class TestBuildGraph:
     def test_virtual_count_and_zero_rate(self):
         scenario, gains = make_instance(6, 3, 2, seed=5)
         grouping = initial_grouping(gains, scenario)
-        graph = build_graph(gains, scenario, grouping, 1)
+        graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 1)
         virtuals = [x for x in graph.nodes if isinstance(x, VirtualUser)]
         assert len(virtuals) == 3
         assert sorted(v.channel for v in virtuals) == [0, 1, 2]
@@ -215,7 +214,7 @@ class TestBuildGraph:
     def test_csv_dump(self, tmp_path):
         scenario, gains = make_instance(4, 2, 1, seed=6)
         grouping = initial_grouping(gains, scenario)
-        graph = build_graph(gains, scenario, grouping, 0)
+        graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 0)
         out = tmp_path / "adj.csv"
         dump_adjacency_csv(graph, out)
         lines = out.read_text().strip().splitlines()
@@ -230,7 +229,7 @@ class TestBuildGraph:
         bs_of[user] = 1
         memo = ChannelTotals(gains, scenario)
         # every reader of a whole grouping checks it before any lookup
-        for read in (lambda g: build_graph(gains, scenario, g, 0), memo.keys, memo.total_w):
+        for read in (lambda g: LeagueGraph(memo, g, 0), memo.keys, memo.total_w):
             for channel in (-1, 3):
                 with pytest.raises(ValueError, match="subchannel outside"):
                     read(grouping.with_moves([(user, channel)]))
@@ -238,30 +237,8 @@ class TestBuildGraph:
                 read(Grouping(grouping.channel_of, bs_of))
         for bs in (2, -1, 7):
             with pytest.raises(ValueError, match=r"BS -?\d+ is outside \[0, 2\)"):
-                build_graph(gains, scenario, grouping, bs, memo)
+                LeagueGraph(memo, grouping, bs)
         assert memo.totals == {} and memo.hits == 0
-
-    def test_memo_of_another_instance_rejected_before_any_solve(self):
-        scenario, gains = make_instance(12, 3, 2, seed=1)
-        grouping = initial_grouping(gains, scenario)
-        other_scenario, other_gains = make_instance(12, 3, 2, seed=2)
-        # an equal draw is still another instance: the memo is bound by identity
-        twin_scenario, twin_gains = make_instance(12, 3, 2, seed=1)
-        pairs = [
-            (other_gains, other_scenario),
-            (twin_gains, twin_scenario),
-            (twin_gains, scenario),
-            (gains, twin_scenario),
-        ]
-        for memo_gains, memo_scenario in pairs:
-            memo = ChannelTotals(memo_gains, memo_scenario)
-            build_graph(memo_gains, memo_scenario, initial_grouping(memo_gains, memo_scenario), 0, memo)
-            totals = dict(memo.totals)
-            with pytest.raises(ValueError, match="memo"):
-                build_graph(gains, scenario, grouping, 0, memo)
-            assert memo.totals == totals
-        own = build_graph(gains, scenario, grouping, 0, ChannelTotals(gains, scenario))
-        assert np.array_equal(own.full_adjacency(), build_graph(gains, scenario, grouping, 0).full_adjacency())
 
     def test_memo_keys_and_total_of_a_grouping(self):
         for scenario, gains, grouping, solution in feasible_instances(2, 12, 3, 2, start_seed=60):
@@ -596,7 +573,7 @@ class TestFga:
     def test_returned_league_is_negative_and_differ_group(self):
         for scenario, gains, grouping, _sol in feasible_instances(4, 12, 3, 2, start_seed=40):
             for m in range(2):
-                graph = build_graph(gains, scenario, grouping, m)
+                graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, m)
                 leagues = fga_candidates(graph, 5.0)
                 assert len(leagues) <= 1
                 for league in leagues:
@@ -606,7 +583,7 @@ class TestFga:
     def test_huge_alpha_takes_every_seed(self):
         # alpha * (real + groups) overflows to inf; the restarts stop at the V * V seed edges.
         scenario, gains = _pinned_game(50)
-        graph = build_graph(gains, scenario, initial_grouping(gains, scenario), 0)
+        graph = LeagueGraph(ChannelTotals(gains, scenario), initial_grouping(gains, scenario), 0)
         v = graph.num_nodes
         leagues = fga_candidates(graph, 1e308)
         assert leagues
@@ -738,7 +715,7 @@ class TestColumnReuse:
                 assert trace.memo_batch_solves == (trace.memo_solves if path == "batch" else 0)
                 assert trace.memo_hits > 0
                 for grouping, bs, graph in built:
-                    fresh = LeagueGraph(gains, scenario, grouping, bs)
+                    fresh = LeagueGraph(ChannelTotals(gains, scenario), grouping, bs)
                     assert graph.full_adjacency().tobytes() == fresh.full_adjacency().tobytes()
                     adjacencies[path].append(graph.full_adjacency().tobytes())
         # both paths make the same game, graph for graph
@@ -762,13 +739,13 @@ class TestColumnReuse:
         solves = _record_channel_solves(monkeypatch)
         for _path in _solve_paths(monkeypatch):
             memo = ChannelTotals(gains, scenario)
-            first = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
+            first = [LeagueGraph(memo, grouping, m) for m in range(3)]
             for graph in first:
                 graph.full_adjacency()
             memo_solves, memo_hits = memo.solves, memo.hits
             del solves[:]
             for m in range(3):
-                again = build_graph(gains, scenario, grouping, m, memo)
+                again = LeagueGraph(memo, grouping, m)
                 assert again.full_adjacency().tobytes() == first[m].full_adjacency().tobytes()
             assert solves == []
             assert memo.solves == memo_solves and memo.hits > memo_hits
@@ -779,7 +756,7 @@ class TestColumnReuse:
         solves = _record_channel_solves(monkeypatch)
         for _path in _solve_paths(monkeypatch):
             memo = ChannelTotals(gains, scenario)
-            graphs = [build_graph(gains, scenario, grouping, m, memo) for m in range(3)]
+            graphs = [LeagueGraph(memo, grouping, m) for m in range(3)]
             for graph in graphs:
                 graph.full_adjacency()
             # a league that leaves some subchannel untouched
@@ -794,13 +771,13 @@ class TestColumnReuse:
             for m in range(3):
                 del solves[:]
                 memo_solves = memo.solves
-                graph = build_graph(gains, scenario, moved, m, memo)
+                graph = LeagueGraph(memo, moved, m)
                 # the league's own edges already met every new membership
                 assert solves == []
                 adjacency = graph.full_adjacency()
                 assert solves and {h for h, _members in solves} <= touched
                 assert memo.solves - memo_solves == len(solves)
-                fresh = LeagueGraph(gains, scenario, moved, m)
+                fresh = LeagueGraph(ChannelTotals(gains, scenario), moved, m)
                 assert adjacency.tobytes() == fresh.full_adjacency().tobytes()
 
 
@@ -885,6 +862,17 @@ class TestPack:
 
 
 class TestApplyLeague:
+    @pytest.mark.parametrize("user", [-1, 3, 7])
+    def test_user_outside_the_grouping_rejected(self, user):
+        # -1 used to wrap around to user 2, and 7 to raise IndexError
+        grouping = Grouping([0, 1, 2], [0, 0, 0])
+        league = League(cycle=[user, VirtualUser(0)], predicted_delta_w=-1.0, groups=(2, 0))
+        with pytest.raises(ValueError, match=rf"user {user} is outside \[0, 3\)"):
+            apply_league(grouping, league)
+        with pytest.raises(ValueError, match=rf"user {user} is outside \[0, 3\)"):
+            grouping.with_moves([(user, 0)])
+        assert grouping.channel_of.tolist() == [0, 1, 2]
+
     def test_two_real_users_swap(self):
         scenario, gains = make_instance(8, 2, 1, seed=8)
         grouping = initial_grouping(gains, scenario)
@@ -954,7 +942,7 @@ class TestApplyLeague:
 
     def test_applied_league_delta_matches_prediction_single_cell(self):
         for scenario, gains, grouping, base in feasible_instances(4, 10, 3, 1, start_seed=50):
-            graph = build_graph(gains, scenario, grouping, 0)
+            graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 0)
             leagues = fga_candidates(graph, 5.0)
             if not leagues:
                 continue

@@ -253,6 +253,24 @@ class TestSeedsAndConfig:
             with pytest.raises(ValueError, match=key):
                 load_config(str(path))
 
+    def test_load_config_rejects_malformed_values(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for raw, message in (
+            (5, "JSON object"),
+            ([], "JSON object"),
+            ({"num_users": "50"}, "num_users must be an integer"),
+            ({"num_bs": 4.0}, "num_bs must be an integer"),
+            ({"num_channels": True}, "num_channels must be an integer"),
+            ({"rate_range_bps": 5}, "two finite numbers"),
+            ({"rate_range_bps": [60e3]}, "two finite numbers"),
+            ({"rate_range_bps": [60e3, "6e5"]}, "two finite numbers"),
+            ({"rate_range_bps": [math.nan, 6e5]}, "two finite numbers"),
+            ({"rate_range_bps": [60e3, math.inf]}, "two finite numbers"),
+        ):
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ValueError, match=message):
+                load_config(str(path))
+
     def test_shipped_config_loads(self):
         cfg = load_config(str(Path(__file__).parents[1] / "configs" / "default.json"))
         assert (cfg.num_users, cfg.num_channels, cfg.num_bs) == (50, 10, 4)

@@ -78,6 +78,13 @@ class TestCcinr:
             with pytest.raises(ValueError, match=message):
                 ccinr(gains, Grouping(channel_of=channel_of, bs_of=bs_of), np.ones((2, 2)), 1e-15)
 
+    def test_rejects_a_power_table_that_is_not_m_by_g(self):
+        gains = _toy_gains(np.full((2, 2, 3), 2e-10))
+        grouping = Grouping(channel_of=[0, 1, 1], bs_of=[0, 1, 0])
+        for table in (np.ones((1, 1)), np.ones((2, 1)), np.ones((1, 2)), np.ones((2, 2, 1)), [1.0, 1.0]):
+            with pytest.raises(ValueError, match=r"shape .* not \(2, 2\)"):
+                ccinr(gains, grouping, table, 1e-15)
+
     def test_zero_other_powers_reduce_to_single_cell(self):
         scenario, gains = make_instance(8, 2, 2, seed=1)
         grouping = initial_grouping(gains, scenario)
