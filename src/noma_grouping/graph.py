@@ -11,10 +11,12 @@ applying it; a negative cycle is therefore a strict improvement.
 Two detectors are provided, each proposing at most one cycle: an exact,
 budget-bounded extension of Bellman-Ford over group-disjoint paths, and a
 fast greedy search seeded from the most negative edges that keeps the
-most negative closure it meets. The exact one runs each path length as one
-array sweep over all of that level's subset states; its relaxation budget
-stops a level after a prefix of its (state, group) pairs, in a fixed
-order, so an exhausted search is deterministic.
+most negative closure it meets. The exact one starts at path length 2,
+whose paths are the edges themselves, and runs each longer length as one
+array sweep over the (subset, start) rows of the last that hold a finite
+distance; its relaxation budget stops a level after a prefix of its
+(state, group) pairs, in a fixed order, so an exhausted search is
+deterministic.
 
 A weight is a difference of two subchannel totals, each a function of
 that subchannel's membership alone. A game keeps them in one
@@ -306,126 +308,151 @@ def _make_league(graph: LeagueGraph, idx_cycle: list[int], delta: float) -> Leag
     )
 
 
+def _relaxed_prefix(subs: np.ndarray, units: np.ndarray, used: int, budget: int):
+    """The (state, group) pairs of one level that the budget lets relax.
+
+    subs holds the level's subsets, ascending; pair (i, h) costs units[h]
+    when group h is outside subs[i], else 0, and only pairs that cost
+    something are relaxed. Counting on from used in the order of
+    ascending subsets, then ascending h, the first pair that takes the
+    count above budget is the last one relaxed. Returns the relaxed mask
+    of the states up to that pair, the count reached and whether the
+    budget ran out.
+    """
+    num_groups = units.size
+    pair_units = np.where((subs[:, None] >> np.arange(num_groups)) & 1 == 0, units, 0)
+    spent = used + np.cumsum(pair_units)
+    over = np.flatnonzero(spent > budget)
+    exhausted = over.size > 0
+    last = int(over[0]) if exhausted else spent.size - 1
+    relaxed = pair_units.ravel() > 0
+    relaxed[last + 1:] = False
+    return relaxed.reshape(pair_units.shape)[: last // num_groups + 1], int(spent[last]), exhausted
+
+
+def _sweep(dist: np.ndarray, mids: np.ndarray, w: np.ndarray):
+    """Per row, the least dist[row, mid] + w[mid, k] over the row's mids, and the mid.
+
+    mids[row] lists the nodes of the row's own groups, ascending, padded
+    with nodes at which dist[row] is inf. They are taken in that order
+    under a strict <, so the first minimizing mid is the parent (-1 where
+    no path is finite).
+    """
+    src = np.take_along_axis(dist, mids, axis=1)
+    best = np.full(dist.shape, np.inf)
+    arg = np.full(dist.shape, -1, dtype=np.int16)
+    cand = np.empty_like(best)
+    less = np.empty(best.shape, dtype=bool)
+    for j in range(mids.shape[1]):
+        mid = mids[:, j]
+        np.add(src[:, j, None], w[mid], out=cand)
+        np.less(cand, best, out=less)
+        np.copyto(best, cand, where=less)
+        np.copyto(arg, mid[:, None], where=less)
+    return best, arg
+
+
 def find_negative_loop_eba(graph: LeagueGraph):
     """Exact search for a negative differ-group cycle.
 
     Dynamic program over (start, end, set of used groups) states, expanded
-    level by level in path length; every node is a source at distance 0
-    and a cycle closes by the edge back to its start (the cycle's minimum
-    node index, so each cycle is examined once). Among the closures of the
-    earliest level containing any, the most negative is returned (ties:
-    the least subset, then the least (start, end)).
+    level by level in path length; a cycle closes by the edge back to its
+    start (the cycle's minimum node index, so each cycle is examined once).
+    Among the closures of the earliest level containing any, the most
+    negative is returned (ties: the least subset, then the least (start,
+    end)).
 
-    Each level is one array sweep over all of its states. A state's
-    distances are finite only at starts and mids in its own groups, so
-    step j of the sweep takes every state's j-th own node as mid, in
-    ascending order, and keeps the least dist[start, mid] + w[mid, k]
-    under a strict < (the first minimizing mid is the parent). Extending
-    a state by group h writes only the columns of h's nodes in state
-    sub | h, so every column of a new state has exactly one source: each
-    (state, k) column is scattered, at starts below k, into its new state,
-    and a new state exists when one of its columns has a finite entry.
+    A level is a table of (subset, start) rows, sorted by that key, that
+    hold a finite distance: dist[row, end] is the least weight of a path
+    from start to end through one node of each group in the subset, and
+    parent[row, end] the node before end, whose row is the subset without
+    end's group. The search starts at level 2, whose path start -> k is
+    the edge itself (parent start, start < k). Each later level is one
+    sweep over the rows of the last: step j takes every row's j-th node of
+    its own groups as mid, in ascending order, and keeps the least
+    dist[row, mid] + w[mid, k] under a strict < (the first minimizing mid
+    is the parent), for k above start and outside the subset. A level's
+    closures back to the start are scanned before its table is built.
 
     The budget counts V * V * |group h| per (state, group h) pair, in the
     order of ascending subsets, then ascending h, skipping used and empty
-    groups. The first pair that takes the count above EBA_DEFAULT_BUDGET
-    (read at call time) is the last one relaxed: its level keeps only the
-    pairs up to it, its closures are scanned, and without a negative one
-    EbaBudgetExhausted is raised. Returning None is a proof that no
-    negative differ-group cycle of length <= G exists. The count reached
-    is left in graph.eba_relaxations, also when the search raises.
+    groups; a state is a subset with a row. The first pair that takes the
+    count above EBA_DEFAULT_BUDGET (read at call time) is the last one
+    relaxed: its level keeps only the pairs up to it, its closures are
+    scanned, and without a negative one EbaBudgetExhausted is raised.
+    Returning None is a proof that no negative differ-group cycle of
+    length <= G exists. The count reached is left in
+    graph.eba_relaxations, also when the search raises. A graph whose
+    (subset, start) keys, V * 2^G of them, do not fit in int64 raises
+    ValueError before any search.
     """
     budget = EBA_DEFAULT_BUDGET
-    w = graph.full_adjacency()
-    v = w.shape[0]
-    num_groups = graph.num_channels
+    v, num_groups = graph.num_nodes, graph.num_channels
     graph.eba_relaxations = 0
+    if v << num_groups > 1 << 63:
+        raise ValueError(f"{v} nodes in {num_groups} groups: (subset, start) keys overflow int64")
+    w = graph.full_adjacency()
     groups = np.asarray(graph.node_groups, dtype=np.int64)
     bits = np.left_shift(1, groups)
     # Budget units of a pair extending a state by group h; 0 for an empty group.
     units = v * v * np.bincount(groups, minlength=num_groups)
-    group_bits = np.left_shift(1, np.arange(num_groups))
+    above = np.arange(v) > np.arange(v)[:, None]  # [start, k]: start < k
+    tables = []  # (keys, parent) of each level from 2 on
 
-    # subs holds a level's subsets, ascending, and dist[i] the (V, V)
-    # distances of subs[i] over [start, end]: the least weight of a path
-    # from start to end through one node of each group in the subset.
-    # parent_of[sub] holds, from level 2 on, the node before end on that
-    # path (meaningful where dist is finite); its state is sub without
-    # end's group.
-    subs, state_of = np.unique(bits, return_inverse=True)
-    dist = np.full((subs.size, v, v), np.inf)
-    dist[state_of, np.arange(v), np.arange(v)] = 0.0
-    parent_of: dict[int, np.ndarray] = {}
-
-    def _extract(sub: int, start: int, end: int) -> list[int]:
-        rev = [end]
-        node = end
-        while sub in parent_of:
-            parent = int(parent_of[sub][start, node])
+    def _extract(sub: int, start: int, end: int, parent: int) -> list[int]:
+        path = [end, parent]
+        sub ^= 1 << int(groups[end])
+        for keys, parents in reversed(tables):
+            node = path[-1]
+            row = int(np.searchsorted(keys, sub * v + start))
             sub ^= 1 << int(groups[node])
-            node = parent
-            rev.append(node)
-        rev.reverse()
-        return rev
+            path.append(int(parents[row, node]))
+        return path[::-1]
 
+    # Level 1 as rows, one per node alone at distance 0 from itself; it
+    # only seeds level 2, so it has no dist or table.
+    row_start = np.argsort(groups, kind="stable")
+    row_sub = bits[row_start]
+    dist = None
     used = 0
     for _level in range(2, num_groups + 1):
-        # The level's (state, group) pairs in budget order, and the prefix relaxed.
-        pair_units = np.where((subs[:, None] & group_bits) == 0, units, 0)
-        spent = used + np.cumsum(pair_units)
-        over = np.flatnonzero(spent > budget)
-        exhausted = over.size > 0
-        last = int(over[0]) if exhausted else spent.size - 1
-        used = int(spent[last])
+        subs, state = np.unique(row_sub, return_inverse=True)
+        relaxed, used, exhausted = _relaxed_prefix(subs, units, used, budget)
         graph.eba_relaxations = used
-        relaxed = pair_units.ravel() > 0
-        relaxed[last + 1:] = False
-        relaxed = relaxed.reshape(pair_units.shape)
-        rows = last // num_groups + 1  # the states with a relaxed pair
+        rows = int(np.searchsorted(state, len(relaxed)))  # the rows of states with a relaxed pair
+        starts = row_start[:rows]
+        if dist is None:  # level 2: the path start -> k is the edge itself
+            best = w[starts]
+            arg = np.broadcast_to(starts[:, None], best.shape)
+        else:
+            outside = (subs[: len(relaxed), None] >> groups) & 1 == 0
+            width = v - int(outside.sum(axis=1).min())
+            own = np.argsort(outside, axis=1, kind="stable")[:, :width]
+            best, arg = _sweep(dist[:rows], own[state[:rows]], w)
+        r, k = np.nonzero(np.isfinite(best) & above[starts] & relaxed[state[:rows]][:, groups])
+        sub, start, value, parent = row_sub[r] | bits[k], starts[r], best[r, k], arg[r, k]
 
-        # own[i]: the nodes of subs[i]'s groups, ascending, padded with
-        # other nodes, at which dist[i] is inf, so a padded mid is never taken.
-        outside = (subs[:rows, None] >> groups) & 1 == 0
-        width = v - int(outside.sum(axis=1).min())
-        own = np.argsort(outside, axis=1, kind="stable")[:, :width]
-        src = dist[np.arange(rows)[:, None, None], own[:, :, None], own[:, None, :]]
-        best = np.full((rows, width, v), np.inf)  # [state, own start, k]
-        arg = np.full(best.shape, -1, dtype=np.int16)
-        cand = np.empty_like(best)
-        less = np.empty(best.shape, dtype=bool)
-        for j in range(width):
-            mid = own[:, j]
-            np.add(src[:, :, j, None], w[mid][:, None, :], out=cand)
-            np.less(cand, best, out=less)
-            np.copyto(best, cand, where=less)
-            np.copyto(arg, mid[:, None, None], where=less)
-        np.copyto(best, np.inf, where=own[:, :, None] >= np.arange(v))  # keep start < k
-
-        # A new state exists when one of its columns has a finite entry.
-        filled = np.isfinite(best).any(axis=1) & relaxed[:rows][:, groups]  # [state, k]
-        s_idx, k_idx = np.nonzero(filled)
-        subs, t_idx = np.unique(subs[s_idx] | bits[k_idx], return_inverse=True)
-        cells = (t_idx[:, None], own[s_idx], k_idx[:, None])
-        column = best[s_idx, :, k_idx]
-        dist = np.full((subs.size, v, v), np.inf)
-        parent = np.full(dist.shape, -1, dtype=np.int16)
-        dist[cells] = column
-        parent[cells] = arg[s_idx, :, k_idx]
-        parent_of.update(zip(subs.tolist(), parent))
-
-        # The least closure back to the start, first in (subset, start, end)
-        # order on ties; every finite entry of dist is in some column.
-        if column.size:
-            closure = column + w[k_idx[:, None], own[s_idx]]
+        # The least closure back to the start, first in (subset, start, end) order on ties.
+        if value.size:
+            closure = value + w[k, start]
             delta = float(closure.min())
             if is_improvement(delta):
-                at = np.ravel_multi_index(cells, dist.shape)[closure == delta].min()
-                t, st, en = np.unravel_index(at, dist.shape)
-                return _make_league(graph, _extract(int(subs[t]), int(st), int(en)), delta)
+                ties = np.flatnonzero(closure == delta)
+                at = ties[np.lexsort((k[ties], start[ties], sub[ties]))[0]]
+                path = _extract(int(sub[at]), int(start[at]), int(k[at]), int(parent[at]))
+                return _make_league(graph, path, delta)
         if exhausted:
             raise EbaBudgetExhausted(f"relaxation budget {budget} exceeded")
-        if not subs.size:
+        if not value.size:
             return None
+
+        keys, row = np.unique(sub * v + start, return_inverse=True)
+        row_sub, row_start = np.divmod(keys, v)
+        dist = np.full((keys.size, v), np.inf)
+        dist[row, k] = value
+        parents = np.full(dist.shape, -1, dtype=np.int16)
+        parents[row, k] = parent
+        tables.append((keys, parents))
     return None
 
 

@@ -55,6 +55,8 @@ class SimConfig:
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be > 0")
         lo, hi = self.rate_range_bps
+        if lo < 0:
+            raise ValueError(f"rate_range_bps low must be >= 0, got {lo!r}")
         if lo > hi:
             raise ValueError("rate_range_bps low must be <= high")
         if self.num_users < 0 or self.num_channels < 1 or self.num_bs < 1:

@@ -438,21 +438,28 @@ class TestEbaMatchesReference:
         assert None in found and any(isinstance(f, tuple) for f in found)
 
     def test_pinned_game(self, monkeypatch):
-        scenario, gains = _pinned_game(50)
-        built = record_game_graphs(monkeypatch)
-        _grouping, solution, trace = run_game(gains, scenario, finder="eba")
-        outcomes = [_assert_eba_matches_reference(graph) for _grouping, _bs, graph in built]
-        assert "exhausted" in [found for found, _used in outcomes]
-        assert trace.eba_relaxations == sum(used for _found, used in outcomes)
+        # every pinned benchmark game, at full scale
+        with open(SEEDS_FILE) as fh:
+            sizes = [num_users for num_users, _seed in json.load(fh)["game"]]
+        assert sizes == [50, 55, 60, 65]
+        for num_users in sizes:
+            scenario, gains = _pinned_game(num_users)
+            with monkeypatch.context() as patch:
+                built = record_game_graphs(patch)
+                _grouping, solution, trace = run_game(gains, scenario, finder="eba")
+            outcomes = [_assert_eba_matches_reference(graph) for _grouping, _bs, graph in built]
+            assert "exhausted" in [found for found, _used in outcomes]
+            assert trace.eba_relaxations == sum(used for _found, used in outcomes)
 
-        monkeypatch.setattr(game_module, "find_negative_loop_eba", find_negative_loop_eba_reference)
-        _grouping, ref_solution, ref_trace = run_game(gains, scenario, finder="eba")
-        assert ref_trace.eba_relaxations == trace.eba_relaxations
-        assert ref_trace.eba_budget_exhaustions == trace.eba_budget_exhaustions
-        assert [(s.bs, _candidate_bits([s.action])) for s in ref_trace.iterations] == [
-            (s.bs, _candidate_bits([s.action])) for s in trace.iterations
-        ]
-        assert total_power_or_inf(ref_solution).hex() == total_power_or_inf(solution).hex()
+            with monkeypatch.context() as patch:
+                patch.setattr(game_module, "find_negative_loop_eba", find_negative_loop_eba_reference)
+                _grouping, ref_solution, ref_trace = run_game(gains, scenario, finder="eba")
+            assert ref_trace.eba_relaxations == trace.eba_relaxations
+            assert ref_trace.eba_budget_exhaustions == trace.eba_budget_exhaustions
+            assert [(s.bs, _candidate_bits([s.action])) for s in ref_trace.iterations] == [
+                (s.bs, _candidate_bits([s.action])) for s in trace.iterations
+            ]
+            assert total_power_or_inf(ref_solution).hex() == total_power_or_inf(solution).hex()
 
     def test_random_integer_weights_with_ties_and_inf(self):
         rng = np.random.default_rng(81)
@@ -474,6 +481,23 @@ class TestEbaMatchesReference:
             graph = _fake_graph(weights[np.ix_(twins, twins)], groups[twins].tolist())
             found.append(_assert_eba_matches_reference(graph)[0])
         assert sum(isinstance(f, tuple) for f in found) > 20
+
+    def test_high_group_bits(self):
+        # 57 one-node groups, the most whose (subset, start) keys fit in
+        # int64; the only negative cycle is 0 -> 56 -> 0, in subset 2^56 + 1
+        weights = np.full((57, 57), 1.0)
+        weights[0, 56] = -3.0
+        graph = _fake_graph(weights, list(range(57)))
+        found, _used = _assert_eba_matches_reference(graph)
+        assert found == ([0, 56], (0, 56), (-2.0).hex())
+
+    def test_keys_that_overflow_int64_rejected(self):
+        # 64 one-node groups: int64 subset masks would wrap at group 63
+        weights = np.full((64, 64), 1.0)
+        weights[0, 63] = -3.0
+        graph = _fake_graph(weights, list(range(64)))
+        with pytest.raises(ValueError, match="overflow int64"):
+            find_negative_loop_eba(graph)
 
     def test_edge_cases(self):
         inf = math.inf

@@ -266,6 +266,10 @@ class TestSeedsAndConfig:
             ({"rate_range_bps": [60e3, "6e5"]}, "two finite numbers"),
             ({"rate_range_bps": [math.nan, 6e5]}, "two finite numbers"),
             ({"rate_range_bps": [60e3, math.inf]}, "two finite numbers"),
+            (
+                {"num_users": 6, "num_channels": 2, "num_bs": 1, "rate_range_bps": [-6e5, -1e5]},
+                "low must be >= 0",
+            ),
         ):
             path.write_text(json.dumps(raw))
             with pytest.raises(ValueError, match=message):

@@ -5,6 +5,7 @@ tree, so a rename that breaks the script must fail here rather than at
 the next refactor.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,12 @@ SECTION_HEADERS = (
     "power N=",
     "cli results.csv",
     "cli trace_",
+)
+
+EBA_LINE = (
+    r"  eba bs=\d+ "
+    r"(cycle=[uv]\d+(,[uv]\d+)+ groups=\[[\d, ]+\] delta=-0x[0-9a-f.]+p[-+]\d+|None|exhausted) "
+    r"relaxations=\d+"
 )
 
 
@@ -40,5 +47,12 @@ def test_parity_dump_runs():
         fields = dict(item.split("=") for item in line.split())
         assert list(fields) == names
         assert all(value.isdigit() for value in fields.values())
+    # one eba search outcome per league graph, after its adjacency line
+    graphs = [k for k, line in enumerate(lines) if line.startswith("  adjacency bs=")]
+    assert graphs and all(
+        re.fullmatch(EBA_LINE, lines[k + 1]) for k in graphs
+    ), "no per-graph eba section"
+    assert sum(line.startswith("  eba bs=") for line in lines) == len(graphs)
+    assert any(" cycle=" in lines[k + 1] for k in graphs)
     for rule in ("ccinr", "channel_gain", "rate_descending"):
         assert any(line.startswith("power N=") and f" rule={rule} " in line for line in lines)

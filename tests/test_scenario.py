@@ -112,6 +112,11 @@ class TestGenerateScenario:
                 area=(0, 0, 100, 100),
                 bs_positions=np.array([[1.0, 1.0]]),  # wrong count
             )
+        # a negative target rate would give a negative spectral target
+        for rates in ((-6e5, -1e5), (-1.0, 6e5)):
+            with pytest.raises(ValueError, match="low must be >= 0"):
+                default_config(num_users=6, num_channels=2, num_bs=1, rate_range_bps=rates)
+        assert default_config(num_users=6, num_channels=2, num_bs=1, rate_range_bps=(0.0, 1e5))
 
 
 class TestChannelGains:

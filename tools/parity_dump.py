@@ -14,8 +14,11 @@ Two trees print the same bytes when they make the same decisions:
   float.hex), converged, eba_budget_exhaustions, the deterministic
   GameTrace counters (memo_hits, memo_solves, memo_batch_solves,
   eba_relaxations, candidates_tried), the final channel_of and the
-  SHA-256 of p, then the SHA-256 of the full_adjacency() of every league
-  graph the game built;
+  SHA-256 of p, then for every league graph the game built the SHA-256
+  of its full_adjacency() and the outcome of find_negative_loop_eba on it
+  (the cycle's node names, groups and delta as float.hex, None or
+  exhausted, and eba_relaxations), so that a search change is compared
+  graph by graph;
 - enumerate_leagues (up to 3 nodes) on the starting grouping and
   is_nash_equilibrium on the starting and on the fga game's final grouping
   of make_instance(10, 3, 1, seed) for seeds 0-59;
@@ -108,6 +111,21 @@ def dump_games(pkg, out) -> None:
             )
             for graph in graphs:
                 out.write(f"  adjacency bs={graph.bs} sha256={sha(graph.full_adjacency().tobytes())}\n")
+                out.write(f"  eba bs={graph.bs} {eba_outcome(pkg, graph)}\n")
+
+
+def eba_outcome(pkg, graph) -> str:
+    """find_negative_loop_eba on the graph: its cycle, None or exhausted, and its budget count."""
+    try:
+        league = pkg.find_negative_loop_eba(graph)
+    except pkg.graph.EbaBudgetExhausted:
+        found = "exhausted"
+    else:
+        found = "None" if league is None else (
+            f"cycle={','.join(node_name(pkg, node) for node in league.cycle)} "
+            f"groups={list(league.groups)} delta={float(league.predicted_delta_w).hex()}"
+        )
+    return f"{found} relaxations={graph.eba_relaxations}"
 
 
 def dump_oracles(pkg, out) -> None:
