@@ -32,66 +32,64 @@ class InstanceTooLargeError(ValueError):
     """Brute-force enumeration was asked for more than its budget."""
 
 
-def _gain_summary(gains: ChannelGains, m: int, users) -> dict[int, float]:
-    # Scalar per-user channel quality: best own-BS gain across subchannels.
-    table = gains.gain[m]
-    return {n: float(np.max(table[:, n])) for n in users}
-
-
 def sccd_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
     """Pair strongest with weakest, second strongest with second weakest,
-    and so on, cycling through the groups until every user is placed."""
+    and so on, cycling through the groups until every user is placed.
+
+    A user's strength is its best own-BS gain over the subchannels; equal
+    strengths rank the lower user id first. One max over the gain table
+    and one lexsort per BS give that ranking.
+    """
     cfg = scenario.config
     channel_of = np.zeros(cfg.num_users, dtype=np.int64)
+    best = gains.gain.max(axis=1)  # (M, N)
     for m in range(cfg.num_bs):
-        users = scenario.users_of_bs(m)
-        summary = _gain_summary(gains, m, users)
-        ranked = sorted(users, key=lambda n: (-summary[n], n))
-        k = len(ranked)
-        for i in range(k // 2):
-            g = i % cfg.num_channels
-            channel_of[ranked[i]] = g
-            channel_of[ranked[k - 1 - i]] = g
-        if k % 2:
-            channel_of[ranked[k // 2]] = (k // 2) % cfg.num_channels
+        users = np.flatnonzero(scenario.association == m)
+        ranked = users[np.lexsort((users, -best[m, users]))]
+        # Rank i pairs with rank k - 1 - i; an odd middle user sits alone.
+        rank = np.arange(ranked.size)
+        channel_of[ranked] = np.minimum(rank, ranked.size - 1 - rank) % cfg.num_channels
     return Grouping(channel_of=channel_of, bs_of=scenario.association.copy())
 
 
 def gale_shapley_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
     """Deferred acceptance per BS.
 
-    Users propose to subchannels in descending own-gain order; each
-    subchannel keeps at most ceil(users_of_bs / channels) proposers,
-    preferring higher gain (ties: lower user id). Total quota covers all
-    users, so the matching always completes.
+    Users propose to subchannels in descending own-gain order (ties: lower
+    subchannel first); each subchannel keeps at most
+    ceil(users_of_bs / channels) proposers, preferring higher gain (ties:
+    lower user id). Total quota covers all users, so the matching always
+    completes. Each BS's preference lists come from one stable argsort of
+    its users' gains, and the proposal loop reads gains from plain lists
+    of those users alone; users go by their index in the BS's ascending
+    user list, which orders them as their ids do.
     """
     cfg = scenario.config
     num_ch = cfg.num_channels
     channel_of = np.zeros(cfg.num_users, dtype=np.int64)
-    table = gains.gain
     for m in range(cfg.num_bs):
-        users = scenario.users_of_bs(m)
-        if not users:
+        users = np.flatnonzero(scenario.association == m)
+        if not users.size:
             continue
-        quota = math.ceil(len(users) / num_ch)
-        prefs = {
-            n: sorted(range(num_ch), key=lambda g: (-table[m, g, n], g)) for n in users
-        }
-        next_choice = {n: 0 for n in users}
+        quota = math.ceil(users.size / num_ch)
+        own = gains.gain[m][:, users]  # (G, users of BS m)
+        prefs = np.argsort(-own, axis=0, kind="stable").T.tolist()
+        own_gain = own.tolist()
+        next_choice = [0] * users.size
         held: list[list[int]] = [[] for _ in range(num_ch)]
-        free = deque(sorted(users))
+        free = deque(range(users.size))
         while free:
-            n = free.popleft()
-            g = prefs[n][next_choice[n]]
-            next_choice[n] += 1
-            held[g].append(n)
+            i = free.popleft()
+            g = prefs[i][next_choice[i]]
+            next_choice[i] += 1
+            held[g].append(i)
             if len(held[g]) > quota:
-                worst = min(held[g], key=lambda u: (table[m, g, u], -u))
+                row = own_gain[g]
+                worst = min(held[g], key=lambda j: (row[j], -j))
                 held[g].remove(worst)
                 free.append(worst)
         for g in range(num_ch):
-            for n in held[g]:
-                channel_of[n] = g
+            channel_of[users[held[g]]] = g
     return Grouping(channel_of=channel_of, bs_of=scenario.association.copy())
 
 

@@ -11,10 +11,25 @@ from .scenario import default_config
 
 
 def _parse_strategy(text: str) -> StrategyKind:
-    if ":" in text:
-        kind, alpha = text.split(":", 1)
-        return StrategyKind(kind.strip(), float(alpha))
-    return StrategyKind(text.strip())
+    try:
+        if ":" in text:
+            kind, alpha = text.split(":", 1)
+            return StrategyKind(kind.strip(), float(alpha))
+        return StrategyKind(text.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _at_least(minimum: int):
+    """argparse type of an integer count that must be >= minimum."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,15 +41,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strategy",
         action="append",
+        type=_parse_strategy,
         default=None,
         help="strategy to run: eba, fga[:alpha], sccd, gale_shapley, exhaustive "
         f"(repeatable; default: fga sccd gale_shapley; alpha defaults to {DEFAULT_ALPHA:g})",
     )
-    parser.add_argument("--users", type=int, nargs="+", default=None, help="user counts to sweep")
-    parser.add_argument("--groups", type=int, nargs="+", default=None, help="subchannel counts to sweep")
-    parser.add_argument("--bs", type=int, nargs="+", default=None, help="BS counts to sweep")
-    parser.add_argument("--trials", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--users", type=_at_least(0), nargs="+", default=None, help="user counts to sweep")
+    parser.add_argument("--groups", type=_at_least(1), nargs="+", default=None, help="subchannel counts to sweep")
+    parser.add_argument("--bs", type=_at_least(1), nargs="+", default=None, help="BS counts to sweep")
+    parser.add_argument("--trials", type=_at_least(1), default=1)
+    parser.add_argument("--seed", type=_at_least(0), default=0)
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--trace-dir", default=None,
                         help="write per-trial game trace logs into this directory")
@@ -42,21 +58,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the sweep the arguments describe; bad arguments exit 2 with the usage line.
 
-    cfg = load_config(args.config) if args.config else default_config()
-    strategies = [_parse_strategy(s) for s in (args.strategy or ["fga", "sccd", "gale_shapley"])]
-
-    spec = ExperimentSpec(
-        strategies=strategies,
-        trials=args.trials,
-        base_seed=args.seed,
-        num_users_list=args.users or [cfg.num_users],
-        num_channels_list=args.groups or [cfg.num_channels],
-        num_bs_list=args.bs or [cfg.num_bs],
-        rate_ranges_bps=[cfg.rate_range_bps],
-        output_path=args.out,
-    )
+    A ValueError raised while the arguments are read, and a config file
+    that cannot be opened or parsed, become a parser error before any
+    trial runs; errors of the run itself propagate.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = load_config(args.config) if args.config else default_config()
+        spec = ExperimentSpec(
+            strategies=args.strategy or [StrategyKind(kind) for kind in ("fga", "sccd", "gale_shapley")],
+            trials=args.trials,
+            base_seed=args.seed,
+            num_users_list=args.users or [cfg.num_users],
+            num_channels_list=args.groups or [cfg.num_channels],
+            num_bs_list=args.bs or [cfg.num_bs],
+            rate_ranges_bps=[cfg.rate_range_bps],
+            output_path=args.out,
+        )
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     results = run_experiment(spec, trace_dir=args.trace_dir)
     summary = summarize(results)
 

@@ -15,7 +15,7 @@ import numpy as np
 PATH_LOSS_REF_DB = 128.1
 PATH_LOSS_SLOPE_DB = 37.6
 
-# Resampling limit per user before the area is declared too small.
+# Rejected placement tries in a row before the area is declared too small.
 _MAX_PLACEMENT_TRIES = 10_000
 
 
@@ -50,6 +50,16 @@ class SimConfig:
                 f"bs_positions must have shape ({self.num_bs}, 2), "
                 f"got {self.bs_positions.shape}"
             )
+        # NaN slips past every ordering test below and fails much later
+        # (a spinning placement loop, NaN rates, an overflow), so it and
+        # the infinities are refused here.
+        for name in (
+            "min_user_bs_distance", "bandwidth_hz", "noise_psd_dbm_per_hz",
+            "area", "bs_positions", "rate_range_bps",
+        ):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.min_user_bs_distance <= 0:
             raise ValueError("min_user_bs_distance must be > 0")
         if self.bandwidth_hz <= 0:
@@ -119,6 +129,15 @@ def generate_scenario(config: SimConfig, seed=None) -> Scenario:
     Positions are uniform over the area, resampled until the user sits at
     least min_user_bs_distance away from every BS. Deterministic in
     (config, seed); seed defaults to config.seed.
+
+    Points are drawn in rounds of as many points as users are left to
+    place, and user n takes the n-th accepted point. A round's points are
+    the same stream values that one draw per try would give, and a round
+    can accept at most every point it drew, so the last user is placed by
+    the last point of its round: no draw is ever made past it, and the
+    target rates that follow come from the same stream position as with
+    one try at a time. _MAX_PLACEMENT_TRIES rejections in a row, counted
+    across rounds, raise ScenarioGenerationError.
     """
     if seed is None:
         seed = config.seed
@@ -127,18 +146,24 @@ def generate_scenario(config: SimConfig, seed=None) -> Scenario:
     bs = config.bs_positions
 
     positions = np.empty((config.num_users, 2))
-    for n in range(config.num_users):
-        for _ in range(_MAX_PLACEMENT_TRIES):
-            p = rng.uniform((x0, y0), (x1, y1))
-            if np.min(np.hypot(*(bs - p).T)) >= config.min_user_bs_distance:
-                positions[n] = p
-                break
-        else:
+    placed = 0
+    rejected = 0  # rejections since the last accepted point
+    while placed < config.num_users:
+        left = config.num_users - placed
+        points = rng.uniform((x0, y0), (x1, y1), size=(left, 2))
+        dists = np.hypot(bs[None, :, 0] - points[:, 0:1], bs[None, :, 1] - points[:, 1:2])
+        accepted = np.flatnonzero(np.min(dists, axis=1) >= config.min_user_bs_distance)
+        # Rejection runs before each accepted point and after the last.
+        runs = np.diff(np.concatenate(([-1 - rejected], accepted, [left]))) - 1
+        if runs.max() >= _MAX_PLACEMENT_TRIES:
             raise ScenarioGenerationError(
                 "could not place a user at least "
                 f"{config.min_user_bs_distance} m from every BS after "
                 f"{_MAX_PLACEMENT_TRIES} tries; area too small"
             )
+        positions[placed:placed + accepted.size] = points[accepted]
+        placed += accepted.size
+        rejected = int(runs[-1])
 
     lo, hi = config.rate_range_bps
     rates = rng.uniform(lo, hi, size=config.num_users)

@@ -1,6 +1,7 @@
 """Shared builders, tolerance helpers and oracles for the test suite."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from noma_grouping import (
     solve_all_powers,
     user_powers,
 )
+from noma_grouping import Grouping, ScenarioGenerationError
 from noma_grouping import game as game_module
 from noma_grouping import graph as graph_module
+from noma_grouping import scenario as scenario_module
 from noma_grouping.graph import League, is_improvement
 from noma_grouping.power import CCINR_ORDER
 
@@ -303,6 +306,94 @@ def find_negative_loop_eba_reference(graph):
             return None
         current = nxt
     return None
+
+
+def placement_reference(config, seed):
+    """Positions, target rates and association, one placement try at a time (oracle).
+
+    Each try draws one point; a user gets the first point at least
+    min_user_bs_distance from every BS, and a user still unplaced after
+    scenario._MAX_PLACEMENT_TRIES tries (read at call time) raises
+    ScenarioGenerationError. The rates are drawn after the last user.
+    """
+    rng = np.random.default_rng(seed)
+    x0, y0, x1, y1 = config.area
+    bs = config.bs_positions
+    positions = np.empty((config.num_users, 2))
+    for n in range(config.num_users):
+        for _ in range(scenario_module._MAX_PLACEMENT_TRIES):
+            p = rng.uniform((x0, y0), (x1, y1))
+            if np.min(np.hypot(*(bs - p).T)) >= config.min_user_bs_distance:
+                positions[n] = p
+                break
+        else:
+            raise ScenarioGenerationError("area too small")
+    lo, hi = config.rate_range_bps
+    rates = rng.uniform(lo, hi, size=config.num_users)
+    dists = np.hypot(
+        positions[:, 0:1] - bs[None, :, 0], positions[:, 1:2] - bs[None, :, 1]
+    )
+    return positions, rates, np.argmin(dists, axis=1)
+
+
+def sccd_grouping_reference(gains, scenario):
+    """SCCD with each user's strength read one gain at a time (oracle).
+
+    Users of a BS rank by (-best own-BS gain over subchannels, id); rank i
+    and rank k - 1 - i share subchannel i mod G, and an odd middle user
+    takes (k // 2) mod G.
+    """
+    cfg = scenario.config
+    channel_of = np.zeros(cfg.num_users, dtype=np.int64)
+    for m in range(cfg.num_bs):
+        users = scenario.users_of_bs(m)
+        summary = {n: float(np.max(gains.gain[m][:, n])) for n in users}
+        ranked = sorted(users, key=lambda n: (-summary[n], n))
+        k = len(ranked)
+        for i in range(k // 2):
+            g = i % cfg.num_channels
+            channel_of[ranked[i]] = g
+            channel_of[ranked[k - 1 - i]] = g
+        if k % 2:
+            channel_of[ranked[k // 2]] = (k // 2) % cfg.num_channels
+    return Grouping(channel_of=channel_of, bs_of=scenario.association.copy())
+
+
+def gale_shapley_grouping_reference(gains, scenario):
+    """Deferred acceptance per BS with per-user sorted preference lists (oracle).
+
+    Users propose in ascending id order, each to its subchannels by
+    (-gain, subchannel); a subchannel over its quota ceil(k / G) evicts
+    its least-gain holder (ties: the higher id), who proposes again later.
+    """
+    cfg = scenario.config
+    num_ch = cfg.num_channels
+    channel_of = np.zeros(cfg.num_users, dtype=np.int64)
+    table = gains.gain
+    for m in range(cfg.num_bs):
+        users = scenario.users_of_bs(m)
+        if not users:
+            continue
+        quota = math.ceil(len(users) / num_ch)
+        prefs = {
+            n: sorted(range(num_ch), key=lambda g: (-table[m, g, n], g)) for n in users
+        }
+        next_choice = {n: 0 for n in users}
+        held = [[] for _ in range(num_ch)]
+        free = deque(sorted(users))
+        while free:
+            n = free.popleft()
+            g = prefs[n][next_choice[n]]
+            next_choice[n] += 1
+            held[g].append(n)
+            if len(held[g]) > quota:
+                worst = min(held[g], key=lambda u: (table[m, g, u], -u))
+                held[g].remove(worst)
+                free.append(worst)
+        for g in range(num_ch):
+            for n in held[g]:
+                channel_of[n] = g
+    return Grouping(channel_of=channel_of, bs_of=scenario.association.copy())
 
 
 def record_game_graphs(monkeypatch):

@@ -1,9 +1,15 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import feasible_instances, make_instance
+from conftest import (
+    feasible_instances,
+    gale_shapley_grouping_reference,
+    make_instance,
+    sccd_grouping_reference,
+)
 from noma_grouping import (
     Grouping,
     InstanceTooLargeError,
@@ -90,6 +96,47 @@ class TestGaleShapley:
             quota = math.ceil(len(users) / 4)
             for g in range(4):
                 assert len(grouping.members_by_bs(g, 2)[m]) <= quota
+
+
+class TestGroupingReferences:
+    # (N, G, M) shapes: empty and single-user BSs, more subchannels than
+    # users, and the benchmark's scale
+    SHAPES = ((0, 3, 2), (1, 4, 4), (5, 8, 1), (13, 4, 2), (30, 5, 4), (60, 10, 4), (20, 40, 1))
+
+    def test_match_one_gain_at_a_time(self):
+        # unit fading gives every user equal gains on all its subchannels,
+        # so the subchannel and user tie-breaks decide
+        checked = 0
+        for num_users, num_channels, num_bs in self.SHAPES:
+            for seed in range(12):
+                for unit_fading in (False, True):
+                    scenario, gains = make_instance(
+                        num_users, num_channels, num_bs, seed, unit_fading=unit_fading
+                    )
+                    for fast, reference in (
+                        (sccd_grouping, sccd_grouping_reference),
+                        (gale_shapley_grouping, gale_shapley_grouping_reference),
+                    ):
+                        got, want = fast(gains, scenario), reference(gains, scenario)
+                        assert got.channel_of.dtype == want.channel_of.dtype
+                        assert got.channel_of.tolist() == want.channel_of.tolist()
+                        assert np.array_equal(got.bs_of, want.bs_of)
+                        checked += 1
+        assert checked == len(self.SHAPES) * 12 * 2 * 2
+
+    def test_tied_gains_match(self):
+        # repeated gain values within and across users; 3 subchannels, and
+        # 40, more than numpy sorts by insertion, where only a stable sort
+        # keeps tied subchannels in index order
+        rng = np.random.default_rng(5)
+        for seed, num_channels in product(range(20), (3, 40)):
+            scenario, _ = make_instance(12, num_channels, 2, seed)
+            gains = ChannelGains(gain=rng.integers(1, 4, size=(2, num_channels, 12)) * 1e-12)
+            for fast, reference in (
+                (sccd_grouping, sccd_grouping_reference),
+                (gale_shapley_grouping, gale_shapley_grouping_reference),
+            ):
+                assert fast(gains, scenario).channel_of.tolist() == reference(gains, scenario).channel_of.tolist()
 
 
 def _reference_order(rule, members, own_gains, pow2r):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import feasible_instances
 from noma_grouping import StrategyKind, load_config, run_experiment, run_game, summarize
+from noma_grouping import cli as cli_module
 from noma_grouping.cli import main as cli_main
 from noma_grouping.harness import (
     ExperimentSpec,
@@ -18,6 +19,19 @@ from noma_grouping.harness import (
     watts_to_dbm,
     write_trace_log,
 )
+
+
+def assert_usage_error(capsys, argv, message):
+    """cli.main(argv) exits 2 before any trial, printing the usage line and message."""
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: noma-grouping") and message in err, err
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a trial ran")
 
 
 def _tiny_spec(**overrides):
@@ -131,11 +145,10 @@ class TestStrategyAlpha:
                     StrategyKind(kind, alpha)
         assert StrategyKind("fga", 2.0).alpha == 2.0
 
-    def test_cli_rejects_alpha_of_other_strategies(self, tmp_path):
+    def test_cli_rejects_alpha_of_other_strategies(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         for text in ("eba:2", "sccd:3", "exhaustive:0"):
-            with pytest.raises(ValueError, match="takes no alpha"):
-                cli_main(["--strategy", "fga", "--strategy", text, "--out", str(out)])
+            assert_usage_error(capsys, ["--strategy", "fga", "--strategy", text, "--out", str(out)], "takes no alpha")
         assert not out.exists()
 
 
@@ -151,12 +164,11 @@ class TestExperimentSpec:
                 _tiny_spec(strategies=strategies)
         _tiny_spec(strategies=[StrategyKind("fga", 2.0), StrategyKind("fga", 10.0)])
 
-    def test_cli_rejects_repeated_strategy_before_running(self, tmp_path):
+    def test_cli_rejects_repeated_strategy_before_running(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
-        with pytest.raises(ValueError, match="more than once"):
-            cli_main(["--strategy", "sccd", "--strategy", "sccd", "--trials", "2", "--out", str(out)])
-        with pytest.raises(ValueError, match="finite and > 0"):
-            cli_main(["--strategy", "sccd", "--strategy", "fga:nan", "--out", str(out)])
+        argv = ["--strategy", "sccd", "--strategy", "sccd", "--trials", "2", "--out", str(out)]
+        assert_usage_error(capsys, argv, "more than once")
+        assert_usage_error(capsys, ["--strategy", "sccd", "--strategy", "fga:nan", "--out", str(out)], "finite and > 0")
         assert not out.exists()
 
 
@@ -318,6 +330,37 @@ class TestCli:
         )
         assert rc == 0
         assert out.exists()
+
+    def test_argument_errors_exit_with_usage(self, tmp_path, capsys, monkeypatch):
+        # each is refused by the parser, before the first trial would run
+        monkeypatch.setattr(cli_module, "run_experiment", _no_run)
+        out = tmp_path / "res.csv"
+        for argv, message in (
+            (["--trials", "0"], "argument --trials: must be >= 1, got 0"),
+            (["--trials", "two"], "argument --trials: invalid count value: 'two'"),
+            (["--strategy", "fga:abc"], "could not convert string to float: 'abc'"),
+            (["--strategy", "fga:nan"], "alpha must be finite and > 0"),
+            (["--strategy", "sccd:2"], "strategy 'sccd' takes no alpha"),
+            (["--strategy", "greedy"], "unknown strategy 'greedy'"),
+            (["--users", "-3"], "argument --users: must be >= 0, got -3"),
+            (["--groups", "0"], "argument --groups: must be >= 1, got 0"),
+            (["--bs", "0"], "argument --bs: must be >= 1, got 0"),
+            (["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        ):
+            assert_usage_error(capsys, argv + ["--out", str(out)], message)
+        assert not out.exists()
+
+    def test_config_errors_exit_with_usage(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "run_experiment", _no_run)
+        cfg = tmp_path / "cfg.json"
+        for text, message in (
+            ('{"num_users": 6,', "Expecting property name"),
+            ('{"num_users": 6, "seed": 1}', "unsupported config keys ['seed']"),
+            ('{"num_users": -3}', "num_bs/num_users/num_channels out of range"),
+        ):
+            cfg.write_text(text)
+            assert_usage_error(capsys, ["--config", str(cfg)], message)
+        assert_usage_error(capsys, ["--config", str(tmp_path / "missing.json")], "No such file")
 
     def test_oracle_flag(self, tmp_path):
         # the exhaustive oracle is one more --strategy; there is no flag of its own

@@ -19,6 +19,8 @@ SECTION_HEADERS = (
     "power N=",
     "cli results.csv",
     "cli trace_",
+    "instance default M=",
+    "instance sparse M=",
 )
 
 EBA_LINE = (
@@ -26,6 +28,10 @@ EBA_LINE = (
     r"(cycle=[uv]\d+(,[uv]\d+)+ groups=\[[\d, ]+\] delta=-0x[0-9a-f.]+p[-+]\d+|None|exhausted) "
     r"relaxations=\d+"
 )
+
+
+INSTANCE_LINE = r"instance (default|sparse) M=\d+ N=\d+ seed=\d+ (scenario_sha256=[0-9a-f]{64}|error)"
+GROUPING_LINE = r"  (rayleigh|unit) sccd=\[[\d, ]*\] gale_shapley=\[[\d, ]*\]"
 
 
 def test_parity_dump_runs():
@@ -56,3 +62,12 @@ def test_parity_dump_runs():
     assert any(" cycle=" in lines[k + 1] for k in graphs)
     for rule in ("ccinr", "channel_gain", "rate_descending"):
         assert any(line.startswith("power N=") and f" rule={rule} " in line for line in lines)
+    # each drawn instance is followed by its two groupings under both fadings
+    instances = [k for k, line in enumerate(lines) if line.startswith("instance ")]
+    assert len(instances) == 10 * 20
+    for k in instances:
+        assert re.fullmatch(INSTANCE_LINE, lines[k]), lines[k]
+        if not lines[k].endswith(" error"):
+            assert re.fullmatch(GROUPING_LINE, lines[k + 1]) and lines[k + 1].startswith("  rayleigh ")
+            assert re.fullmatch(GROUPING_LINE, lines[k + 2]) and lines[k + 2].startswith("  unit ")
+    assert any(line.startswith("instance default M=1 N=0 ") for line in lines)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import placement_reference
+from noma_grouping import scenario as scenario_module
 from noma_grouping import (
     ScenarioGenerationError,
     SimConfig,
@@ -117,6 +121,100 @@ class TestGenerateScenario:
             with pytest.raises(ValueError, match="low must be >= 0"):
                 default_config(num_users=6, num_channels=2, num_bs=1, rate_range_bps=rates)
         assert default_config(num_users=6, num_channels=2, num_bs=1, rate_range_bps=(0.0, 1e5))
+
+    def test_non_finite_fields_rejected(self):
+        # each would otherwise fail late: a NaN clearance spins every
+        # placement try, a NaN or infinite bandwidth or noise PSD gives
+        # NaN or zero rates, a NaN area overflows numpy's uniform draw
+        base = dict(
+            num_bs=1, num_users=3, num_channels=2,
+            area=(0.0, 0.0, 100.0, 100.0), bs_positions=[[50.0, 50.0]],
+        )
+        SimConfig(**base)
+        for field, value in (
+            ("min_user_bs_distance", math.nan),
+            ("bandwidth_hz", math.nan),
+            ("bandwidth_hz", math.inf),
+            ("noise_psd_dbm_per_hz", math.nan),
+            ("noise_psd_dbm_per_hz", -math.inf),
+            ("area", (0.0, 0.0, math.nan, 100.0)),
+            ("area", (-math.inf, 0.0, 100.0, 100.0)),
+            ("bs_positions", [[50.0, math.nan]]),
+            ("rate_range_bps", (60e3, math.inf)),
+            ("rate_range_bps", (math.nan, 6e5)),
+        ):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SimConfig(**{**base, field: value})
+
+
+# Layouts the round-based placement is checked on: the default layouts,
+# plus two where many points fall inside a BS's clearance disc (about half
+# in the first, all but 0.7% in the second).
+def _placement_layouts():
+    for num_bs in (1, 2, 4):
+        for num_users in (0, 1, 30, 65):
+            yield default_config(num_users=num_users, num_channels=4, num_bs=num_bs)
+    for num_users in (1, 30):
+        yield SimConfig(
+            num_bs=1, num_users=num_users, num_channels=4, area=(0.0, 0.0, 300.0, 300.0),
+            bs_positions=[[150.0, 150.0]], min_user_bs_distance=120.0,
+        )
+        yield SimConfig(
+            num_bs=4, num_users=num_users, num_channels=4, area=(0.0, 0.0, 600.0, 600.0),
+            bs_positions=[[150.0, 150.0], [450.0, 150.0], [150.0, 450.0], [450.0, 450.0]],
+            min_user_bs_distance=200.0,
+        )
+
+
+def _placement_outcome(draw, config, seed):
+    """(positions, rates, association) as bytes, or "error"."""
+    try:
+        arrays = draw(config, seed)
+    except ScenarioGenerationError:
+        return "error"
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _placement(config, seed):
+    sc = generate_scenario(config, seed)
+    return sc.user_positions, sc.target_rates_bps, sc.association
+
+
+class TestPlacementReference:
+    def test_matches_one_try_at_a_time(self):
+        checked = 0
+        for config in _placement_layouts():
+            for seed in range(25):
+                outcome = _placement_outcome(_placement, config, seed)
+                assert outcome != "error"
+                assert outcome == _placement_outcome(placement_reference, config, seed)
+                checked += 1
+        assert checked == 400
+
+    def test_try_limit_matches(self, monkeypatch):
+        # A low limit makes some draws fail; both raise on exactly the
+        # same ones, and the rest stay bit-identical.
+        drawn = errors = 0
+        for tries in range(1, 6):
+            monkeypatch.setattr(scenario_module, "_MAX_PLACEMENT_TRIES", tries)
+            for config in _placement_layouts():
+                if config.num_users == 65:
+                    continue
+                for seed in range(8):
+                    outcome = _placement_outcome(_placement, config, seed)
+                    assert outcome == _placement_outcome(placement_reference, config, seed)
+                    drawn += 1
+                    errors += outcome == "error"
+        assert 0 < errors < drawn
+
+    def test_error_names_the_try_limit(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_MAX_PLACEMENT_TRIES", 3)
+        config = SimConfig(
+            num_bs=1, num_users=1, num_channels=1, area=(0.0, 0.0, 10.0, 10.0),
+            bs_positions=[[5.0, 5.0]], min_user_bs_distance=50.0,
+        )
+        with pytest.raises(ScenarioGenerationError, match="after 3 tries; area too small"):
+            generate_scenario(config, 0)
 
 
 class TestChannelGains:

@@ -28,7 +28,12 @@ Two trees print the same bytes when they make the same decisions:
   sic_order and the SHA-256 of p, group_power and the CCINR s and
   interference;
 - the CLI's CSV and --trace-dir logs for eba, fga and sccd at N = 12 and
-  16, G = 3, M = 2, 3 trials, seed 7.
+  16, G = 3, M = 2, 3 trials, seed 7;
+- generate_scenario for seeds 0-19 on the default layouts with M = 1, 2
+  and 4 BSs and N = 0, 1 and 24 users, and on a rejection-heavy layout
+  (one BS at the center of a 300 m square, 120 m clearance): the SHA-256
+  of the positions, target rates and association, then the SCCD and
+  Gale-Shapley channel_of under Rayleigh and under unit fading.
 """
 
 from __future__ import annotations
@@ -197,6 +202,40 @@ def dump_cli(pkg, out) -> None:
             out.write(path.read_text())
 
 
+def instance_layouts(pkg):
+    """(name, config) of every layout the instance section draws."""
+    for num_bs in (1, 2, 4):
+        for num_users in (0, 1, 24):
+            yield f"default M={num_bs} N={num_users}", pkg.default_config(
+                num_users=num_users, num_channels=4, num_bs=num_bs
+            )
+    yield "sparse M=1 N=24", pkg.SimConfig(
+        num_bs=1, num_users=24, num_channels=4, area=(0.0, 0.0, 300.0, 300.0),
+        bs_positions=[[150.0, 150.0]], min_user_bs_distance=120.0,
+    )
+
+
+def dump_instances(pkg, out) -> None:
+    for name, config in instance_layouts(pkg):
+        for seed in range(20):
+            try:
+                scenario = pkg.generate_scenario(config, seed)
+            except pkg.ScenarioGenerationError:
+                out.write(f"instance {name} seed={seed} error\n")
+                continue
+            arrays = (scenario.user_positions, scenario.target_rates_bps, scenario.association)
+            out.write(
+                f"instance {name} seed={seed} "
+                f"scenario_sha256={sha(b''.join(a.tobytes() for a in arrays))}\n"
+            )
+            for fading, unit in (("rayleigh", False), ("unit", True)):
+                gains = pkg.draw_channel_gains(scenario, seed, unit_fading=unit)
+                out.write(
+                    f"  {fading} sccd={pkg.sccd_grouping(gains, scenario).channel_of.tolist()} "
+                    f"gale_shapley={pkg.gale_shapley_grouping(gains, scenario).channel_of.tolist()}\n"
+                )
+
+
 def main(argv) -> int:
     tree = Path(argv[1]).resolve() if len(argv) > 1 else REPO
     sys.path.insert(0, str(tree / "src"))
@@ -210,6 +249,7 @@ def main(argv) -> int:
     dump_oracles(pkg, out)
     dump_powers(pkg, out)
     dump_cli(pkg, out)
+    dump_instances(pkg, out)
     return 0
 
 
