@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="strategy to run: eba, fga[:alpha], sccd, gale_shapley, exhaustive "
         f"(repeatable; default: fga sccd gale_shapley; alpha defaults to {DEFAULT_ALPHA:g})",
     )
-    parser.add_argument("--users", type=_at_least(0), nargs="+", default=None, help="user counts to sweep")
+    parser.add_argument("--users", type=_at_least(1), nargs="+", default=None, help="user counts to sweep")
     parser.add_argument("--groups", type=_at_least(1), nargs="+", default=None, help="subchannel counts to sweep")
     parser.add_argument("--bs", type=_at_least(1), nargs="+", default=None, help="BS counts to sweep")
     parser.add_argument("--trials", type=_at_least(1), default=1)

@@ -20,16 +20,19 @@ deterministic.
 
 A weight is a difference of two subchannel totals, each a function of
 that subchannel's membership alone. A game keeps them in one
-ChannelTotals memo, keyed by (subchannel, bitmask of its users), and
-builds every LeagueGraph from that memo alone, so a rebuild after a move
-solves only memberships no earlier build has met.
-A build hands the keys of all its entries to ChannelTotals.lookup, the
-one caller of a channel kernel here, which solves the misses together:
-in one solve_channel_batch call when there are BATCH_MIN_MISSES or more,
-else in one solve_one_channel call each, with the same bits. A grouping
-becomes memo keys only in ChannelTotals.keys, after check_grouping; a
-game re-validates a move by the memo total (ChannelTotals.total_w) of
-the grouping apply_league returns.
+ChannelTotals memo and builds every LeagueGraph from that memo alone, so
+a rebuild after a move solves only memberships no earlier build has met.
+A memo key is the bytes of one uint64 row: the subchannel, then the
+words of the bitmask of its users. ChannelTotals alone knows that
+layout: keys makes a grouping's G keys after check_grouping, and
+moved_keys makes the keys of all of a build's entries as one array, one
+row per entry, each a grouping key with one user's bit cleared and
+another's set. A build hands them to ChannelTotals.lookup, the one caller
+of a channel kernel here, which solves the misses together: in one
+solve_channel_batch call when there are BATCH_MIN_MISSES or more, else
+in one solve_one_channel call each, with the same bits. A game
+re-validates a move by the memo total (ChannelTotals.total_w) of the
+grouping apply_league returns.
 """
 
 from __future__ import annotations
@@ -47,9 +50,11 @@ EBA_DEFAULT_BUDGET = 10 ** 6
 
 # A build with at least this many memo misses solves them in one
 # solve_channel_batch call, and one with fewer calls solve_one_channel per
-# miss. Per miss, on misses of the pinned benchmark games (2-core Xeon,
-# numpy 2.4): the scalar path takes 30-50 us; the batch path 320 us at 1
-# miss, 55 at 16, 37 at 24, 27 at 40 and 9 at 256.
+# miss. Per miss, on the misses of the pinned N = 50 fga game (2-core Xeon,
+# numpy 2.4, best of 7 runs): the scalar path takes 25-40 us; the batch
+# path 190 us at 1 miss, 20 at 16, 16 at 24, 10 at 40 and 3 at 256. The
+# break-even is nearer 16, but moving the threshold moves
+# memo_batch_solves and the scalar edge solves that bench/tests assert.
 BATCH_MIN_MISSES = 24
 
 # A league is "improving" only below this; keeps the finders, the game's
@@ -128,14 +133,19 @@ def league_nodes(grouping: Grouping, bs: int, num_channels: int) -> tuple[list, 
 class ChannelTotals:
     """Per-game memo of subchannel total powers, keyed by membership.
 
-    totals maps (h, mask) to subchannel h's total power across all cells
-    (math.fsum of its group powers) when exactly the users n with bit n
-    of mask set share it, or inf when they cannot be powered. A solve
-    starts from zero power, so it is a function of that membership, the
-    gains and the scenario alone, and the memo is the one holder of both
-    for the LeagueGraphs that read it. lookup solves the misses, and
-    batch_solves counts those that solve_channel_batch solved. keys and
-    total_w read a whole grouping, which must fit the scenario.
+    totals maps the key of a membership of subchannel h to h's total
+    power across all cells (math.fsum of its group powers) when exactly
+    those users share it, or inf when they cannot be powered. A key is
+    the bytes of one little-endian uint64 row: h, then the ceil(N / 64)
+    words of the membership's bitmask, whose bit n % 64 of word n // 64 is
+    set when user n is on h. Only this class builds or reads keys: keys
+    gives a grouping's, moved_keys those of memberships one move away,
+    and _pack decodes misses. A solve starts from zero power, so it is a
+    function of that membership, the gains and the scenario alone, and
+    the memo is the one holder of both for the LeagueGraphs that read it.
+    lookup solves the misses, and batch_solves counts those that
+    solve_channel_batch solved. keys and total_w read a whole grouping,
+    which must fit the scenario.
     """
 
     def __init__(self, gains: ChannelGains, scenario: Scenario):
@@ -145,6 +155,13 @@ class ChannelTotals:
         self.hits = 0
         self.batch_solves = 0
         self._pow2r = np.exp2(scenario.spectral_rates()).tolist()
+        num_users = scenario.config.num_users
+        users = np.arange(num_users)
+        # Row n holds user n's bit as mask words; the last row, all zero,
+        # is nobody's, so index -1 moves nobody.
+        self._bits = np.zeros((num_users + 1, (num_users + 63) // 64), dtype="<u8")
+        self._bits[users, users // 64] = np.uint64(1) << (users % 64).astype(np.uint64)
+        self._key_type = np.dtype((np.void, 8 * (1 + self._bits.shape[1])))
 
     @property
     def solves(self) -> int:
@@ -152,19 +169,32 @@ class ChannelTotals:
         return len(self.totals)
 
     def keys(self, grouping: Grouping) -> list:
-        """The G (h, mask) keys of the grouping's subchannels; ValueError unless it fits."""
+        """The G keys of the grouping's subchannels, in subchannel order; ValueError unless it fits."""
         check_grouping(grouping, self.scenario)
-        masks = [0] * self.scenario.config.num_channels
-        for n, g in enumerate(grouping.channel_of.tolist()):
-            masks[g] |= 1 << n
-        return list(enumerate(masks))
+        num_channels = self.scenario.config.num_channels
+        rows = np.zeros((num_channels, self._bits.shape[1] + 1), dtype="<u8")
+        rows[:, 0] = np.arange(num_channels)
+        np.bitwise_or.at(rows[:, 1:], grouping.channel_of, self._bits[:-1])
+        return rows.view(self._key_type).ravel().tolist()
+
+    def moved_keys(self, keys: list, channels, leavers, joiners) -> list:
+        """Keys of the memberships one move away from those of keys.
+
+        keys are a grouping's (see keys). Entry e is subchannel
+        channels[e]'s membership with user leavers[e] taken out, then user
+        joiners[e] put in; -1 moves nobody.
+        """
+        rows = np.frombuffer(b"".join(keys), dtype="<u8").reshape(len(keys), -1)[channels]
+        rows[:, 1:] ^= self._bits[leavers]
+        rows[:, 1:] |= self._bits[joiners]
+        return rows.view(self._key_type).ravel().tolist()
 
     def total_w(self, grouping: Grouping) -> float:
         """Total power of the grouping: the fsum of its G memo totals."""
         return math.fsum(self.lookup(self.keys(grouping)))
 
     def lookup(self, keys: list) -> list[float]:
-        """Memoized totals of the (h, mask) keys, after solving the distinct misses.
+        """Memoized totals of the keys, after solving the distinct misses.
 
         BATCH_MIN_MISSES or more misses go to solve_channel_batch in one
         call, fewer to solve_one_channel one at a time; both give the same
@@ -175,8 +205,7 @@ class ChannelTotals:
         self.hits += len(keys) - len(misses)
         if not misses:
             return [totals[key] for key in keys]
-        channels = [h for h, _mask in misses]
-        packed = self._pack([mask for _h, mask in misses])
+        channels, packed = self._pack(misses)
         sigma2 = self.scenario.noise_power_w
         if len(misses) >= BATCH_MIN_MISSES:
             res = solve_channel_batch(self.gains.gain, channels, packed, self._pow2r, sigma2)
@@ -184,34 +213,33 @@ class ChannelTotals:
                 totals[key] = math.fsum(powers) if feasible else math.inf
             self.batch_solves += len(misses)
         else:
-            for key, rows in zip(misses, packed.tolist()):
+            for key, h, rows in zip(misses, channels.tolist(), packed.tolist()):
                 members = [[n for n in row if n >= 0] for row in rows]
-                res = solve_one_channel(self.gains.as_lists(), key[0], members, self._pow2r, sigma2)
+                res = solve_one_channel(self.gains.as_lists(), h, members, self._pow2r, sigma2)
                 totals[key] = math.fsum(res.powers) if res.feasible else math.inf
         return [totals[key] for key in keys]
 
-    def _pack(self, masks: list) -> np.ndarray:
-        """solve_channel_batch's members of the memberships masks: (K, M, width) user ids.
+    def _pack(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
+        """solve_channel_batch's channels and members of the keys.
 
-        Row [k, m] holds BS m's users among the set bits of masks[k],
-        ascending, padded with -1 to the longest row of the masks (width 0
-        when every mask is empty). The masks are unpacked through bytes,
-        since they are wider than 64 bits above 64 users.
+        channels[k] is the subchannel of keys[k], and members[k, m] holds
+        BS m's users among the set bits of its mask words, ascending,
+        padded with -1 to the longest row of the keys (width 0 when every
+        membership is empty). One unpackbits decodes all the words.
         """
         bs_of = self.scenario.association
         num_bs = self.scenario.config.num_bs
-        nbytes = (bs_of.size + 7) // 8
-        raw = np.frombuffer(b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=bs_of.size, bitorder="little")
+        rows = np.frombuffer(b"".join(keys), dtype="<u8").reshape(len(keys), -1)
+        bits = np.unpackbits(rows[:, 1:].view(np.uint8), axis=1, count=bs_of.size, bitorder="little")
         system, users = np.nonzero(bits)  # users ascending within each system
-        rows = system * num_bs + bs_of[users]
-        order = np.argsort(rows, kind="stable")
-        rows, users = rows[order], users[order]
-        slots = np.arange(rows.size) - np.searchsorted(rows, rows)
+        slot_rows = system * num_bs + bs_of[users]
+        order = np.argsort(slot_rows, kind="stable")
+        slot_rows, users = slot_rows[order], users[order]
+        slots = np.arange(slot_rows.size) - np.searchsorted(slot_rows, slot_rows)
         width = int(slots.max(initial=-1)) + 1
-        packed = np.full((len(masks) * num_bs, width), -1)
-        packed[rows, slots] = users
-        return packed.reshape(len(masks), num_bs, width)
+        packed = np.full((len(keys) * num_bs, width), -1)
+        packed[slot_rows, slots] = users
+        return rows[:, 0].astype(np.intp), packed.reshape(len(keys), num_bs, width)
 
 
 class LeagueGraph:
@@ -221,9 +249,10 @@ class LeagueGraph:
     ChannelTotals memo, which also supplies the gains and the scenario.
     The current total of each subchannel is looked up when the graph is
     built; the first full_adjacency call looks up the totals after each
-    move and caches the V x V matrix. A BS outside [0, M) and a grouping
-    that does not fit (ChannelTotals.keys) raise ValueError before any
-    solve.
+    move, by keys that ChannelTotals.moved_keys derives from the
+    grouping's in one array operation, and caches the V x V matrix. A BS
+    outside [0, M) and a grouping that does not fit (ChannelTotals.keys)
+    raise ValueError before any solve.
     eba_relaxations is the budget count of the last eba search on it.
     """
 
@@ -231,16 +260,13 @@ class LeagueGraph:
         config = memo.scenario.config
         if not 0 <= bs < config.num_bs:
             raise ValueError(f"BS {bs} is outside [0, {config.num_bs})")
-        keys = memo.keys(grouping)
+        self._keys = memo.keys(grouping)
         self._memo = memo
         self.bs = int(bs)
         self.num_channels = config.num_channels
         self.nodes, self.node_groups = league_nodes(grouping, self.bs, self.num_channels)
         self.num_real = len(self.nodes) - self.num_channels
-
-        # Bit n of _masks[h] is set when user n is on subchannel h.
-        self._masks = [mask for _h, mask in keys]
-        self._totals = memo.lookup(keys)
+        self._totals = memo.lookup(self._keys)
         self._adj: np.ndarray | None = None
         self.eba_relaxations = 0
 
@@ -259,39 +285,30 @@ class LeagueGraph:
         A weight depends only on the target subchannel h's new membership:
         h's users without j, plus i when i is real. So it is the memo's
         total of that membership minus h's current total, and all virtual
-        joiners of a column share one lookup. The keys of all entries are
-        collected first and looked up in one ChannelTotals.lookup call,
+        joiners of a column share one entry. The keys of all entries, the
+        columns' virtual-joiner entries first, then the real joiners
+        column by column, are looked up in one ChannelTotals.lookup call,
         which solves the build's memo misses together.
         """
         if self._adj is None:
             v = len(self.nodes)
             r = self.num_real
-            groups = self.node_groups
+            groups = np.array(self.node_groups)
+            now = np.array(self._totals)
+            users = np.array(self.nodes[:r] + [-1] * self.num_channels)  # -1: a virtual node
             adj = np.full((v, v), np.inf)
             adj[r:, r:] = 0.0
             np.fill_diagonal(adj[r:, r:], np.inf)
-            bits = [1 << n for n in self.nodes[:r]]
-            joiners = [[i for i in range(r) if groups[i] != h] for h in range(self.num_channels)]
-            leave_cols, leave_keys = [], []  # real j: virtual joiners' entries
-            rows, cols, keys = [], [], []  # real i joins j's subchannel
-            for j, h in enumerate(groups):
-                if self._totals[h] == math.inf:
-                    continue
-                mask = self._masks[h]
-                if j < r:
-                    mask ^= bits[j]
-                    leave_cols.append(j)
-                    leave_keys.append((h, mask))
-                rows += joiners[h]
-                cols += [j] * len(joiners[h])
-                keys += [(h, mask | bits[i]) for i in joiners[h]]
-            totals = np.array(self._memo.lookup(leave_keys + keys))
-            now = np.array(self._totals)
-            node_groups = np.array(groups, dtype=np.intp)
-            split = len(leave_keys)
-            adj[r:, leave_cols] = totals[:split] - now[node_groups[leave_cols]]
-            adj[rows, cols] = totals[split:] - now[node_groups[cols]]
-            adj[r + node_groups[:r], np.arange(r)] = np.inf  # each real node's own virtual node
+            open_cols = now[groups] != math.inf
+            leave = np.flatnonzero(open_cols[:r])  # real j: the virtual joiners' entry
+            cols, rows = np.nonzero(open_cols[:, None] & (groups[:, None] != groups[:r]))  # real i joins j
+            channels = np.concatenate((groups[leave], groups[cols]))
+            leavers = np.concatenate((users[leave], users[cols]))
+            joiners = np.concatenate((np.full(leave.size, -1), users[rows]))
+            totals = np.array(self._memo.lookup(self._memo.moved_keys(self._keys, channels, leavers, joiners)))
+            adj[r:, leave] = totals[: leave.size] - now[groups[leave]]
+            adj[rows, cols] = totals[leave.size :] - now[groups[cols]]
+            adj[r + groups[:r], np.arange(r)] = np.inf  # each real node's own virtual node
             self._adj = adj
         return self._adj
 
@@ -485,13 +502,13 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
     seeds = np.argsort(flat, kind="stable")[:restarts]
     seeds = seeds[np.isfinite(flat[seeds])]
     groups = np.asarray(graph.node_groups)
-    in_group = groups[None, :] == np.arange(num_groups)[:, None]  # (G, V)
+    same_group = groups[:, None] == groups  # (V, V)
 
     start, cur = np.divmod(seeds, v)
     paths = np.empty((seeds.size, max(2, num_groups)), dtype=np.intp)
     paths[:, 0], paths[:, 1] = start, cur
     cost = flat[seeds]
-    blocked = in_group[groups[start]] | in_group[groups[cur]]
+    blocked = same_group[start] | same_group[cur]
     best = (math.inf, [])
     length = 2
     while True:
@@ -504,14 +521,17 @@ def fga_candidates(graph: LeagueGraph, alpha: float) -> list[League]:
         if length >= num_groups:
             break
         rows = np.where(blocked, np.inf, w[cur])
-        nxt = rows.argmin(axis=1)
-        hop = rows[np.arange(nxt.size), nxt]
+        cur = rows.argmin(axis=1)
+        hop = rows[np.arange(cur.size), cur]
         alive = np.isfinite(hop)
-        if not alive.any():
-            break
-        start, cur, paths = start[alive], nxt[alive], paths[alive]
-        cost = cost[alive] + hop[alive]
-        blocked = blocked[alive] | in_group[groups[cur]]
+        if not alive.all():  # drop the restarts without a finite hop
+            if not alive.any():
+                break
+            start, cur, hop, cost, paths, blocked = (
+                start[alive], cur[alive], hop[alive], cost[alive], paths[alive], blocked[alive]
+            )
+        cost = cost + hop
+        blocked |= same_group[cur]
         paths[:, length] = cur
         length += 1
 

@@ -116,6 +116,7 @@ class ExperimentSpec:
     """Cartesian sweep over instance sizes, run by every strategy.
 
     Strategy labels key the results, so no two strategies may share one.
+    Every user, subchannel and BS count must be at least 1.
     """
 
     strategies: list
@@ -132,6 +133,10 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not self.strategies:
             raise ValueError("at least one strategy required")
+        for name in ("num_users_list", "num_channels_list", "num_bs_list"):
+            low = [count for count in getattr(self, name) if count < 1]
+            if low:
+                raise ValueError(f"{name} holds counts below 1: {low}")
         labels = [strategy.label() for strategy in self.strategies]
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:

@@ -34,10 +34,15 @@ the converged powers, bit for bit.
 The kernel has two paths with the same bits. solve_one_channel solves
 one system on nested lists. solve_channel_batch runs the same fixed
 point, under the CCINR rule, on K systems at once as numpy arrays, with
-every sum in the scalar order. Its numpy calls cost the same for one
-system as for hundreds, so it is slower than the scalar path below a few
-dozen systems. graph.ChannelTotals.lookup picks the path by its number
-of misses (graph.BATCH_MIN_MISSES); solve_all_powers stays scalar.
+every sum in the scalar order. It gathers the gains with one flat index,
+gives the pad slots of short rows own gain +inf (so they decode last and
+add exact zeros), takes each user's (2^r - 1)/|H_own|^2 once per call,
+decodes the first pass at zero power without summing interference, and
+runs the LU on the augmented [a | b]. Its numpy calls cost about the
+same for one system as for hundreds, so it is slower than the scalar
+path below about two dozen systems. graph.ChannelTotals.lookup picks the
+path by its number of misses (graph.BATCH_MIN_MISSES); solve_all_powers
+stays scalar.
 """
 
 from __future__ import annotations
@@ -394,20 +399,26 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
     A system leaves the batch when its orders repeat or its solve fails.
 
     The system index is the last axis of every working array, so each
-    step is a few numpy operations on contiguous (..., K) blocks.
+    step is a few numpy operations on contiguous (..., K) blocks. A pad
+    slot has own gain +inf: its CCINR is inf, so it decodes after every
+    user, and its weight (f - 1)/own is 0, so it adds exact zeros.
     """
     members = np.asarray(members, dtype=np.intp).transpose(1, 2, 0)  # (M, P, K)
     num_bs, _width, num_sys = members.shape
-    valid = members >= 0
-    ids = np.where(valid, members, 0)
-    # gg[mp, m, p, k]: BS mp's gain to slot p of BS m's row in system k.
+    gain = np.asarray(gain)
+    # gg[mp, m, p, k]: BS mp's gain to slot p of BS m's row in system k,
+    # gathered by flat (subchannel, user) index; a pad reads some user's.
     # The own-BS gains move to `own`; zeroed in gg, they add exact zeros
     # where the scalar kernel skips mp == m.
-    gg = np.asarray(gain)[:, np.asarray(channels, dtype=np.intp), ids]
+    flat = np.asarray(channels, dtype=np.intp) * gain.shape[2] + members
+    gg = np.take(gain.reshape(num_bs, -1), flat, axis=1)
     bs = np.arange(num_bs)
     own = gg[bs, bs]  # (M, P, K)
     gg[bs, bs] = 0.0
-    f = np.where(valid, np.asarray(pow2r)[ids], 1.0)  # a pad adds w = 0
+    own[members < 0] = np.inf
+    f = np.asarray(pow2r)[members]
+    with np.errstate(all="ignore"):
+        ratio = (f - 1.0) / own
 
     powers = np.zeros((num_bs, num_sys))
     iterations = np.full(num_sys, MAX_FIXED_POINT_ITERATIONS)
@@ -417,10 +428,13 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
     solved = None  # the orders p_cur was solved for
     with np.errstate(all="ignore"):
         for it in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
-            interference = np.zeros(own.shape)
-            for mp in range(num_bs):
-                interference = interference + gg[mp] * p_cur[mp]
-            s = np.where(valid, own / (interference + sigma2), np.inf)
+            if solved is None:  # at zero power every interference sum is 0.0
+                s = own / sigma2
+            else:
+                interference = gg[0] * p_cur[0]
+                for mp in range(1, num_bs):
+                    interference = interference + gg[mp] * p_cur[mp]
+                s = own / (interference + sigma2)
             orders = np.argsort(s, axis=1, kind="stable")  # ties: the lower slot, so the lower id
             if solved is not None:
                 done = (orders == solved).all(axis=(0, 1))
@@ -429,15 +443,15 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
                 powers[:, act[done]] = p_cur[:, done]
                 keep = ~done
                 act, orders, p_cur = act[keep], orders[..., keep], p_cur[:, keep]
-                gg, own, f, valid = gg[..., keep], own[..., keep], f[..., keep], valid[..., keep]
+                gg, own, ratio, f = gg[..., keep], own[..., keep], ratio[..., keep], f[..., keep]
                 if act.size == 0:
                     break
-            p_new, ok = _solve_coupling_batch(*_assemble_coupling_batch(gg, own, f, orders, sigma2))
-            iterations[act[~ok]] = it
-            powers[:, act[~ok]] = p_cur[:, ~ok]
+            p_new, ok = _solve_coupling_batch(_assemble_coupling_batch(gg, ratio, f, orders, sigma2))
             if not ok.all():
+                iterations[act[~ok]] = it
+                powers[:, act[~ok]] = p_cur[:, ~ok]
                 act, orders, p_new = act[ok], orders[..., ok], p_new[:, ok]
-                gg, own, f, valid = gg[..., ok], own[..., ok], f[..., ok], valid[..., ok]
+                gg, own, ratio, f = gg[..., ok], own[..., ok], ratio[..., ok], f[..., ok]
                 if act.size == 0:
                     break
             p_cur, solved = p_new, orders
@@ -446,59 +460,63 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
     return ChannelBatchResult(powers.T, iterations, feasible)
 
 
-def _assemble_coupling_batch(gg, own, f, orders, sigma2: float):
-    """assemble_coupling of every system, one decode position at a time."""
-    num_bs, width, num_sys = own.shape
+def _assemble_coupling_batch(gg, ratio, f, orders, sigma2: float):
+    """assemble_coupling of every system, one decode position at a time.
+
+    ratio holds (f - 1)/own per slot. Returns the augmented [a | b], (M, M + 1, K).
+    """
+    num_bs, width, num_sys = ratio.shape
     # at[m, t, k]: flat index into an (M, P, K) array of the user BS m
     # decodes at position t in system k.
     at = (np.arange(num_bs)[:, None, None] * width + orders) * num_sys + np.arange(num_sys)
-    own, f = np.take(own, at), np.take(f, at)
+    ratio, f = np.take(ratio, at), np.take(f, at)
     gg = gg.reshape(num_bs, -1)
-    a = np.zeros((num_bs, num_bs, num_sys))
+    aug = np.zeros((num_bs, num_bs + 1, num_sys))
+    a = aug[:, :num_bs]
     prod = np.ones((num_bs, num_sys))
     wsum = np.zeros((num_bs, num_sys))
     for t in range(width):
-        w = (f[:, t] - 1.0) / own[:, t] * prod
-        wsum = wsum + w
+        w = ratio[:, t] * prod
+        wsum += w
         # a[m, m', k] += w * (BS m' gain to the user), zero for m' == m
-        a = a + w[:, None] * gg[:, at[:, t]].transpose(1, 0, 2)
-        prod = prod * f[:, t]
+        a += w[:, None] * np.take(gg, at[:, t], axis=1).transpose(1, 0, 2)
+        prod *= f[:, t]
     diag = np.arange(num_bs)
     a[diag, diag] = -1.0
-    return a, -sigma2 * wsum
+    aug[:, num_bs] = -sigma2 * wsum
+    return aug
 
 
-def _solve_coupling_batch(a, x):
-    """solve_coupling of the systems a[:, :, k] @ P = x[:, k], in place.
+def _solve_coupling_batch(aug):
+    """solve_coupling of the systems aug[:, :M, k] @ P = aug[:, M, k], in place.
 
     Returns (powers, ok): the (M, K) solutions, meaningful where ok.
     """
-    n, _n, num_sys = a.shape
+    n, _n1, num_sys = aug.shape
     cols = np.arange(num_sys)
     ok = np.ones(num_sys, dtype=bool)
     for k in range(n):
-        col = np.abs(a[k:, k])
-        # The first maximum, as in the scalar search. (A NaN entry can take
-        # the pivot here and not there; either way the solution is NaN.)
-        piv = col.argmax(axis=0)
-        ok &= ~(col[piv, cols] < 1e-300)
+        col = np.abs(aug[k:, k])
+        # The pivot's size is the column's maximum (NaN when one entry is,
+        # and then the solution is NaN either way).
+        ok &= ~(col.max(axis=0) < 1e-300)
         if k == n - 1:
             break
+        piv = col.argmax(axis=0)  # the first maximum, as in the scalar search
         if piv.any():
             swap = k + piv
-            row_k, x_k = a[k].copy(), x[k].copy()
-            a[k], x[k] = a[swap, :, cols].T, x[swap, cols]
-            a[swap, :, cols], x[swap, cols] = row_k.T, x_k
-        fac = a[k + 1 :, k] / a[k, k]
-        nz = fac != 0.0
-        sub = a[k + 1 :, k + 1 :]
-        a[k + 1 :, k + 1 :] = np.where(nz[:, None], sub - fac[:, None] * a[k, None, k + 1 :], sub)
-        x[k + 1 :] = np.where(nz, x[k + 1 :] - fac * x[k], x[k + 1 :])
+            row_k = aug[k].copy()
+            aug[k] = aug[swap, :, cols].T
+            aug[swap, :, cols] = row_k.T
+        fac = aug[k + 1 :, k] / aug[k, k]
+        sub = aug[k + 1 :, k + 1 :]
+        aug[k + 1 :, k + 1 :] = np.where((fac != 0.0)[:, None], sub - fac[:, None] * aug[k, None, k + 1 :], sub)
+    x = aug[:, n]
     for i in range(n - 1, -1, -1):
         acc = x[i]
         for j in range(i + 1, n):
-            acc = acc - a[i, j] * x[j]
-        x[i] = acc / a[i, i]
+            acc = acc - aug[i, j] * x[j]
+        x[i] = acc / aug[i, i]
     ok &= np.isfinite(x).all(axis=0) & ~(x < -ABS_FLOOR_W).any(axis=0)
     return np.where(x < 0.0, 0.0, x), ok
 

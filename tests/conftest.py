@@ -396,6 +396,48 @@ def gale_shapley_grouping_reference(gains, scenario):
     return Grouping(channel_of=channel_of, bs_of=scenario.association.copy())
 
 
+def memo_key(channel, mask, num_users):
+    """ChannelTotals' key of the membership with bitmask mask on channel.
+
+    The bytes of little-endian uint64s: the channel, then ceil(N / 64)
+    mask words, the lowest first.
+    """
+    return int(channel).to_bytes(8, "little") + mask.to_bytes(8 * ((num_users + 63) // 64), "little")
+
+
+def memo_key_mask(key):
+    """The (channel, mask) of a memo_key."""
+    return int.from_bytes(key[:8], "little"), int.from_bytes(key[8:], "little")
+
+
+def adjacency_keys_reference(graph, grouping, totals):
+    """(channel, mask) of every entry LeagueGraph.full_adjacency looks up, in order.
+
+    The per-column loops the key arrays replaced: for each column j whose
+    subchannel h has a finite current total (totals[h]), h's mask without
+    j when j is real (the virtual joiners' entry), and h's mask without j
+    plus each real joiner i outside h. All virtual joiners' entries come
+    first, then the real joiners' column by column.
+    """
+    r = graph.num_real
+    groups = graph.node_groups
+    masks = [0] * graph.num_channels
+    for n, g in enumerate(grouping.channel_of.tolist()):
+        masks[g] |= 1 << n
+    bits = [1 << n for n in graph.nodes[:r]]
+    joiners = [[i for i in range(r) if groups[i] != h] for h in range(graph.num_channels)]
+    leave_keys, keys = [], []
+    for j, h in enumerate(groups):
+        if totals[h] == math.inf:
+            continue
+        mask = masks[h]
+        if j < r:
+            mask ^= bits[j]
+            leave_keys.append((h, mask))
+        keys += [(h, mask | bits[i]) for i in joiners[h]]
+    return leave_keys + keys
+
+
 def record_game_graphs(monkeypatch):
     """Patch run_game's build_graph to record (grouping, bs, graph) per build."""
     built = []

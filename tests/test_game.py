@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_close, feasible_instances, make_instance, record_game_graphs
+from conftest import assert_close, feasible_instances, make_instance, memo_key, record_game_graphs
 from noma_grouping import (
     apply_league,
     enumerate_leagues,
@@ -280,7 +280,7 @@ class TestEndCheck:
         poisoned = set()
 
         def poisoning_build(memo, grouping, bs):
-            key = (0, sum(1 << int(n) for n in np.flatnonzero(grouping.channel_of == 0)))
+            key = memo_key(0, sum(1 << int(n) for n in np.flatnonzero(grouping.channel_of == 0)), grouping.num_users)
             if key in memo.totals and key not in poisoned:
                 memo.totals[key] *= poison
                 poisoned.add(key)
@@ -337,3 +337,43 @@ class TestStoppingRule:
             searched = [(bs, grouping.key()) for grouping, bs, _graph in built]
             assert len(set(searched)) == len(searched), (num_users, seed)
             assert sorted(searched[-4:]) == [(bs, final.key()) for bs in range(4)]
+
+
+# The deterministic counters of the pinned benchmark games, keyed by
+# (finder, N): accepted actions, memo_hits, memo_solves, memo_batch_solves,
+# candidates_tried, eba_relaxations, eba_budget_exhaustions and the final
+# total power as float.hex. A change that moves any of them moved a
+# decision, a memo lookup or the batch threshold; one that means to
+# (ROADMAP items 1 and 4) updates the pins.
+PINNED_COUNTERS = {
+    ("fga", 50): (18, 3940, 4126, 4088, 18, 0, 0, "0x1.87861b8757910p-10"),
+    ("fga", 55): (18, 3375, 4167, 4157, 18, 0, 0, "0x1.62a227cbfdf6bp-10"),
+    ("fga", 60): (14, 2548, 4564, 4554, 14, 0, 0, "0x1.ff49e491dd2e8p-10"),
+    ("fga", 65): (19, 4542, 6126, 6116, 19, 0, 0, "0x1.827cf1ad845b4p-10"),
+    ("eba", 50): (19, 5186, 3888, 3878, 19, 15110468, 12, "0x1.8f7a4cd958836p-10"),
+    ("eba", 55): (31, 7704, 6716, 6706, 31, 18433063, 13, "0x1.5deb649769a7ep-10"),
+    ("eba", 60): (45, 8890, 10414, 10404, 45, 16840735, 7, "0x1.fb833ffa38b18p-10"),
+    ("eba", 65): (58, 14148, 14156, 14146, 58, 22267153, 10, "0x1.7de0ea9fd793ep-10"),
+}
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("finder", ["fga", "eba"])
+    def test_counters_of_the_pinned_games(self, finder):
+        with open(SEEDS_FILE) as fh:
+            instances = [tuple(game) for game in json.load(fh)["game"]]
+        assert [num_users for num_users, _seed in instances] == [50, 55, 60, 65]
+        for num_users, seed in instances:
+            scenario, gains = make_instance(num_users, 10, 4, seed)
+            _final, _solution, trace = run_game(gains, scenario, finder=finder)
+            counters = (
+                len(trace.iterations),
+                trace.memo_hits,
+                trace.memo_solves,
+                trace.memo_batch_solves,
+                trace.candidates_tried,
+                trace.eba_relaxations,
+                trace.eba_budget_exhaustions,
+                trace.final_total_power_w.hex(),
+            )
+            assert counters == PINNED_COUNTERS[finder, num_users], (finder, num_users)

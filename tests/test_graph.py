@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    adjacency_keys_reference,
     assert_close,
     feasible_instances,
     fga_candidates_reference,
     find_negative_loop_eba_reference,
     make_instance,
+    memo_key,
+    memo_key_mask,
     record_game_graphs,
 )
 from noma_grouping import (
@@ -244,9 +247,9 @@ class TestBuildGraph:
         for scenario, gains, grouping, solution in feasible_instances(2, 12, 3, 2, start_seed=60):
             memo = ChannelTotals(gains, scenario)
             keys = memo.keys(grouping)
-            assert [h for h, _mask in keys] == [0, 1, 2] and memo.totals == {}
-            for h, mask in keys:
-                assert mask == sum(1 << int(n) for n in np.flatnonzero(grouping.channel_of == h))
+            assert [memo_key_mask(key)[0] for key in keys] == [0, 1, 2] and memo.totals == {}
+            for h, key in enumerate(keys):
+                assert key == memo_key(h, sum(1 << int(n) for n in np.flatnonzero(grouping.channel_of == h)), 12)
             total = memo.total_w(grouping)
             assert total == math.fsum(memo.totals[key] for key in keys)
             assert total == pytest.approx(total_power_or_inf(solution), rel=1e-12)
@@ -828,17 +831,17 @@ def _pack_reference(bs_of, num_bs, masks):
 
 
 class TestPack:
-    """The numpy unpacking of memo-miss masks gives the per-row decode."""
+    """The numpy unpacking of memo-miss keys gives their channels and the per-row decode."""
 
     @pytest.mark.parametrize("finder", ["fga", "eba"])
     def test_every_memo_miss_of_the_pinned_games(self, monkeypatch, finder):
         packs = []
         pack = ChannelTotals._pack
 
-        def recording_pack(memo, masks):
-            packed = pack(memo, masks)
-            packs.append((masks, packed))
-            return packed
+        def recording_pack(memo, keys):
+            channels, packed = pack(memo, keys)
+            packs.append((keys, channels, packed))
+            return channels, packed
 
         monkeypatch.setattr(ChannelTotals, "_pack", recording_pack)
         with open(SEEDS_FILE) as fh:
@@ -849,9 +852,13 @@ class TestPack:
             del packs[:]
             _grouping, _solution, trace = run_game(gains, scenario, finder=finder)
             # every miss is packed once: the build-time and full_adjacency lookups
-            assert sum(len(masks) for masks, _packed in packs) == trace.memo_solves
-            for masks, packed in packs:
+            assert sum(len(keys) for keys, _channels, _packed in packs) == trace.memo_solves
+            for keys, channels, packed in packs:
+                decoded = [memo_key_mask(key) for key in keys]
+                assert keys == [memo_key(h, mask, num_users) for h, mask in decoded]
+                masks = [mask for _h, mask in decoded]
                 expected = _pack_reference(scenario.association, 4, masks)
+                assert channels.tolist() == [h for h, _mask in decoded]
                 assert packed.dtype == np.int64
                 assert np.array_equal(packed, expected)
                 high_bit |= any(mask >> 64 for mask in masks)
@@ -865,24 +872,61 @@ class TestPack:
                 sum(1 << n for n in np.flatnonzero(rng.random(num_users) < share).tolist())
                 for share in rng.random(120)
             ]
+            channels = [k % 10 for k in range(len(masks))]
+            keys = [memo_key(h, mask, num_users) for h, mask in zip(channels, masks)]
             expected = _pack_reference(scenario.association, 4, masks)
-            assert np.array_equal(ChannelTotals(gains, scenario)._pack(masks), expected)
+            packed_channels, packed = ChannelTotals(gains, scenario)._pack(keys)
+            assert packed_channels.tolist() == channels
+            assert np.array_equal(packed, expected)
 
     def test_empty_memberships_pack_to_width_zero_and_solve_as_scalar(self):
         scenario, gains = make_instance(12, 3, 2, seed=1)
         memo = ChannelTotals(gains, scenario)
         channels = [0, 1, 2, 1]
-        packed = memo._pack([0] * len(channels))
+        packed_channels, packed = memo._pack([memo_key(h, 0, 12) for h in channels])
+        assert packed_channels.tolist() == channels
         assert packed.shape == (len(channels), 2, 0)
         pow2r = np.exp2(scenario.spectral_rates()).tolist()
         sigma2 = scenario.noise_power_w
-        res = graph_module.solve_channel_batch(gains.gain, channels, packed, pow2r, sigma2)
+        res = graph_module.solve_channel_batch(gains.gain, packed_channels, packed, pow2r, sigma2)
         for k, channel in enumerate(channels):
             one = solve_one_channel(gains.as_lists(), channel, [[], []], pow2r, sigma2)
             assert (one.feasible, one.iterations) == (True, 2)
             assert one.powers == [0.0, 0.0]
             assert bool(res.feasible[k]) and int(res.iterations[k]) == 2
             assert np.array(one.powers).tobytes() == res.powers[k].tobytes()
+
+
+class TestEntryKeys:
+    @pytest.mark.parametrize("num_users", [63, 64, 65, 130])
+    def test_every_entry_key_matches_the_per_column_loops(self, monkeypatch, num_users):
+        # Mask word boundaries; BS 0's users piled onto subchannel 0, which
+        # then cannot be powered, so some columns are skipped.
+        scenario, gains = make_instance(num_users, 10, 4, seed=num_users)
+        grouping = initial_grouping(gains, scenario)
+        grouping = grouping.with_moves([(n, 0) for n in scenario.users_of_bs(0)])
+        memo = ChannelTotals(gains, scenario)
+        totals = memo.lookup(memo.keys(grouping))
+        assert totals[0] == math.inf and min(totals) < math.inf
+        lookups = []
+        lookup = ChannelTotals.lookup
+
+        def recording_lookup(memo, keys):
+            lookups.append(keys)
+            return lookup(memo, keys)
+
+        monkeypatch.setattr(ChannelTotals, "lookup", recording_lookup)
+        high_bit = False
+        for bs in range(4):
+            graph = LeagueGraph(memo, grouping, bs)
+            del lookups[:]
+            graph.full_adjacency()
+            expected = adjacency_keys_reference(graph, grouping, totals)
+            # subchannel 0's columns, its virtual node's included, are skipped
+            assert expected and all(h != 0 for h, _mask in expected)
+            assert lookups == [[memo_key(h, mask, num_users) for h, mask in expected]]
+            high_bit |= any(mask >> (64 * ((num_users - 1) // 64)) for _h, mask in expected)
+        assert high_bit  # a user in the last mask word
 
 
 class TestApplyLeague:

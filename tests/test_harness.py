@@ -164,6 +164,13 @@ class TestExperimentSpec:
                 _tiny_spec(strategies=strategies)
         _tiny_spec(strategies=[StrategyKind("fga", 2.0), StrategyKind("fga", 10.0)])
 
+    @pytest.mark.parametrize("field", ["num_users_list", "num_channels_list", "num_bs_list"])
+    def test_count_below_one_rejected(self, field):
+        # a sweep point with no users would write a feasible 0 W row with a NaN interference
+        for counts in ([0], [4, -1]):
+            with pytest.raises(ValueError, match=rf"{field} holds counts below 1: \[{counts[-1]}\]"):
+                _tiny_spec(**{field: counts})
+
     def test_cli_rejects_repeated_strategy_before_running(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         argv = ["--strategy", "sccd", "--strategy", "sccd", "--trials", "2", "--out", str(out)]
@@ -342,7 +349,8 @@ class TestCli:
             (["--strategy", "fga:nan"], "alpha must be finite and > 0"),
             (["--strategy", "sccd:2"], "strategy 'sccd' takes no alpha"),
             (["--strategy", "greedy"], "unknown strategy 'greedy'"),
-            (["--users", "-3"], "argument --users: must be >= 0, got -3"),
+            (["--users", "-3"], "argument --users: must be >= 1, got -3"),
+            (["--users", "0"], "argument --users: must be >= 1, got 0"),
             (["--groups", "0"], "argument --groups: must be >= 1, got 0"),
             (["--bs", "0"], "argument --bs: must be >= 1, got 0"),
             (["--seed", "-1"], "argument --seed: must be >= 0, got -1"),

@@ -692,3 +692,15 @@ class TestChannelBatch:
         for k in range(len(systems)):
             _assert_batch_matches_scalar(gain, systems[k : k + 1], pow2r, 1e-3)
 
+    def test_pad_slot_next_to_a_zero_gain(self):
+        # BS 1's row is padded, and its gain to user 0 is exactly 0. A pad
+        # slot that took user 0's gain as its own would make the coupling
+        # NaN and the system infeasible at iteration 1.
+        gain = np.full((2, 1, 4), 1e-13)
+        gain[0, 0, [0, 2]] = 5e-10, 2e-10
+        gain[1, 0, 1] = 3e-10
+        gain[1, 0, 0] = 0.0
+        res = _assert_batch_matches_scalar(gain, [(0, [[0, 2], [1]])], np.full(4, 2.0), 1e-15)
+        assert res.feasible.tolist() == [True] and res.iterations.tolist() == [2]
+        assert res.powers[0].tolist() == pytest.approx([9.0017e-06, 3.3363e-06], rel=1e-4)
+
