@@ -7,9 +7,6 @@ the graph, runs both detectors, applies the loop, and shows the predicted
 delta matching the recomputed one.
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from noma_grouping import (
@@ -18,7 +15,6 @@ from noma_grouping import (
     VirtualUser,
     apply_league,
     draw_channel_gains,
-    dump_adjacency_csv,
     fga_candidates,
     find_negative_loop_eba,
     generate_scenario,
@@ -40,12 +36,6 @@ adjacency = graph.full_adjacency()
 finite = np.isfinite(adjacency)
 print(f"graph: {graph.num_nodes} nodes ({graph.num_real} real), "
       f"{int(finite.sum())} edges, most negative {adjacency[finite].min():.3e} W")
-
-with tempfile.TemporaryDirectory() as tmp:
-    dump_path = Path(tmp) / "league_graph.csv"
-    dump_adjacency_csv(graph, dump_path)
-    lines = dump_path.read_text().splitlines()
-print(f"adjacency dump: {len(lines) - 1} edge rows, columns {lines[0]}")
 
 
 def describe(node):

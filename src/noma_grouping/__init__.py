@@ -33,7 +33,6 @@ from .graph import (
     StaleLeagueError,
     VirtualUser,
     apply_league,
-    dump_adjacency_csv,
     fga_candidates,
     find_negative_loop_eba,
     is_improvement,

@@ -20,7 +20,7 @@ from .power import (
     Grouping,
     InfeasibleSolutionError,
     solve_all_powers,
-    total_power_or_inf,
+    total_power,
 )
 from .scenario import ChannelGains, Scenario
 
@@ -112,7 +112,7 @@ def exhaustive_best_grouping(gains: ChannelGains, scenario: Scenario):
         grouping = Grouping(channel_of=np.array(assignment, dtype=np.int64), bs_of=bs_of)
         solution = solve_all_powers(gains, grouping, scenario)
         if solution.feasible:
-            total = total_power_or_inf(solution)
+            total = total_power(solution)
             if total < best_total:
                 best_total = total
                 best_grouping = grouping
@@ -138,7 +138,7 @@ def enumerate_leagues(
     if max_len > cfg.num_channels:
         max_len = cfg.num_channels
     base = solve_all_powers(gains, grouping, scenario)
-    base_total = total_power_or_inf(base)
+    base_total = total_power(base)
     leagues: list[League] = []
     checked = 0
 
@@ -161,7 +161,7 @@ def enumerate_leagues(
             if not league.moves:
                 return
             solution = solve_all_powers(gains, apply_league(grouping, league), scenario)
-            delta = total_power_or_inf(solution) - base_total
+            delta = total_power(solution) - base_total
             if is_improvement(delta):
                 league.predicted_delta_w = float(delta)
                 leagues.append(league)

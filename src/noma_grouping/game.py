@@ -33,7 +33,7 @@ from .graph import (
     find_negative_loop_eba,
     is_improvement,
 )
-from .power import Grouping, solve_all_powers, total_power_or_inf
+from .power import Grouping, solve_all_powers, total_power
 from .scenario import ChannelGains, Scenario
 
 # Restart factor of the greedy finder ("fga" without an explicit alpha).
@@ -190,7 +190,7 @@ def run_game(
 
     memo_w = memo.total_w(grouping)
     solution = solve_all_powers(gains, grouping, scenario)
-    solved_w = total_power_or_inf(solution)
+    solved_w = total_power(solution)
     # inf against a finite total gives NaN or inf, which fails the check.
     gap = 0.0 if solved_w == memo_w else abs(memo_w - solved_w) / abs(solved_w)
     if not gap <= END_CHECK_REL:

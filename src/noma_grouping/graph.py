@@ -37,7 +37,6 @@ grouping apply_league returns.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -563,25 +562,3 @@ def apply_league(grouping: Grouping, league: League) -> Grouping:
             )
     return moved
 
-
-def dump_adjacency_csv(graph: LeagueGraph, path) -> None:
-    """Debug dump: one row per edge with groups and weight in watts."""
-    w = graph.full_adjacency()
-
-    def _name(node):
-        return f"v{node.channel}" if isinstance(node, VirtualUser) else f"u{node}"
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "group_from", "group_to", "weight_w"])
-        for i in range(graph.num_nodes):
-            for j in range(graph.num_nodes):
-                writer.writerow(
-                    [
-                        _name(graph.nodes[i]),
-                        _name(graph.nodes[j]),
-                        graph.node_groups[i],
-                        graph.node_groups[j],
-                        repr(float(w[i, j])),
-                    ]
-                )

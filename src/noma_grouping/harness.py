@@ -21,7 +21,7 @@ import numpy as np
 from . import baselines
 from .game import DEFAULT_ALPHA, run_game
 from .graph import check_alpha
-from .power import solve_all_powers, total_power_or_inf
+from .power import solve_all_powers, total_power
 from .scenario import (
     ChannelGains,
     Scenario,
@@ -204,7 +204,7 @@ def run_experiment(spec: ExperimentSpec, trace_dir: str | None = None) -> list[T
                 _grouping, solution, trace = run_strategy(gains, scenario, strategy)
                 elapsed_ms = (time.perf_counter() - start) * 1e3
                 feasible = solution.feasible
-                total_w = total_power_or_inf(solution) if feasible else math.nan
+                total_w = total_power(solution) if feasible else math.nan
                 avg_i = (
                     float(np.mean(solution.ccinr.interference)) if feasible else math.nan
                 )

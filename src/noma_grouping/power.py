@@ -26,10 +26,10 @@ Every caller runs the same kernel, one function per layer: decode_orders
 (LU solve and the nonnegativity check) and user_powers (the recursion);
 solve_one_channel iterates the first three, and solve_all_powers ends
 with the fourth. solve_all_powers is one pass over a grouping: it sorts
-the users into (subchannel, BS) groups once, calls solve_one_channel per
-subchannel, and under the CCINR rule takes the CCINR table from each
-fixed point's confirming decode, which is the table ccinr() computes at
-the converged powers, bit for bit.
+the users into (subchannel, BS) groups once (Grouping.members_by_channel),
+calls solve_one_channel per subchannel, and under the CCINR rule takes
+the CCINR table from each fixed point's confirming decode, which is the
+table ccinr() computes at the converged powers, bit for bit.
 
 The kernel has two paths with the same bits. solve_one_channel solves
 one system on nested lists. solve_channel_batch runs the same fixed
@@ -90,12 +90,11 @@ class Grouping:
     def num_users(self) -> int:
         return self.channel_of.shape[0]
 
-    def members_by_bs(self, g: int, num_bs: int) -> list[list[int]]:
-        """Per-BS member lists on subchannel g (ascending ids)."""
-        out: list[list[int]] = [[] for _ in range(num_bs)]
-        users = np.flatnonzero(self.channel_of == g)
-        for n, m in zip(users.tolist(), self.bs_of[users].tolist()):
-            out[m].append(n)
+    def members_by_channel(self, num_channels: int, num_bs: int) -> list[list[list[int]]]:
+        """Per-BS member lists of every subchannel, [g][m] (ascending ids), in one pass."""
+        out = [[[] for _ in range(num_bs)] for _ in range(num_channels)]
+        for n, (g, m) in enumerate(zip(self.channel_of.tolist(), self.bs_of.tolist())):
+            out[g][m].append(n)
         return out
 
     def with_moves(self, moves) -> "Grouping":
@@ -181,26 +180,23 @@ def _scatter_ccinr(groups, s, interference) -> None:
             interference[n] = i_n
 
 
-def _members_by_channel(grouping: Grouping, num_channels: int, num_bs: int) -> list:
-    """Per-BS member lists of every subchannel, [g][m] (ascending ids), in one pass."""
-    out = [[[] for _ in range(num_bs)] for _ in range(num_channels)]
-    for n, (g, m) in enumerate(zip(grouping.channel_of.tolist(), grouping.bs_of.tolist())):
-        out[g][m].append(n)
-    return out
-
-
 def ccinr(gains: ChannelGains, grouping: Grouping, group_power_table, noise_power_w: float) -> CcinrTable:
     """CCINR table at the given per-group power levels.
 
     I_n sums, over the other BSs, their gain to user n on n's subchannel
     times their group power on that subchannel. group_power_table is
-    (M, G) with entries >= 0; another shape, or a subchannel or BS index
-    outside the gain table, raises ValueError.
+    (M, G) with finite entries >= 0; another shape, a negative or
+    non-finite entry, more users than the gain table, or a subchannel or
+    BS index outside it raises ValueError.
     """
-    num_bs, num_ch = gains.gain.shape[:2]
+    num_bs, num_ch, num_users = gains.gain.shape
     gp = np.asarray(group_power_table, dtype=float)
     if gp.shape != (num_bs, num_ch):
         raise ValueError(f"group_power_table has shape {gp.shape}, not {(num_bs, num_ch)}")
+    if not np.isfinite(gp).all() or (gp < 0.0).any():
+        raise ValueError("group_power_table has a negative or non-finite entry")
+    if grouping.num_users > num_users:
+        raise ValueError(f"grouping has {grouping.num_users} users, the gain table {num_users}")
     for name, ids, bound in (("subchannel", grouping.channel_of, num_ch), ("BS", grouping.bs_of, num_bs)):
         if np.any((ids < 0) | (ids >= bound)):
             raise ValueError(f"grouping uses a {name} outside [0, {bound})")
@@ -208,7 +204,7 @@ def ccinr(gains: ChannelGains, grouping: Grouping, group_power_table, noise_powe
     gp = gp.tolist()
     s = [0.0] * grouping.num_users
     interference = [0.0] * grouping.num_users
-    for g, members_by_bs in enumerate(_members_by_channel(grouping, num_ch, num_bs)):
+    for g, members_by_bs in enumerate(grouping.members_by_channel(num_ch, num_bs)):
         rows = [gain_lists[m][g] for m in range(num_bs)]
         powers = [gp_m[g] for gp_m in gp]
         _scatter_ccinr(_member_ccinr(rows, members_by_bs, powers, noise_power_w), s, interference)
@@ -251,7 +247,8 @@ def assemble_coupling(rows, orders, pow2r, sigma2: float) -> tuple[list, list]:
     Row m accumulates, over BS m's members in decode order, the weight
     w_n = (2^r_n - 1)/|H_own|^2 * prod(earlier 2^r_i); a has -1 on the
     diagonal, the off-diagonal entry (m, m') is sum_n w_n |H_m'|^2, and
-    b_m = -sigma^2 sum_n w_n. pow2r[n] = 2 ** spectral_rate[n].
+    b_m = -sigma^2 sum_n w_n. pow2r[n] = 2 ** spectral_rate[n]. A member
+    whose own-BS gain is 0 raises ZeroDivisionError.
     """
     num_bs = len(rows)
     a = [[0.0] * num_bs for _ in range(num_bs)]
@@ -356,7 +353,9 @@ def solve_one_channel(
     Otherwise the new orders are solved. A feasible result also carries
     the CCINR values at the returned powers (see ChannelSolveResult):
     under the CCINR rule those of the confirming decode, under the
-    fixed-order rules one decode more.
+    fixed-order rules one decode more. A member whose own-BS gain is 0
+    cannot be powered: the subchannel is infeasible at iteration 1, with
+    zero powers, as in solve_channel_batch.
     """
     rows = [gain_lists[m][channel] for m in range(len(members_by_bs))]
     p_cur = [0.0] * len(rows)
@@ -373,7 +372,11 @@ def solve_one_channel(
             if order_rule != CCINR_ORDER:
                 table = _member_ccinr(rows, members_by_bs, p_cur, sigma2)
             return ChannelSolveResult(p_cur, orders, iterations, True, table)
-        p_new = solve_coupling(*assemble_coupling(rows, orders, pow2r, sigma2))
+        try:
+            system = assemble_coupling(rows, orders, pow2r, sigma2)
+        except ZeroDivisionError:
+            return ChannelSolveResult(p_cur, orders, iterations, False)
+        p_new = solve_coupling(*system)
         if p_new is None:
             return ChannelSolveResult(p_cur, orders, iterations, False)
         p_cur, solved_orders = p_new, orders
@@ -566,7 +569,7 @@ def solve_all_powers(
     interference = [0.0] * num_users
     orders: dict = {}
     max_iters = 0
-    for g, members in enumerate(_members_by_channel(grouping, num_ch, num_bs)):
+    for g, members in enumerate(grouping.members_by_channel(num_ch, num_bs)):
         res = solve_one_channel(lists, g, members, pow2r, sigma2, order_rule=order_rule)
         max_iters = max(max_iters, res.iterations)
         if not res.feasible:
@@ -636,12 +639,5 @@ def achieved_rates(
 
 
 def total_power(solution: PowerSolution) -> float:
-    """Sum of all user powers in watts; raises when infeasible."""
-    if not solution.feasible:
-        raise InfeasibleSolutionError("no total power for an infeasible grouping")
-    return float(np.sum(solution.p))
-
-
-def total_power_or_inf(solution: PowerSolution) -> float:
-    """Comparison form: +inf for infeasible solutions."""
+    """Sum of all user powers in watts; +inf for an infeasible solution."""
     return float(np.sum(solution.p)) if solution.feasible else math.inf

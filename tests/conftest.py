@@ -36,10 +36,6 @@ def assert_close(a, b, rel=REL, floor=FLOOR, label=""):
     assert np.all(ok), f"{label} mismatch: {a} vs {b}"
 
 
-def is_close(a, b, rel=REL, floor=FLOOR):
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor)
-
-
 def make_instance(
     num_users,
     num_channels,
@@ -100,11 +96,11 @@ def single_cell_group(s, rates, members=None):
 
 def channel_system(gains, grouping, pow2r, sigma2, group_power, g):
     """Coupling system (a, b) of subchannel g under the CCINR orders at group_power."""
-    num_bs = gains.gain.shape[0]
+    num_bs, num_ch = gains.gain.shape[:2]
     rows = [gains.as_lists()[m][g] for m in range(num_bs)]
     powers = [float(group_power[m][g]) for m in range(num_bs)]
     orders = decode_orders(
-        rows, grouping.members_by_bs(g, num_bs), pow2r, sigma2, powers, CCINR_ORDER
+        rows, grouping.members_by_channel(num_ch, num_bs)[g], pow2r, sigma2, powers, CCINR_ORDER
     )
     return assemble_coupling(rows, orders, pow2r, sigma2)
 
@@ -121,7 +117,7 @@ def jacobi_group_power(gains, grouping, scenario, max_sweeps):
     sigma2 = scenario.noise_power_w
     pow2r = np.exp2(scenario.spectral_rates()).tolist()
     lists = gains.as_lists()
-    members = [grouping.members_by_bs(g, cfg.num_bs) for g in range(cfg.num_channels)]
+    members = grouping.members_by_channel(cfg.num_channels, cfg.num_bs)
     gp = np.zeros((cfg.num_bs, cfg.num_channels))
     for _ in range(max_sweeps):
         table = ccinr(gains, grouping, gp, sigma2)

@@ -39,7 +39,7 @@ from noma_grouping import (
     solve_coupling,
     user_powers,
 )
-from noma_grouping.power import total_power_or_inf
+from noma_grouping.power import total_power
 
 
 def _report(num, detail):
@@ -178,7 +178,7 @@ def test_criterion_05_cycle_sum_identity():
         grouping = initial_grouping(gains, scenario)
         base = solve_all_powers(gains, grouping, scenario)
         assert base.feasible  # single cell is uncoupled, always solvable
-        base_total = total_power_or_inf(base)
+        base_total = total_power(base)
         graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 0)
         adjacency = graph.full_adjacency()
         cycles_done = 0
@@ -210,7 +210,7 @@ def test_criterion_05_cycle_sum_identity():
                 groups=tuple(graph.node_groups[i] for i in cycle),
             )
             after = solve_all_powers(gains, apply_league(grouping, league), scenario)
-            actual = total_power_or_inf(after) - base_total
+            actual = total_power(after) - base_total
             assert_close(predicted, actual, label="cycle sum identity")
             cycles_done += 1
             checked += 1
@@ -293,11 +293,11 @@ def test_criterion_08_decoding_order_comparison():
         scenario, gains, grouping, solution, seed = _screened_benchmark_instance(
             sweep[k % len(sweep)], seed
         )
-        p_ccinr = total_power_or_inf(solution)
-        p_cg = total_power_or_inf(
+        p_ccinr = total_power(solution)
+        p_cg = total_power(
             solve_all_powers(gains, grouping, scenario, order_rule="channel_gain")
         )
-        p_rd = total_power_or_inf(
+        p_rd = total_power(
             solve_all_powers(gains, grouping, scenario, order_rule="rate_descending")
         )
         wins_cg += p_ccinr <= p_cg * (1 + 1e-9)
@@ -344,10 +344,10 @@ def test_criterion_09_strategy_comparison():
 
         rows.append(
             {
-                "eba": total_power_or_inf(s_eba),
-                "fga": total_power_or_inf(s_fga),
-                "sccd": total_power_or_inf(s_sccd),
-                "gs": total_power_or_inf(s_gs),
+                "eba": total_power(s_eba),
+                "fga": total_power(s_fga),
+                "sccd": total_power(s_sccd),
+                "gs": total_power(s_gs),
                 "i_eba": interference(s_eba),
                 "i_fga": interference(s_fga),
                 "i_sccd": interference(s_sccd),
@@ -401,8 +401,8 @@ def test_criterion_10_alpha_plateau():
         scenario, gains, grouping, solution, seed = _screened_benchmark_instance(50, seed)
         _g, s5, _t = run_game(gains, scenario, finder="fga", alpha=5.0)
         _g, s10, _t = run_game(gains, scenario, finder="fga", alpha=10.0)
-        p5.append(total_power_or_inf(s5))
-        p10.append(total_power_or_inf(s10))
+        p5.append(total_power(s5))
+        p10.append(total_power(s10))
     mean5 = float(np.mean(p5))
     mean10 = float(np.mean(p10))
     rel = abs(mean5 - mean10) / mean10
@@ -447,11 +447,11 @@ def test_criterion_12_oracle_dominance():
             continue
         best, best_total = exhaustive_best_grouping(gains, scenario)
         _g, s_eba, _t = run_game(gains, scenario, finder="eba")
-        p_eba = total_power_or_inf(s_eba)
-        p_sccd = total_power_or_inf(
+        p_eba = total_power(s_eba)
+        p_sccd = total_power(
             solve_all_powers(gains, sccd_grouping(gains, scenario), scenario)
         )
-        p_gs = total_power_or_inf(
+        p_gs = total_power(
             solve_all_powers(gains, gale_shapley_grouping(gains, scenario), scenario)
         )
         assert best_total <= p_eba * (1 + 1e-9)

@@ -17,7 +17,7 @@ from noma_grouping import (
 )
 from noma_grouping import game as game_module
 from noma_grouping.graph import NEG_DELTA_FLOOR_W
-from noma_grouping.power import total_power_or_inf
+from noma_grouping.power import total_power
 from noma_grouping.scenario import ChannelGains
 
 SEEDS_FILE = Path(__file__).resolve().parents[1] / "bench" / "seeds.json"
@@ -47,7 +47,7 @@ class TestInitialGrouping:
 
 class TestAcceptanceRule:
     def test_rule_cases(self):
-        # deltas as run_game forms them from total_power_or_inf values
+        # deltas as run_game forms them from total_power values
         feasible, infeasible = 1e-3, math.inf
         assert is_improvement(feasible - infeasible)  # repair: -inf
         assert not is_improvement(infeasible - feasible)  # +inf
@@ -66,7 +66,7 @@ class TestAcceptanceRule:
             if wrecked.feasible:
                 continue
             restored = solve_all_powers(gains, grouping, scenario)
-            delta = total_power_or_inf(restored) - total_power_or_inf(wrecked)
+            delta = total_power(restored) - total_power(wrecked)
             assert delta == -math.inf
             assert is_improvement(delta)
             return
@@ -123,7 +123,7 @@ class TestRunGame:
                 last = step.total_power_after_w
             assert trace.converged
             assert trace.final_total_power_w == pytest.approx(
-                total_power_or_inf(solution)
+                total_power(solution)
             )
 
     def test_no_grouping_repeats(self):
@@ -141,11 +141,11 @@ class TestRunGame:
         for scenario, gains, grouping, solution in feasible_instances(2, 12, 3, 2, start_seed=70):
             current = grouping
             _g, _s, trace = run_game(gains, scenario, finder="fga", start_grouping=grouping)
-            before = total_power_or_inf(solution)
+            before = total_power(solution)
             for step in trace.iterations:
                 assert_close(step.total_power_before_w, before)
                 current = apply_league(current, step.action)
-                after = total_power_or_inf(solve_all_powers(gains, current, scenario))
+                after = total_power(solve_all_powers(gains, current, scenario))
                 assert_close(step.total_power_after_w, after)
                 before = after
 
@@ -238,8 +238,8 @@ class TestEndCheck:
             final, end, trace = run_game(gains, scenario, finder=finder)
             assert trace.iterations and len(calls) == 1
             assert np.array_equal(calls[0][1].channel_of, final.channel_of)
-            assert trace.final_total_power_w == total_power_or_inf(end)
-            assert trace.iterations[0].total_power_before_w == pytest.approx(total_power_or_inf(solution), rel=1e-12)
+            assert trace.final_total_power_w == total_power(end)
+            assert trace.iterations[0].total_power_before_w == pytest.approx(total_power(solution), rel=1e-12)
             assert 0.0 <= trace.final_gap_rel <= 1e-12
 
     def test_one_solve_for_an_infeasible_start(self, monkeypatch):

@@ -21,7 +21,6 @@ from noma_grouping import (
     StaleLeagueError,
     VirtualUser,
     apply_league,
-    dump_adjacency_csv,
     fga_candidates,
     find_negative_loop_eba,
     initial_grouping,
@@ -32,7 +31,7 @@ from noma_grouping import game as game_module
 from noma_grouping import graph as graph_module
 from noma_grouping.game import DEFAULT_ALPHA
 from noma_grouping.graph import ChannelTotals, EbaBudgetExhausted, League, LeagueGraph, is_improvement
-from noma_grouping.power import solve_one_channel, total_power_or_inf
+from noma_grouping.power import solve_one_channel, total_power
 
 SEEDS_FILE = Path(__file__).resolve().parents[1] / "bench" / "seeds.json"
 
@@ -94,7 +93,7 @@ class TestEdgeWeight:
                 [(a, int(grouping.channel_of[b])), (b, int(grouping.channel_of[a]))]
             )
             after = solve_all_powers(gains, swapped, scenario)
-            actual = total_power_or_inf(after) - total_power_or_inf(base)
+            actual = total_power(after) - total_power(base)
             assert_close(forward + backward, actual)
 
     def test_same_group_rejected(self):
@@ -121,13 +120,13 @@ def _reference_weight(gains, scenario, grouping, graph, i, j):
     if not isinstance(node_j, VirtualUser):
         moves.append((node_j, graph.node_groups[i]))
     moved = grouping.with_moves(moves)
-    num_bs = scenario.config.num_bs
+    num_bs, num_ch = scenario.config.num_bs, scenario.config.num_channels
     lists, sigma2 = gains.as_lists(), scenario.noise_power_w
     pow2r = np.exp2(scenario.spectral_rates()).tolist()
-    before = solve_one_channel(lists, h, grouping.members_by_bs(h, num_bs), pow2r, sigma2)
+    before = solve_one_channel(lists, h, grouping.members_by_channel(num_ch, num_bs)[h], pow2r, sigma2)
     if not before.feasible:
         return math.inf
-    after = solve_one_channel(lists, h, moved.members_by_bs(h, num_bs), pow2r, sigma2)
+    after = solve_one_channel(lists, h, moved.members_by_channel(num_ch, num_bs)[h], pow2r, sigma2)
     if not after.feasible:
         return math.inf
     return math.fsum(after.powers) - math.fsum(before.powers)
@@ -174,7 +173,7 @@ class TestFullAdjacency:
     def test_infeasible_subchannel_columns(self):
         scenario, gains, wreck = _wrecked_instance()
         pow2r = np.exp2(scenario.spectral_rates()).tolist()
-        members = wreck.members_by_bs(0, 2)
+        members = wreck.members_by_channel(3, 2)[0]
         assert not solve_one_channel(gains.as_lists(), 0, members, pow2r, scenario.noise_power_w).feasible
         for m in range(2):
             graph = LeagueGraph(ChannelTotals(gains, scenario), wreck, m)
@@ -214,16 +213,6 @@ class TestBuildGraph:
         assert len(virtuals) == 3
         assert sorted(v.channel for v in virtuals) == [0, 1, 2]
 
-    def test_csv_dump(self, tmp_path):
-        scenario, gains = make_instance(4, 2, 1, seed=6)
-        grouping = initial_grouping(gains, scenario)
-        graph = LeagueGraph(ChannelTotals(gains, scenario), grouping, 0)
-        out = tmp_path / "adj.csv"
-        dump_adjacency_csv(graph, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "from,to,group_from,group_to,weight_w"
-        assert len(lines) == 1 + graph.num_nodes ** 2
-
     def test_grouping_that_does_not_fit_rejected(self):
         scenario, gains = make_instance(12, 3, 2, seed=1)
         grouping = initial_grouping(gains, scenario)
@@ -252,7 +241,7 @@ class TestBuildGraph:
                 assert key == memo_key(h, sum(1 << int(n) for n in np.flatnonzero(grouping.channel_of == h)), 12)
             total = memo.total_w(grouping)
             assert total == math.fsum(memo.totals[key] for key in keys)
-            assert total == pytest.approx(total_power_or_inf(solution), rel=1e-12)
+            assert total == pytest.approx(total_power(solution), rel=1e-12)
             assert (memo.solves, memo.hits) == (3, 0)
             assert memo.total_w(grouping) == total and memo.hits == 3
 
@@ -462,7 +451,7 @@ class TestEbaMatchesReference:
             assert [(s.bs, _candidate_bits([s.action])) for s in ref_trace.iterations] == [
                 (s.bs, _candidate_bits([s.action])) for s in trace.iterations
             ]
-            assert total_power_or_inf(ref_solution).hex() == total_power_or_inf(solution).hex()
+            assert total_power(ref_solution).hex() == total_power(solution).hex()
 
     def test_random_integer_weights_with_ties_and_inf(self):
         rng = np.random.default_rng(81)
@@ -569,7 +558,7 @@ class TestEbaBudget:
             assert step.total_power_before_w == powers[-1]
             assert is_improvement(step.total_power_after_w - step.total_power_before_w)
             powers.append(step.total_power_after_w)
-        assert total_power_or_inf(solution) == powers[-1]
+        assert total_power(solution) == powers[-1]
 
 
 class TestFga:
@@ -1017,6 +1006,6 @@ class TestApplyLeague:
             league = leagues[0]
             new = apply_league(grouping, league)
             after = solve_all_powers(gains, new, scenario)
-            actual = total_power_or_inf(after) - total_power_or_inf(base)
+            actual = total_power(after) - total_power(base)
             assert_close(actual, league.predicted_delta_w, rel=1e-6)
             assert actual < 0

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_close,
@@ -38,7 +40,6 @@ from noma_grouping.power import (
     assemble_coupling,
     solve_channel_batch,
     solve_one_channel,
-    total_power_or_inf,
 )
 from noma_grouping.scenario import ChannelGains
 
@@ -84,6 +85,21 @@ class TestCcinr:
         for table in (np.ones((1, 1)), np.ones((2, 1)), np.ones((1, 2)), np.ones((2, 2, 1)), [1.0, 1.0]):
             with pytest.raises(ValueError, match=r"shape .* not \(2, 2\)"):
                 ccinr(gains, grouping, table, 1e-15)
+
+    def test_rejects_more_users_than_the_gain_table(self):
+        gains = _toy_gains(np.full((2, 2, 3), 2e-10))
+        grouping = Grouping(channel_of=[0, 1, 1, 0], bs_of=[0, 1, 0, 1])
+        with pytest.raises(ValueError, match="4 users, the gain table 3"):
+            ccinr(gains, grouping, np.ones((2, 2)), 1e-15)
+
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.inf, math.nan])
+    def test_rejects_a_negative_or_non_finite_power(self, bad):
+        gains = _toy_gains(np.full((2, 2, 3), 2e-10))
+        grouping = Grouping(channel_of=[0, 1, 1], bs_of=[0, 1, 0])
+        table = np.ones((2, 2))
+        table[1, 0] = bad
+        with pytest.raises(ValueError, match="negative or non-finite"):
+            ccinr(gains, grouping, table, 1e-15)
 
     def test_zero_other_powers_reduce_to_single_cell(self):
         scenario, gains = make_instance(8, 2, 2, seed=1)
@@ -263,7 +279,7 @@ class TestSolveAllPowers:
         lists = gains.as_lists()
         for g in range(3):
             (order,) = decode_orders(
-                [lists[0][g]], grouping.members_by_bs(g, 1), pow2r, scenario.noise_power_w,
+                [lists[0][g]], grouping.members_by_channel(3, 1)[g], pow2r, scenario.noise_power_w,
                 [solution.group_power[0, g]], CCINR_ORDER,
             )
             powers = user_powers(order, solution.ccinr.s, pow2r)
@@ -274,9 +290,10 @@ class TestSolveAllPowers:
         for scenario, gains, grouping, solution in feasible_instances(
             5, 16, 4, 4, start_seed=100
         ):
+            members_by_channel = grouping.members_by_channel(4, 4)
             for m in range(4):
                 for g in range(4):
-                    members = grouping.members_by_bs(g, 4)[m]
+                    members = members_by_channel[g][m]
                     total = float(np.sum(solution.p[members])) if members else 0.0
                     assert_close(total, solution.group_power[m, g])
 
@@ -297,7 +314,7 @@ class TestSolveAllPowers:
         ):
             s = solution.ccinr.s
             for (m, g), order in solution.sic_order.items():
-                expected = sorted(grouping.members_by_bs(g, 4)[m], key=lambda n: (s[n], n))
+                expected = sorted(grouping.members_by_channel(3, 4)[g][m], key=lambda n: (s[n], n))
                 assert list(order) == expected
 
     def test_zero_rate_member_is_neutral(self):
@@ -353,9 +370,11 @@ class TestSolveAllPowers:
     def test_one_pass_over_the_grouping(self, monkeypatch, order_rule):
         # Under the CCINR rule the table is the fixed points' last decodes:
         # no CCINR decode beyond the solves' own; the fixed-order rules
-        # decode once per subchannel at the converged powers.
-        decodes, iterations = [0], [0]
+        # decode once per subchannel at the converged powers. The users are
+        # split into (subchannel, BS) groups once per solve.
+        decodes, iterations, splits = [0], [0], [0]
         member_ccinr, solve = power._member_ccinr, power.solve_one_channel
+        members_by_channel = Grouping.members_by_channel
 
         def counting_decode(*args):
             decodes[0] += 1
@@ -366,17 +385,19 @@ class TestSolveAllPowers:
             iterations[0] += res.iterations
             return res
 
-        def no_per_channel_grouping(*args):
-            raise AssertionError("members_by_bs called")
+        def counting_split(*args):
+            splits[0] += 1
+            return members_by_channel(*args)
 
         checked = 0
         for scenario, gains, grouping, _sol in feasible_instances(3, 20, 4, 4, start_seed=300):
             with monkeypatch.context() as patch:
                 patch.setattr(power, "_member_ccinr", counting_decode)
                 patch.setattr(power, "solve_one_channel", counting_solve)
-                patch.setattr(Grouping, "members_by_bs", no_per_channel_grouping)
-                decodes[0] = iterations[0] = 0
+                patch.setattr(Grouping, "members_by_channel", counting_split)
+                decodes[0] = iterations[0] = splits[0] = 0
                 solution = solve_all_powers(gains, grouping, scenario, order_rule=order_rule)
+            assert splits[0] == 1
             if solution.feasible:
                 checked += 1
                 assert decodes[0] == (iterations[0] if order_rule == CCINR_ORDER else 4)
@@ -497,7 +518,7 @@ class TestTotalPower:
         solution = solve_all_powers(gains, grouping, scenario)
         assert total_power(solution) == 0.0
 
-    def test_infeasible_raises(self):
+    def test_infeasible_is_inf(self):
         from noma_grouping.power import PowerSolution
 
         bad = PowerSolution(
@@ -508,9 +529,11 @@ class TestTotalPower:
             feasible=False,
             fixed_point_iterations=100,
         )
+        assert total_power(bad) == math.inf
+        scenario, gains = make_instance(2, 1, 1, seed=6)
+        grouping = Grouping(channel_of=[0, 0], bs_of=[0, 0])
         with pytest.raises(InfeasibleSolutionError):
-            total_power(bad)
-        assert total_power_or_inf(bad) == math.inf
+            achieved_rates(gains, grouping, bad, scenario.noise_power_w, scenario.config.bandwidth_hz)
 
     def test_matches_per_channel_norms(self):
         for scenario, gains, grouping, solution in feasible_instances(
@@ -548,13 +571,13 @@ class TestChannelFixedPoint:
             lists, sigma2 = gains.as_lists(), scenario.noise_power_w
             pow2r = np.exp2(scenario.spectral_rates()).tolist()
             for g in range(num_ch):
-                members = grouping.members_by_bs(g, num_bs)
+                members = grouping.members_by_channel(num_ch, num_bs)[g]
                 cold, cold_solves = counted(lists, g, members, pow2r, sigma2)
                 runs = [(members, cold, cold_solves)]
                 if cold.feasible:
                     # one user joins g, as on a league-graph edge into g
                     for n in np.flatnonzero(grouping.channel_of != g).tolist():
-                        joined = grouping.with_moves([(n, g)]).members_by_bs(g, num_bs)
+                        joined = grouping.with_moves([(n, g)]).members_by_channel(num_ch, num_bs)[g]
                         runs.append((joined, *counted(lists, g, joined, pow2r, sigma2)))
                 for mem, res, solves in runs:
                     if not res.feasible:
@@ -616,7 +639,7 @@ class TestChannelBatch:
             scenario, gains = make_instance(50, 10, 4, seed)
             grouping = initial_grouping(gains, scenario)
             pow2r = np.exp2(scenario.spectral_rates())
-            systems.append((gains.gain, [(g, grouping.members_by_bs(g, 4)) for g in range(10)], pow2r, scenario.noise_power_w))
+            systems.append((gains.gain, list(enumerate(grouping.members_by_channel(10, 4))), pow2r, scenario.noise_power_w))
         uncapped = [_assert_batch_matches_scalar(*system).feasible for system in systems]
         monkeypatch.setattr(power, "MAX_FIXED_POINT_ITERATIONS", cap)
         cut = 0
@@ -704,3 +727,59 @@ class TestChannelBatch:
         assert res.feasible.tolist() == [True] and res.iterations.tolist() == [2]
         assert res.powers[0].tolist() == pytest.approx([9.0017e-06, 3.3363e-06], rel=1e-4)
 
+    def test_zero_own_gain_is_infeasible_on_both_paths(self):
+        # User 0's gain from its own BS is exactly 0, so no power serves it:
+        # both paths stop at iteration 1 with zero powers, under every rule.
+        gain = np.full((2, 1, 3), 1e-10)
+        gain[0, 0, 0] = 0.0
+        res = _assert_batch_matches_scalar(gain, [(0, [[0, 2], [1]])], np.full(3, 2.0), 1e-15)
+        assert res.feasible.tolist() == [False] and res.iterations.tolist() == [1]
+        for rule in ORDER_RULES:
+            ref = solve_one_channel(gain.tolist(), 0, [[0, 2], [1]], [2.0] * 3, 1e-15, order_rule=rule)
+            assert (ref.powers, ref.iterations, ref.feasible) == ([0.0, 0.0], 1, False)
+
+
+# Gain levels: 0, denormals, the smallest normal, and a coarse grid whose
+# repeats make CCINR ties between users of one row.
+_SPECIAL_GAINS = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308)
+_TIE_GAINS = (1e-12, 1e-10, 4e-10, 1e-8)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A gain table, pow2r, sigma2 and 1-64 systems of 1-6 BSs with groups of 0-7 users.
+
+    Hypothesis draws the shapes, the ranges and the share of each kind of
+    value; numpy draws the values from a drawn seed. The gains that are
+    neither special nor tied span 1, 4 or 12 decades below 1e-4. The rates
+    span 3 decades below 0.1, 1 or 10 bit/s/Hz, and some are exactly 0.
+    """
+    num_bs = draw(st.integers(1, 6))
+    num_ch = draw(st.integers(1, 3))
+    num_users = draw(st.integers(1, 48))
+    count = draw(st.integers(1, 64))
+    max_row = draw(st.integers(0, 7))
+    special_share, tie_share, zero_rate_share = (draw(st.sampled_from([0.0, 0.05, 0.3])) for _ in range(3))
+    span = draw(st.sampled_from([1.0, 4.0, 12.0]))
+    top = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (num_bs, num_ch, num_users)
+    gain = 10.0 ** rng.uniform(-4.0 - span, -4.0, shape)
+    tie = rng.random(shape) < tie_share
+    gain[tie] = rng.choice(_TIE_GAINS, int(tie.sum()))
+    special = rng.random(shape) < special_share
+    gain[special] = rng.choice(_SPECIAL_GAINS, int(special.sum()))
+    rates = 10.0 ** rng.uniform(top - 3.0, top, num_users)
+    rates[rng.random(num_users) < zero_rate_share] = 0.0
+    sigma2 = float(10.0 ** rng.uniform(-15.0, -9.0))
+    systems = _random_systems(rng, num_bs, num_ch, num_users, count, max_row)
+    return gain, systems, np.exp2(rates), sigma2
+
+
+class TestKernelContract:
+    """Both kernel paths agree bit for bit over the whole input domain."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_kernel_inputs())
+    def test_paths_agree_on_random_systems(self, inputs):
+        _assert_batch_matches_scalar(*inputs)
