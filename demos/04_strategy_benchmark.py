@@ -10,8 +10,7 @@ stay in the table.
 import tempfile
 from pathlib import Path
 
-from noma_grouping import ExperimentSpec, StrategyKind, run_experiment, summarize
-from noma_grouping.harness import watts_to_dbm
+from noma_grouping.harness import ExperimentSpec, StrategyKind, run_experiment, summarize, watts_to_dbm
 
 spec = ExperimentSpec(
     strategies=[

@@ -1,4 +1,8 @@
-"""QoS-aware user grouping and power minimization for multi-cell NOMA downlinks."""
+"""QoS-aware user grouping and power minimization for multi-cell NOMA downlinks.
+
+The experiment harness and its command line front end are not imported
+here: their names live in noma_grouping.harness and noma_grouping.cli.
+"""
 
 from .scenario import (
     ChannelGains,
@@ -49,15 +53,6 @@ from .baselines import (
     gale_shapley_grouping,
     is_nash_equilibrium,
     sccd_grouping,
-)
-from .harness import (
-    ExperimentSpec,
-    StrategyKind,
-    TrialResult,
-    load_config,
-    run_experiment,
-    run_strategy,
-    summarize,
 )
 
 __version__ = "0.1.0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .game import DEFAULT_ALPHA
@@ -60,12 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the sweep the arguments describe; bad arguments exit 2 with the usage line.
 
-    A ValueError raised while the arguments are read, and a config file
-    that cannot be opened or parsed, become a parser error before any
-    trial runs; errors of the run itself propagate.
+    A ValueError raised while the arguments are read, a config file that
+    cannot be opened or parsed, an --out that is not a file name in an
+    existing directory and a --trace-dir that is not a directory become a
+    parser error before any trial runs; errors of the run itself propagate.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out is not None:
+        folder = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out) or not os.path.isdir(folder):
+            parser.error(f"--out {args.out!r} must name a file in an existing directory")
+    if args.trace_dir is not None and not os.path.isdir(args.trace_dir):
+        parser.error(f"--trace-dir {args.trace_dir!r} is not a directory")
     try:
         cfg = load_config(args.config) if args.config else default_config()
         spec = ExperimentSpec(

@@ -117,8 +117,8 @@ def run_game(
     finder is "eba" (exact search; falls back to the greedy search when
     its budget is exhausted) or "fga" (greedy with restart factor alpha).
     An unknown finder and an alpha that is not finite and > 0
-    (graph.check_alpha) raise ValueError, and so does a start_grouping
-    that does not fit the scenario, before any solve. start_grouping
+    (graph.check_alpha) raise ValueError, and so do a gain table and a
+    start_grouping that do not fit the scenario, before any solve. start_grouping
     resumes the game from a caller-supplied state, e.g. after users
     connect or disconnect; by default every user starts on its strongest
     own-BS subchannel.
@@ -145,9 +145,9 @@ def run_game(
     if finder not in ("eba", "fga"):
         raise ValueError(f"unknown finder {finder!r}")
     check_alpha(alpha)
+    memo = ChannelTotals(gains, scenario)
     grouping = start_grouping if start_grouping is not None else initial_grouping(gains, scenario)
     trace = GameTrace()
-    memo = ChannelTotals(gains, scenario)
     total_w = memo.total_w(grouping)
 
     num_bs = scenario.config.num_bs

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .power import ABS_FLOOR_W, Grouping, check_grouping, solve_channel_batch, solve_one_channel
+from .power import ABS_FLOOR_W, Grouping, check_gains, check_grouping, solve_channel_batch, solve_one_channel
 from .scenario import ChannelGains, Scenario
 
 EBA_DEFAULT_BUDGET = 10 ** 6
@@ -144,10 +144,11 @@ class ChannelTotals:
     the memo is the one holder of both for the LeagueGraphs that read it.
     lookup solves the misses, and batch_solves counts those that
     solve_channel_batch solved. keys and total_w read a whole grouping,
-    which must fit the scenario.
+    which must fit the scenario, as the gain table must (check_gains).
     """
 
     def __init__(self, gains: ChannelGains, scenario: Scenario):
+        check_gains(gains, scenario)
         self.gains = gains
         self.scenario = scenario
         self.totals: dict = {}

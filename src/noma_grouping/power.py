@@ -539,6 +539,14 @@ def check_grouping(grouping: Grouping, scenario: Scenario) -> None:
         raise ValueError("grouping does not match the scenario association")
 
 
+def check_gains(gains: ChannelGains, scenario: Scenario) -> None:
+    """Raise ValueError unless the gain table has the scenario's (M, G, N) shape."""
+    cfg = scenario.config
+    shape = (cfg.num_bs, cfg.num_channels, cfg.num_users)
+    if gains.gain.shape != shape:
+        raise ValueError(f"gain table has shape {gains.gain.shape}, the scenario {shape}")
+
+
 def solve_all_powers(
     gains: ChannelGains,
     grouping: Grouping,
@@ -554,10 +562,12 @@ def solve_all_powers(
     rules, one more decode at those powers. Per-user powers are then
     recovered by the recursion. feasible is False when any channel's
     solve is singular, negative, or fails to converge; the channels after
-    the first such one are not solved. A grouping that does not fit the
-    scenario raises ValueError (see check_grouping).
+    the first such one are not solved. A grouping or gain table that does
+    not fit the scenario raises ValueError (see check_grouping and
+    check_gains).
     """
     check_grouping(grouping, scenario)
+    check_gains(gains, scenario)
     cfg = scenario.config
     sigma2 = scenario.noise_power_w
     pow2r = np.exp2(scenario.spectral_rates()).tolist()

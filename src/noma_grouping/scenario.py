@@ -96,10 +96,23 @@ class Scenario:
 
 @dataclass
 class ChannelGains:
-    """Linear power gains, indexed [bs m][channel g][user n]."""
+    """Linear power gains, indexed [bs m][channel g][user n].
 
-    gain: np.ndarray                 # (M, G, N), dimensionless, > 0
+    The table must be 3-D and every gain finite and >= 0, else ValueError;
+    this is the one scan of the values. A zero own gain is valid: it makes
+    its subchannel infeasible.
+    """
+
+    gain: np.ndarray                 # (M, G, N), dimensionless, >= 0
     _lists: list | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.gain = np.asarray(self.gain, dtype=float)
+        if self.gain.ndim != 3:
+            raise ValueError(f"gain must be an (M, G, N) array, got shape {self.gain.shape}")
+        # NaN fails both comparisons, so this refuses it too.
+        if not np.all((self.gain >= 0.0) & (self.gain < np.inf)):
+            raise ValueError("gains must be finite and >= 0")
 
     def as_lists(self) -> list:
         """Nested-list mirror of the gain table for scalar-heavy loops."""

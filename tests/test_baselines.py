@@ -13,7 +13,6 @@ from conftest import (
 from noma_grouping import (
     Grouping,
     InstanceTooLargeError,
-    StrategyKind,
     decode_orders,
     enumerate_leagues,
     exhaustive_best_grouping,
@@ -25,6 +24,7 @@ from noma_grouping import (
     solve_all_powers,
 )
 from noma_grouping import baselines as baselines_module
+from noma_grouping.harness import StrategyKind
 from noma_grouping.power import CHANNEL_GAIN_ORDER, RATE_DESCENDING_ORDER, total_power
 from noma_grouping.scenario import ChannelGains
 

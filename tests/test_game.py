@@ -16,11 +16,16 @@ from noma_grouping import (
     solve_all_powers,
 )
 from noma_grouping import game as game_module
+from noma_grouping import graph as graph_module
 from noma_grouping.graph import NEG_DELTA_FLOOR_W
 from noma_grouping.power import total_power
 from noma_grouping.scenario import ChannelGains
 
 SEEDS_FILE = Path(__file__).resolve().parents[1] / "bench" / "seeds.json"
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a channel was solved")
 
 
 class TestInitialGrouping:
@@ -167,6 +172,17 @@ class TestRunGame:
         other_bs[0] = 1 - other_bs[0]
         with pytest.raises(ValueError, match="association"):
             run_game(gains, scenario, start_grouping=type(start)(start.channel_of, other_bs))
+
+    @pytest.mark.parametrize("num_users", [10, 14])
+    def test_gain_table_of_another_shape_rejected_before_any_solve(self, monkeypatch, num_users):
+        # at 10 users the solve used to raise IndexError; at 14 the game
+        # returned a feasible result computed on the wrong gains
+        scenario, gains = make_instance(12, 3, 2, seed=1)
+        table = np.concatenate([gains.gain, gains.gain], axis=2)[:, :, :num_users]
+        monkeypatch.setattr(graph_module, "solve_one_channel", _no_solve)
+        monkeypatch.setattr(graph_module, "solve_channel_batch", _no_solve)
+        with pytest.raises(ValueError, match=f"shape \\(2, 3, {num_users}\\), the scenario \\(2, 3, 12\\)"):
+            run_game(ChannelGains(gain=table), scenario)
 
     def test_unknown_finder_rejected(self):
         scenario, gains = make_instance(4, 2, 1, seed=7)

@@ -2,23 +2,33 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import feasible_instances
-from noma_grouping import StrategyKind, load_config, run_experiment, run_game, summarize
+from noma_grouping import run_game
 from noma_grouping import cli as cli_module
 from noma_grouping.cli import main as cli_main
 from noma_grouping.harness import (
     ExperimentSpec,
+    StrategyKind,
+    load_config,
     make_instance,
     results_csv,
+    run_experiment,
+    summarize,
     trial_seeds,
     watts_to_dbm,
     write_trace_log,
 )
+
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 def assert_usage_error(capsys, argv, message):
@@ -370,6 +380,18 @@ class TestCli:
             assert_usage_error(capsys, ["--config", str(cfg)], message)
         assert_usage_error(capsys, ["--config", str(tmp_path / "missing.json")], "No such file")
 
+    def test_output_path_errors_exit_with_usage(self, tmp_path, capsys, monkeypatch):
+        # --out used to fail after the whole sweep, --trace-dir after the first game
+        monkeypatch.setattr(cli_module, "run_experiment", _no_run)
+        missing = tmp_path / "missing"
+        not_a_dir = tmp_path / "file.txt"
+        not_a_dir.write_text("")
+        for out in (missing / "r.csv", tmp_path):
+            assert_usage_error(capsys, ["--out", str(out)], "must name a file in an existing directory")
+        for trace_dir in (missing, not_a_dir):
+            assert_usage_error(capsys, ["--trace-dir", str(trace_dir)], "is not a directory")
+        assert not missing.exists()
+
     def test_oracle_flag(self, tmp_path):
         # the exhaustive oracle is one more --strategy; there is no flag of its own
         out = tmp_path / "res.csv"
@@ -392,3 +414,27 @@ class TestCli:
         ]
         with pytest.raises(SystemExit):
             cli_main(["--strategy", "sccd", "--oracle", "--out", str(out)])
+
+
+class TestImportBoundary:
+    def test_package_import_leaves_the_harness_out(self):
+        # a fresh interpreter, so no earlier test's imports count
+        script = (
+            "import sys\n"
+            "import noma_grouping\n"
+            "print(sorted(m for m in ('noma_grouping.harness', 'noma_grouping.cli', 'csv', 'json')"
+            " if m in sys.modules))\n"
+            "print(hasattr(noma_grouping, 'run_experiment'))\n"
+            "from noma_grouping.harness import ExperimentSpec, StrategyKind, run_experiment, summarize\n"
+            "from noma_grouping.cli import main\n"
+            "print(hasattr(noma_grouping, 'run_experiment'), callable(run_experiment), callable(main))\n"
+        )
+        path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.splitlines() == ["[]", "False", "False True True"], proc.stdout

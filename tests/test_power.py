@@ -46,6 +46,10 @@ from noma_grouping.scenario import ChannelGains
 ORDER_RULES = (CCINR_ORDER, CHANNEL_GAIN_ORDER, RATE_DESCENDING_ORDER)
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a channel was solved")
+
+
 def _toy_gains(gain_array):
     return ChannelGains(gain=np.asarray(gain_array, dtype=float))
 
@@ -268,6 +272,16 @@ class TestSolveAllPowers:
         other_bs[0] = 1 - other_bs[0]
         with pytest.raises(ValueError, match="association"):
             solve_all_powers(gains, Grouping(channel_of=grouping.channel_of, bs_of=other_bs), scenario)
+
+    def test_rejects_a_gain_table_of_another_shape(self, monkeypatch):
+        # a 10-user table used to raise IndexError mid-solve, a 14-user one
+        # to solve on the wrong gains
+        scenario, gains = make_instance(12, 3, 2, seed=1)
+        grouping = initial_grouping(gains, scenario)
+        monkeypatch.setattr(power, "solve_one_channel", _no_solve)
+        for table in (gains.gain[:, :, :10], np.concatenate([gains.gain, gains.gain[:, :, :2]], axis=2)):
+            with pytest.raises(ValueError, match=r"shape \(2, 3, 1[04]\), the scenario \(2, 3, 12\)"):
+                solve_all_powers(ChannelGains(gain=table), grouping, scenario)
 
     def test_single_cell_two_iterations_and_recursion_match(self):
         scenario, gains = make_instance(10, 3, 1, seed=3)

@@ -6,6 +6,7 @@ import pytest
 from conftest import placement_reference
 from noma_grouping import scenario as scenario_module
 from noma_grouping import (
+    ChannelGains,
     ScenarioGenerationError,
     SimConfig,
     draw_channel_gains,
@@ -244,6 +245,24 @@ class TestChannelGains:
         sc = generate_scenario(cfg, 7)
         gains = draw_channel_gains(sc, 7)
         assert np.all(gains.gain > 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-12, math.inf, -math.inf])
+    def test_rejects_a_negative_or_non_finite_gain(self, bad):
+        table = np.full((2, 3, 4), 1e-10)
+        table[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ChannelGains(gain=table)
+
+    def test_rejects_a_table_that_is_not_3d(self):
+        for table in (np.full((3, 4), 1e-10), np.full((1, 2, 3, 4), 1e-10)):
+            with pytest.raises(ValueError, match=r"an \(M, G, N\) array"):
+                ChannelGains(gain=table)
+
+    def test_zero_gain_is_valid(self):
+        # a zero own gain makes its subchannel infeasible; it is not an input error
+        table = np.full((2, 3, 4), 1e-10)
+        table[0, 0, 0] = 0.0
+        assert ChannelGains(gain=table).gain[0, 0, 0] == 0.0
 
     def test_fading_power_is_unit_mean(self):
         # strip path loss by dividing out a unit-fading draw of the same
