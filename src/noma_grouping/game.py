@@ -118,10 +118,10 @@ def run_game(
     its budget is exhausted) or "fga" (greedy with restart factor alpha).
     An unknown finder and an alpha that is not finite and > 0
     (graph.check_alpha) raise ValueError, and so do a gain table and a
-    start_grouping that do not fit the scenario, before any solve. start_grouping
-    resumes the game from a caller-supplied state, e.g. after users
-    connect or disconnect; by default every user starts on its strongest
-    own-BS subchannel.
+    start_grouping that do not fit the scenario, before any solve.
+    start_grouping resumes the game from a caller-supplied state, e.g.
+    after users connect or disconnect; by default every user starts on
+    its strongest own-BS subchannel.
 
     Returns (grouping, power solution, trace). At most one league is
     tried per turn: the exact search's, or with "fga" and when
