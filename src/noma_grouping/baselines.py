@@ -19,6 +19,7 @@ from .graph import League, apply_league, is_improvement, league_nodes
 from .power import (
     Grouping,
     InfeasibleSolutionError,
+    check_gains,
     solve_all_powers,
     total_power,
 )
@@ -38,8 +39,10 @@ def sccd_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
 
     A user's strength is its best own-BS gain over the subchannels; equal
     strengths rank the lower user id first. One max over the gain table
-    and one lexsort per BS give that ranking.
+    and one lexsort per BS give that ranking. A gain table that does not
+    fit the scenario raises ValueError (check_gains).
     """
+    check_gains(gains, scenario)
     cfg = scenario.config
     channel_of = np.zeros(cfg.num_users, dtype=np.int64)
     best = gains.gain.max(axis=1)  # (M, N)
@@ -62,8 +65,10 @@ def gale_shapley_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
     completes. Each BS's preference lists come from one stable argsort of
     its users' gains, and the proposal loop reads gains from plain lists
     of those users alone; users go by their index in the BS's ascending
-    user list, which orders them as their ids do.
+    user list, which orders them as their ids do. A gain table that does
+    not fit the scenario raises ValueError (check_gains).
     """
+    check_gains(gains, scenario)
     cfg = scenario.config
     num_ch = cfg.num_channels
     channel_of = np.zeros(cfg.num_users, dtype=np.int64)

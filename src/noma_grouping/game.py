@@ -33,7 +33,7 @@ from .graph import (
     find_negative_loop_eba,
     is_improvement,
 )
-from .power import Grouping, solve_all_powers, total_power
+from .power import Grouping, check_gains, solve_all_powers, total_power
 from .scenario import ChannelGains, Scenario
 
 # Restart factor of the greedy finder ("fga" without an explicit alpha).
@@ -66,7 +66,9 @@ class GameTrace:
     the start and end totals) that found a total and that solved one;
     they sum to the lookups, and memo_solves is the number of distinct
     (subchannel, membership) pairs the game met. memo_batch_solves is
-    the part of memo_solves that solve_channel_batch solved.
+    the part of memo_solves that solve_channel_batch solved, and
+    memo_batch_passes the fixed-point passes those calls ran (per call,
+    its highest iteration).
     eba_relaxations sums the budget units (V * V * |group| per relaxed
     (state, group) pair) that the game's eba searches used, exhausted
     ones included. candidates_tried counts the leagues the game applied
@@ -84,6 +86,7 @@ class GameTrace:
     memo_hits: int = 0
     memo_solves: int = 0
     memo_batch_solves: int = 0
+    memo_batch_passes: int = 0
     eba_relaxations: int = 0
     candidates_tried: int = 0
     final_gap_rel: float = 0.0
@@ -91,7 +94,11 @@ class GameTrace:
 
 
 def initial_grouping(gains: ChannelGains, scenario: Scenario) -> Grouping:
-    """Every user takes its own-BS strongest subchannel (ties: lowest)."""
+    """Every user takes its own-BS strongest subchannel (ties: lowest).
+
+    A gain table that does not fit the scenario raises ValueError (check_gains).
+    """
+    check_gains(gains, scenario)
     n = scenario.config.num_users
     gsel = gains.gain[scenario.association, :, np.arange(n)]  # (N, G)
     return Grouping(
@@ -201,6 +208,7 @@ def run_game(
     trace.memo_hits = memo.hits
     trace.memo_solves = memo.solves
     trace.memo_batch_solves = memo.batch_solves
+    trace.memo_batch_passes = memo.batch_passes
     trace.converged = solution.feasible
     trace.final_total_power_w = solved_w
     return grouping, solution, trace

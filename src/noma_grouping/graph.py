@@ -27,12 +27,14 @@ words of the bitmask of its users. ChannelTotals alone knows that
 layout: keys makes a grouping's G keys after check_grouping, and
 moved_keys makes the keys of all of a build's entries as one array, one
 row per entry, each a grouping key with one user's bit cleared and
-another's set. A build hands them to ChannelTotals.lookup, the one caller
-of a channel kernel here, which solves the misses together: in one
-solve_channel_batch call when there are BATCH_MIN_MISSES or more, else
-in one solve_one_channel call each, with the same bits. A game
-re-validates a move by the memo total (ChannelTotals.total_w) of the
-grouping apply_league returns.
+another's set. A build hands them, with its grouping and each entry's
+(subchannel, leaver, joiner), to ChannelTotals.lookup, the one caller of
+a channel kernel here. It reads the members of each miss from the
+grouping and the entry's move, never from a key, and solves the misses
+together: in one solve_channel_batch call when there are
+BATCH_MIN_MISSES or more, else in one solve_one_channel call each, with
+the same bits. A game re-validates a move by the memo total
+(ChannelTotals.total_w) of the grouping apply_league returns.
 """
 
 from __future__ import annotations
@@ -49,11 +51,12 @@ EBA_DEFAULT_BUDGET = 10 ** 6
 
 # A build with at least this many memo misses solves them in one
 # solve_channel_batch call, and one with fewer calls solve_one_channel per
-# miss. Per miss, on the misses of the pinned N = 50 fga game (2-core Xeon,
-# numpy 2.4, best of 7 runs): the scalar path takes 25-40 us; the batch
-# path 190 us at 1 miss, 20 at 16, 16 at 24, 10 at 40 and 3 at 256. The
-# break-even is nearer 16, but moving the threshold moves
-# memo_batch_solves and the scalar edge solves that bench/tests assert.
+# miss. Per miss, kernel alone, on the misses of the pinned N = 50 fga
+# game (2-core AMD EPYC, numpy 2.4, best of 7 runs): the scalar path takes
+# 14 us; the batch path 92 us at 1 miss, 15 at 8, 11 at 12, 9 at 16, 7 at
+# 24, 4.6 at 40 and 1.2 at 256. The break-even is nearer 10, but moving
+# the threshold moves memo_batch_solves and the scalar edge solves that
+# bench/tests assert.
 BATCH_MIN_MISSES = 24
 
 # A league is "improving" only below this; keeps the finders, the game's
@@ -137,13 +140,16 @@ class ChannelTotals:
     those users share it, or inf when they cannot be powered. A key is
     the bytes of one little-endian uint64 row: h, then the ceil(N / 64)
     words of the membership's bitmask, whose bit n % 64 of word n // 64 is
-    set when user n is on h. Only this class builds or reads keys: keys
-    gives a grouping's, moved_keys those of memberships one move away,
-    and _pack decodes misses. A solve starts from zero power, so it is a
-    function of that membership, the gains and the scenario alone, and
-    the memo is the one holder of both for the LeagueGraphs that read it.
-    lookup solves the misses, and batch_solves counts those that
-    solve_channel_batch solved. keys and total_w read a whole grouping,
+    set when user n is on h. Only this class builds keys: keys gives a
+    grouping's, and moved_keys those of memberships one move away. No key
+    is decoded: every lookup carries the grouping its keys come from and
+    each entry's move, and a miss's members are packed from those
+    (_members). A solve starts from zero power, so it is a function of
+    that membership, the gains and the scenario alone, and the memo is
+    the one holder of both for the LeagueGraphs that read it. lookup
+    solves the misses; batch_solves counts those that solve_channel_batch
+    solved, and batch_passes the fixed-point passes of those calls (per
+    call, its highest iteration). keys and total_w read a whole grouping,
     which must fit the scenario, as the gain table must (check_gains).
     """
 
@@ -154,6 +160,7 @@ class ChannelTotals:
         self.totals: dict = {}
         self.hits = 0
         self.batch_solves = 0
+        self.batch_passes = 0
         self._pow2r = np.exp2(scenario.spectral_rates()).tolist()
         num_users = scenario.config.num_users
         users = np.arange(num_users)
@@ -191,55 +198,84 @@ class ChannelTotals:
 
     def total_w(self, grouping: Grouping) -> float:
         """Total power of the grouping: the fsum of its G memo totals."""
-        return math.fsum(self.lookup(self.keys(grouping)))
+        return math.fsum(self.lookup(grouping, self.keys(grouping)))
 
-    def lookup(self, keys: list) -> list[float]:
-        """Memoized totals of the keys, after solving the distinct misses.
+    def lookup(self, grouping: Grouping, keys: list, channels=None, leavers=None, joiners=None) -> list[float]:
+        """Memoized totals of entries of the grouping, after solving the distinct misses.
 
-        BATCH_MIN_MISSES or more misses go to solve_channel_batch in one
-        call, fewer to solve_one_channel one at a time; both give the same
-        bits.
+        Entry e is subchannel channels[e]'s membership in the grouping with
+        user leavers[e] taken out, then joiners[e] put in (-1 moves
+        nobody), and keys[e] is its key (moved_keys). Without channels,
+        leavers and joiners, keys are the grouping's own (keys) and entry h
+        is subchannel h with no move. A miss's members are read from the
+        grouping and the entry's move. BATCH_MIN_MISSES or more misses go
+        to solve_channel_batch in one call, fewer to solve_one_channel one
+        at a time; both give the same bits.
         """
         totals = self.totals
-        misses = list(dict.fromkeys(key for key in keys if key not in totals))
+        missing = [e for e, key in enumerate(keys) if key not in totals]
+        misses = dict(zip(map(keys.__getitem__, missing), missing))  # one entry per distinct key
         self.hits += len(keys) - len(misses)
         if not misses:
             return [totals[key] for key in keys]
-        channels, packed = self._pack(misses)
+        at = np.fromiter(misses.values(), dtype=np.intp, count=len(misses))
+        if channels is None:
+            channels, leavers = at, np.full(at.size, -1)
+            joiners = leavers
+        else:
+            channels, leavers, joiners = (np.asarray(x)[at] for x in (channels, leavers, joiners))
+        members = self._members(grouping, channels, leavers, joiners)
         sigma2 = self.scenario.noise_power_w
         if len(misses) >= BATCH_MIN_MISSES:
-            res = solve_channel_batch(self.gains.gain, channels, packed, self._pow2r, sigma2)
+            res = solve_channel_batch(self.gains.gain, channels, members, self._pow2r, sigma2)
             for key, powers, feasible in zip(misses, res.powers.tolist(), res.feasible.tolist()):
                 totals[key] = math.fsum(powers) if feasible else math.inf
             self.batch_solves += len(misses)
+            self.batch_passes += int(res.iterations.max())
         else:
-            for key, h, rows in zip(misses, channels.tolist(), packed.tolist()):
-                members = [[n for n in row if n >= 0] for row in rows]
-                res = solve_one_channel(self.gains.as_lists(), h, members, self._pow2r, sigma2)
+            for key, h, rows in zip(misses, channels.tolist(), members.tolist()):
+                members_by_bs = [[n for n in row if n >= 0] for row in rows]
+                res = solve_one_channel(self.gains.as_lists(), h, members_by_bs, self._pow2r, sigma2)
                 totals[key] = math.fsum(res.powers) if res.feasible else math.inf
         return [totals[key] for key in keys]
 
-    def _pack(self, keys: list) -> tuple[np.ndarray, np.ndarray]:
-        """solve_channel_batch's channels and members of the keys.
+    def _members(self, grouping: Grouping, channels, leavers, joiners) -> np.ndarray:
+        """solve_channel_batch's members of the entries (channels[e], leavers[e], joiners[e]).
 
-        channels[k] is the subchannel of keys[k], and members[k, m] holds
-        BS m's users among the set bits of its mask words, ascending,
-        padded with -1 to the longest row of the keys (width 0 when every
-        membership is empty). One unpackbits decodes all the words.
+        members[e, m] holds BS m's users on subchannel channels[e] in the
+        grouping, with leavers[e] taken out and joiners[e] put in (-1
+        moves nobody), ascending, padded with -1 to the longest row of the
+        entries (width 0 when every membership is empty).
         """
-        bs_of = self.scenario.association
-        num_bs = self.scenario.config.num_bs
-        rows = np.frombuffer(b"".join(keys), dtype="<u8").reshape(len(keys), -1)
-        bits = np.unpackbits(rows[:, 1:].view(np.uint8), axis=1, count=bs_of.size, bitorder="little")
-        system, users = np.nonzero(bits)  # users ascending within each system
-        slot_rows = system * num_bs + bs_of[users]
-        order = np.argsort(slot_rows, kind="stable")
-        slot_rows, users = slot_rows[order], users[order]
-        slots = np.arange(slot_rows.size) - np.searchsorted(slot_rows, slot_rows)
-        width = int(slots.max(initial=-1)) + 1
-        packed = np.full((len(keys) * num_bs, width), -1)
-        packed[slot_rows, slots] = users
-        return rows[:, 0].astype(np.intp), packed.reshape(len(keys), num_bs, width)
+        config = self.scenario.config
+        bs_of = np.append(grouping.bs_of, 0)  # index -1, nobody, changes no slot of BS 0's row
+        pad = grouping.num_users  # above every user, so a padded row stays sorted
+        # The grouping's rows: row [h, m] lists BS m's users on h, with a spare slot for a joiner.
+        row_of = grouping.channel_of * config.num_bs + grouping.bs_of
+        users = np.argsort(row_of, kind="stable")
+        row_of = row_of[users]
+        counts = np.bincount(row_of, minlength=config.num_channels * config.num_bs)
+        table = np.full((counts.size, int(counts.max(initial=0)) + 1), pad)
+        table[row_of, np.arange(users.size) - (counts.cumsum() - counts)[row_of]] = users
+        rows = table.reshape(config.num_channels, config.num_bs, -1)[channels]
+        entry = np.arange(rows.shape[0])
+        # In the leaver's row, every slot from the leaver's on takes the next one's user.
+        at = entry, bs_of[leavers]
+        row = rows[at]
+        gone = np.where(leavers >= 0, leavers, pad + 1)[:, None]
+        rows[at] = np.where(row >= gone, np.concatenate((row[:, 1:], row[:, -1:]), axis=1), row)
+        # In the joiner's row, slot t takes min(row[t], max(row[t - 1], joiner)): a sorted insertion.
+        at = entry, bs_of[joiners]
+        row = rows[at]
+        new = np.where(joiners >= 0, joiners, pad)[:, None]
+        before = np.concatenate((np.full_like(row[:, :1], -1), row[:, :-1]), axis=1)
+        rows[at] = np.minimum(row, np.maximum(before, new))
+        width = rows.shape[2]
+        while width and (rows[..., width - 1] == pad).all():
+            width -= 1
+        rows = rows[..., :width]
+        rows[rows == pad] = -1
+        return rows
 
 
 class LeagueGraph:
@@ -262,11 +298,12 @@ class LeagueGraph:
             raise ValueError(f"BS {bs} is outside [0, {config.num_bs})")
         self._keys = memo.keys(grouping)
         self._memo = memo
+        self._grouping = grouping
         self.bs = int(bs)
         self.num_channels = config.num_channels
         self.nodes, self.node_groups = league_nodes(grouping, self.bs, self.num_channels)
         self.num_real = len(self.nodes) - self.num_channels
-        self._totals = memo.lookup(self._keys)
+        self._totals = memo.lookup(grouping, self._keys)
         self._adj: np.ndarray | None = None
         self.eba_relaxations = 0
 
@@ -305,7 +342,8 @@ class LeagueGraph:
             channels = np.concatenate((groups[leave], groups[cols]))
             leavers = np.concatenate((users[leave], users[cols]))
             joiners = np.concatenate((np.full(leave.size, -1), users[rows]))
-            totals = np.array(self._memo.lookup(self._memo.moved_keys(self._keys, channels, leavers, joiners)))
+            keys = self._memo.moved_keys(self._keys, channels, leavers, joiners)
+            totals = np.array(self._memo.lookup(self._grouping, keys, channels, leavers, joiners))
             adj[r:, leave] = totals[: leave.size] - now[groups[leave]]
             adj[rows, cols] = totals[leave.size :] - now[groups[cols]]
             adj[r + groups[:r], np.arange(r)] = np.inf  # each real node's own virtual node

@@ -21,15 +21,24 @@ exact, and is returned without being repeated. Its result is therefore a
 function of the subchannel's membership alone, which is what lets the
 league graph memoize channel totals by membership.
 
+The coupling matrix is a = C - I with C >= 0, so I - C is a Z-matrix. It
+has an LU factorization with positive pivots exactly when it is a
+nonsingular M-matrix, that is, when rho(C) < 1, and then its inverse is
+>= 0 (Berman and Plemmons, Nonnegative Matrices in the Mathematical
+Sciences, SIAM 1994, ch. 6). When rho(C) >= 1, no powers >= 0 meet the
+targets under those orders. So the solve eliminates without pivoting,
+and a pivot of a that is not < 0 is the orders' infeasibility verdict.
+
 Every caller runs the same kernel, one function per layer: decode_orders
 (the order rules), assemble_coupling (the linear system), solve_coupling
-(LU solve and the nonnegativity check) and user_powers (the recursion);
-solve_one_channel iterates the first three, and solve_all_powers ends
-with the fourth. solve_all_powers is one pass over a grouping: it sorts
-the users into (subchannel, BS) groups once (Grouping.members_by_channel),
-calls solve_one_channel per subchannel, and under the CCINR rule takes
-the CCINR table from each fixed point's confirming decode, which is the
-table ccinr() computes at the converged powers, bit for bit.
+(pivot-free elimination and the nonnegativity check) and user_powers
+(the recursion); solve_one_channel iterates the first three, and
+solve_all_powers ends with the fourth. solve_all_powers is one pass over
+a grouping: it sorts the users into (subchannel, BS) groups once
+(Grouping.members_by_channel), calls solve_one_channel per subchannel,
+and under the CCINR rule takes the CCINR table from each fixed point's
+confirming decode, which is the table ccinr() computes at the converged
+powers, bit for bit.
 
 The kernel has two paths with the same bits. solve_one_channel solves
 one system on nested lists. solve_channel_batch runs the same fixed
@@ -37,12 +46,12 @@ point, under the CCINR rule, on K systems at once as numpy arrays, with
 every sum in the scalar order. It gathers the gains with one flat index,
 gives the pad slots of short rows own gain +inf (so they decode last and
 add exact zeros), takes each user's (2^r - 1)/|H_own|^2 once per call,
-decodes the first pass at zero power without summing interference, and
-runs the LU on the augmented [a | b]. Its numpy calls cost about the
-same for one system as for hundreds, so it is slower than the scalar
-path below about two dozen systems. graph.ChannelTotals.lookup picks the
-path by its number of misses (graph.BATCH_MIN_MISSES); solve_all_powers
-stays scalar.
+decodes the first pass at zero power without summing interference,
+eliminates on the augmented [a | b], and compacts its arrays once per
+pass. Its numpy calls cost about the same for one system as for
+hundreds, so it is slower than the scalar path below about two dozen
+systems. graph.ChannelTotals.lookup picks the path by its number of
+misses (graph.BATCH_MIN_MISSES); solve_all_powers stays scalar.
 """
 
 from __future__ import annotations
@@ -274,28 +283,22 @@ def assemble_coupling(rows, orders, pow2r, sigma2: float) -> tuple[list, list]:
 def solve_coupling(a_rows: list, b_vec: list):
     """Group powers P >= 0 with a @ P = b, or None when infeasible.
 
-    Dense LU with partial pivoting on nested lists. Numerical singularity
-    and negative or non-finite components all mean the grouping cannot be
-    powered on this subchannel; none of them is an error.
+    Gaussian elimination without pivoting on nested lists. For a = C - I
+    with C >= 0, every pivot is < 0 exactly when rho(C) < 1 (see the
+    module docstring), so a pivot that is not < 0 (zero, positive or NaN)
+    returns None at its step. A non-finite component of the result, or
+    one below -ABS_FLOOR_W, also returns None; one in [-ABS_FLOOR_W, 0) is
+    set to 0. None means the grouping cannot be powered on this
+    subchannel; it is not an error.
     """
     n = len(b_vec)
     a = [row[:] for row in a_rows]
     x = list(b_vec)
     for k in range(n):
-        piv = k
-        best = abs(a[k][k])
-        for i in range(k + 1, n):
-            v = abs(a[i][k])
-            if v > best:
-                best = v
-                piv = i
-        if best < 1e-300:
-            return None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            x[k], x[piv] = x[piv], x[k]
         ak = a[k]
         akk = ak[k]
+        if not akk < 0.0:  # zero, positive or NaN: rho(C) >= 1
+            return None
         for i in range(k + 1, n):
             f = a[i][k] / akk
             if f != 0.0:
@@ -397,9 +400,11 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
     the end with -1. pow2r[n] = 2 ** spectral_rate[n]. System k's powers,
     iterations and verdict equal solve_one_channel's bit for bit: every
     sum runs in the scalar order (a loop over BSs, over decode positions
-    and over LU columns), the LU keeps the first-max pivot, the 1e-300
-    singular test and the f != 0 skip, and the result check is the same.
-    A system leaves the batch when its orders repeat or its solve fails.
+    and over elimination columns), the elimination keeps the pivot < 0
+    test and the f != 0 skip, and the result check is the same. A system
+    whose solve fails gets its verdict, iteration and powers at once and
+    leaves the arrays at the next pass's one compaction, with those whose
+    orders repeated; it stays out of the write-back at the iteration cap.
 
     The system index is the last axis of every working array, so each
     step is a few numpy operations on contiguous (..., K) blocks. A pad
@@ -426,9 +431,10 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
     powers = np.zeros((num_bs, num_sys))
     iterations = np.full(num_sys, MAX_FIXED_POINT_ITERATIONS)
     feasible = np.zeros(num_sys, dtype=bool)
-    act = np.arange(num_sys)  # the systems still iterating
+    act = np.arange(num_sys)  # the systems still in the arrays
     p_cur = powers.copy()
     solved = None  # the orders p_cur was solved for
+    failed = None  # the systems whose last solve failed; their verdict is written
     with np.errstate(all="ignore"):
         for it in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
             if solved is None:  # at zero power every interference sum is 0.0
@@ -440,26 +446,25 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
                 s = own / (interference + sigma2)
             orders = np.argsort(s, axis=1, kind="stable")  # ties: the lower slot, so the lower id
             if solved is not None:
-                done = (orders == solved).all(axis=(0, 1))
+                done = (orders == solved).all(axis=(0, 1)) & ~failed
                 iterations[act[done]] = it
                 feasible[act[done]] = True
                 powers[:, act[done]] = p_cur[:, done]
-                keep = ~done
+                keep = ~(done | failed)  # the one compaction of the pass
                 act, orders, p_cur = act[keep], orders[..., keep], p_cur[:, keep]
                 gg, own, ratio, f = gg[..., keep], own[..., keep], ratio[..., keep], f[..., keep]
                 if act.size == 0:
                     break
             p_new, ok = _solve_coupling_batch(_assemble_coupling_batch(gg, ratio, f, orders, sigma2))
-            if not ok.all():
-                iterations[act[~ok]] = it
-                powers[:, act[~ok]] = p_cur[:, ~ok]
-                act, orders, p_new = act[ok], orders[..., ok], p_new[:, ok]
-                gg, own, ratio, f = gg[..., ok], own[..., ok], ratio[..., ok], f[..., ok]
-                if act.size == 0:
+            failed = ~ok
+            if failed.any():
+                iterations[act[failed]] = it
+                powers[:, act[failed]] = p_cur[:, failed]
+                if failed.all():
                     break
             p_cur, solved = p_new, orders
         else:
-            powers[:, act] = p_cur
+            powers[:, act[~failed]] = p_cur[:, ~failed]
     return ChannelBatchResult(powers.T, iterations, feasible)
 
 
@@ -493,24 +498,16 @@ def _assemble_coupling_batch(gg, ratio, f, orders, sigma2: float):
 def _solve_coupling_batch(aug):
     """solve_coupling of the systems aug[:, :M, k] @ P = aug[:, M, k], in place.
 
-    Returns (powers, ok): the (M, K) solutions, meaningful where ok.
+    Returns (powers, ok): the (M, K) solutions, meaningful where ok. A
+    system whose pivot fails is eliminated to the end like the others,
+    on values that no longer matter.
     """
     n, _n1, num_sys = aug.shape
-    cols = np.arange(num_sys)
     ok = np.ones(num_sys, dtype=bool)
     for k in range(n):
-        col = np.abs(aug[k:, k])
-        # The pivot's size is the column's maximum (NaN when one entry is,
-        # and then the solution is NaN either way).
-        ok &= ~(col.max(axis=0) < 1e-300)
+        ok &= aug[k, k] < 0.0
         if k == n - 1:
             break
-        piv = col.argmax(axis=0)  # the first maximum, as in the scalar search
-        if piv.any():
-            swap = k + piv
-            row_k = aug[k].copy()
-            aug[k] = aug[swap, :, cols].T
-            aug[swap, :, cols] = row_k.T
         fac = aug[k + 1 :, k] / aug[k, k]
         sub = aug[k + 1 :, k + 1 :]
         aug[k + 1 :, k + 1 :] = np.where((fac != 0.0)[:, None], sub - fac[:, None] * aug[k, None, k + 1 :], sub)

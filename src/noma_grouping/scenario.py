@@ -129,11 +129,20 @@ def path_loss_db(distance_m):
 
 
 def noise_power_w(bandwidth_hz: float, noise_psd_dbm_per_hz: float) -> float:
-    """Thermal noise power sigma^2 = B * N0 in watts."""
+    """Thermal noise power sigma^2 = B * N0 in watts.
+
+    ValueError unless it is > 0: every CCINR divides by it, so a PSD so
+    low that sigma^2 underflows to 0 is refused here.
+    """
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be > 0")
     psd_w_per_hz = 10.0 ** ((noise_psd_dbm_per_hz - 30.0) / 10.0)
-    return psd_w_per_hz * bandwidth_hz
+    sigma2 = psd_w_per_hz * bandwidth_hz
+    if not sigma2 > 0.0:
+        raise ValueError(
+            f"noise power of {noise_psd_dbm_per_hz!r} dBm/Hz over {bandwidth_hz!r} Hz underflows to {sigma2!r} W"
+        )
+    return sigma2
 
 
 def generate_scenario(config: SimConfig, seed=None) -> Scenario:

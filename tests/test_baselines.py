@@ -36,6 +36,12 @@ def _single_bs_instance(num_users, num_channels, seed, per_user_gains=None):
     return scenario, gains
 
 
+def _gain_table_of(num_users):
+    """A 12-user instance and a gain table of num_users users for it."""
+    scenario, gains = make_instance(12, 3, 2, seed=1)
+    return scenario, ChannelGains(gain=np.concatenate([gains.gain, gains.gain], axis=2)[:, :, :num_users])
+
+
 class TestSccd:
     def test_four_users_two_groups(self):
         # gains ranked u0 > u1 > u2 > u3: pairs {u0,u3} and {u1,u2}
@@ -63,6 +69,13 @@ class TestSccd:
         grouping = sccd_grouping(gains, scenario)
         assert np.array_equal(grouping.bs_of, scenario.association)
         assert np.all((grouping.channel_of >= 0) & (grouping.channel_of < 4))
+
+    @pytest.mark.parametrize("num_users", [10, 14])
+    def test_gain_table_of_another_shape_rejected(self, num_users):
+        # at 10 users this raised IndexError; at 14 it ranked users 12 and 13
+        scenario, gains = _gain_table_of(num_users)
+        with pytest.raises(ValueError, match=f"shape \\(2, 3, {num_users}\\), the scenario \\(2, 3, 12\\)"):
+            sccd_grouping(gains, scenario)
 
 
 class TestGaleShapley:
@@ -96,6 +109,13 @@ class TestGaleShapley:
             quota = math.ceil(len(users) / 4)
             for g in range(4):
                 assert len(grouping.members_by_channel(4, 2)[g][m]) <= quota
+
+    @pytest.mark.parametrize("num_users", [10, 14])
+    def test_gain_table_of_another_shape_rejected(self, num_users):
+        # at 10 users this raised IndexError; at 14 it read the wrong users' gains
+        scenario, gains = _gain_table_of(num_users)
+        with pytest.raises(ValueError, match=f"shape \\(2, 3, {num_users}\\), the scenario \\(2, 3, 12\\)"):
+            gale_shapley_grouping(gains, scenario)
 
 
 class TestGroupingReferences:

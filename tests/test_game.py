@@ -49,6 +49,14 @@ class TestInitialGrouping:
         grouping = initial_grouping(gains, scenario)
         assert np.all(grouping.channel_of == 0)
 
+    @pytest.mark.parametrize("num_users", [10, 14])
+    def test_gain_table_of_another_shape_rejected(self, num_users):
+        # at 10 users this raised IndexError; at 14 it read users 12 and 13
+        scenario, gains = make_instance(12, 3, 2, seed=1)
+        table = np.concatenate([gains.gain, gains.gain], axis=2)[:, :, :num_users]
+        with pytest.raises(ValueError, match=f"shape \\(2, 3, {num_users}\\), the scenario \\(2, 3, 12\\)"):
+            initial_grouping(ChannelGains(gain=table), scenario)
+
 
 class TestAcceptanceRule:
     def test_rule_cases(self):
@@ -393,3 +401,30 @@ class TestPinnedCounters:
                 trace.final_total_power_w.hex(),
             )
             assert counters == PINNED_COUNTERS[finder, num_users], (finder, num_users)
+
+
+class TestBatchPasses:
+    @pytest.mark.parametrize("finder", ["fga", "eba"])
+    def test_passes_sum_each_batch_calls_highest_iteration(self, monkeypatch, finder):
+        passes = []
+        batch = graph_module.solve_channel_batch
+
+        def recording_batch(*args):
+            res = batch(*args)
+            passes.append(int(res.iterations.max()))
+            return res
+
+        monkeypatch.setattr(graph_module, "solve_channel_batch", recording_batch)
+        with open(SEEDS_FILE) as fh:
+            num_users, seed = json.load(fh)["game"][0]
+        scenario, gains = make_instance(num_users, 10, 4, seed)
+        _final, _solution, trace = run_game(gains, scenario, finder=finder)
+        assert trace.memo_batch_passes == sum(passes)
+        # a batch solves, then confirms; a straggler costs its whole batch a pass
+        assert len(passes) * 2 < trace.memo_batch_passes
+
+    def test_scalar_solves_run_no_batch_pass(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "BATCH_MIN_MISSES", math.inf)
+        scenario, gains = make_instance(12, 3, 2, seed=1)
+        _final, _solution, trace = run_game(gains, scenario, finder="fga")
+        assert trace.memo_solves > 0 and (trace.memo_batch_solves, trace.memo_batch_passes) == (0, 0)

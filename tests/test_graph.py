@@ -713,9 +713,9 @@ class TestColumnReuse:
         lookups = [0]
         lookup = ChannelTotals.lookup
 
-        def counting_lookup(memo, keys):
+        def counting_lookup(memo, grouping, keys, *moves):
             lookups[0] += len(keys)
-            return lookup(memo, keys)
+            return lookup(memo, grouping, keys, *moves)
 
         monkeypatch.setattr(ChannelTotals, "lookup", counting_lookup)
         adjacencies = {}
@@ -798,7 +798,7 @@ class TestColumnReuse:
 
 
 def _pack_reference(bs_of, num_bs, masks):
-    """Per-row decode of membership masks (oracle for ChannelTotals._pack).
+    """Per-row decode of membership masks (oracle for ChannelTotals._members).
 
     Row [k, m] holds BS m's users among the set bits of masks[k], found bit
     by bit in ascending order, padded with -1 to the longest such row.
@@ -819,66 +819,86 @@ def _pack_reference(bs_of, num_bs, masks):
     ).reshape(len(masks), num_bs, width)
 
 
+def _assert_members_match_their_keys(memo, grouping, channels, leavers, joiners, members):
+    """members, packed from the grouping and the moves, equal the per-row decode of the entries' keys.
+
+    Returns the keys.
+    """
+    keys = memo.moved_keys(memo.keys(grouping), channels, leavers, joiners)
+    decoded = [memo_key_mask(key) for key in keys]
+    assert [h for h, _mask in decoded] == np.asarray(channels).tolist()
+    assert members.dtype == np.int64
+    expected = _pack_reference(memo.scenario.association, memo.scenario.config.num_bs, [m for _h, m in decoded])
+    assert np.array_equal(members, expected)
+    return keys
+
+
 class TestPack:
-    """The numpy unpacking of memo-miss keys gives their channels and the per-row decode."""
+    """The members of memo misses, packed from the grouping and each entry's move,
+    equal the per-row decode of the entries' keys."""
 
     @pytest.mark.parametrize("finder", ["fga", "eba"])
     def test_every_memo_miss_of_the_pinned_games(self, monkeypatch, finder):
         packs = []
-        pack = ChannelTotals._pack
+        pack = ChannelTotals._members
 
-        def recording_pack(memo, keys):
-            channels, packed = pack(memo, keys)
-            packs.append((keys, channels, packed))
-            return channels, packed
+        def recording_members(memo, grouping, channels, leavers, joiners):
+            members = pack(memo, grouping, channels, leavers, joiners)
+            packs.append((memo, grouping, channels, leavers, joiners, members))
+            return members
 
-        monkeypatch.setattr(ChannelTotals, "_pack", recording_pack)
+        monkeypatch.setattr(ChannelTotals, "_members", recording_members)
         with open(SEEDS_FILE) as fh:
             pinned = json.load(fh)["game"]
-        high_bit = False
+        high_bit = moved = False
         for num_users, _seed in pinned:
             scenario, gains = _pinned_game(num_users)
             del packs[:]
             _grouping, _solution, trace = run_game(gains, scenario, finder=finder)
             # every miss is packed once: the build-time and full_adjacency lookups
-            assert sum(len(keys) for keys, _channels, _packed in packs) == trace.memo_solves
-            for keys, channels, packed in packs:
-                decoded = [memo_key_mask(key) for key in keys]
-                assert keys == [memo_key(h, mask, num_users) for h, mask in decoded]
-                masks = [mask for _h, mask in decoded]
-                expected = _pack_reference(scenario.association, 4, masks)
-                assert channels.tolist() == [h for h, _mask in decoded]
-                assert packed.dtype == np.int64
-                assert np.array_equal(packed, expected)
-                high_bit |= any(mask >> 64 for mask in masks)
+            keys = []
+            for memo, *entries in packs:
+                keys += _assert_members_match_their_keys(memo, *entries)
+                moved |= bool((np.asarray(entries[2]) >= 0).any() and (np.asarray(entries[3]) >= 0).any())
+            assert len(keys) == trace.memo_solves == len(set(keys))
+            assert set(keys) == set(packs[0][0].totals)
+            high_bit |= any(memo_key_mask(key)[1] >> 64 for key in keys)
         assert high_bit  # user 64 of the N = 65 game
+        assert moved  # entries with a leaver and a joiner
 
     def test_random_masks_up_to_130_users(self):
+        # the masks of random entries (subchannel, leaver, joiner) of random groupings
         rng = np.random.default_rng(91)
         for num_users in (1, 7, 63, 64, 65, 66, 127, 128, 129, 130):
             scenario, gains = make_instance(num_users, 10, 4, seed=num_users)
-            masks = [0, (1 << num_users) - 1] + [
-                sum(1 << n for n in np.flatnonzero(rng.random(num_users) < share).tolist())
-                for share in rng.random(120)
-            ]
-            channels = [k % 10 for k in range(len(masks))]
-            keys = [memo_key(h, mask, num_users) for h, mask in zip(channels, masks)]
-            expected = _pack_reference(scenario.association, 4, masks)
-            packed_channels, packed = ChannelTotals(gains, scenario)._pack(keys)
-            assert packed_channels.tolist() == channels
-            assert np.array_equal(packed, expected)
+            memo = ChannelTotals(gains, scenario)
+            for share in rng.random(12):
+                # a share of the users on subchannel 0, the others spread out
+                channel_of = np.where(rng.random(num_users) < share, 0, rng.integers(0, 10, num_users))
+                grouping = Grouping(channel_of, scenario.association)
+                channels = rng.integers(0, 10, 40)
+                leavers, joiners = [], []
+                for h in channels:
+                    on, off = np.flatnonzero(channel_of == h), np.flatnonzero(channel_of != h)
+                    leavers.append(int(rng.choice(on)) if on.size and rng.random() < 0.7 else -1)
+                    joiners.append(int(rng.choice(off)) if off.size and rng.random() < 0.7 else -1)
+                leavers, joiners = np.array(leavers), np.array(joiners)
+                members = memo._members(grouping, channels, leavers, joiners)
+                _assert_members_match_their_keys(memo, grouping, channels, leavers, joiners, members)
 
     def test_empty_memberships_pack_to_width_zero_and_solve_as_scalar(self):
         scenario, gains = make_instance(12, 3, 2, seed=1)
         memo = ChannelTotals(gains, scenario)
-        channels = [0, 1, 2, 1]
-        packed_channels, packed = memo._pack([memo_key(h, 0, 12) for h in channels])
-        assert packed_channels.tolist() == channels
+        # user 0 alone on subchannel 1, everyone else on subchannel 0
+        grouping = Grouping([1] + [0] * 11, scenario.association)
+        channels, leavers, nobody = np.array([2, 1, 2, 1]), np.array([-1, 0, -1, 0]), np.full(4, -1)
+        packed = memo._members(grouping, channels, leavers, nobody)
+        _assert_members_match_their_keys(memo, grouping, channels, leavers, nobody, packed)
         assert packed.shape == (len(channels), 2, 0)
         pow2r = np.exp2(scenario.spectral_rates()).tolist()
         sigma2 = scenario.noise_power_w
-        res = graph_module.solve_channel_batch(gains.gain, packed_channels, packed, pow2r, sigma2)
-        for k, channel in enumerate(channels):
+        res = graph_module.solve_channel_batch(gains.gain, channels, packed, pow2r, sigma2)
+        for k, channel in enumerate(channels.tolist()):
             one = solve_one_channel(gains.as_lists(), channel, [[], []], pow2r, sigma2)
             assert (one.feasible, one.iterations) == (True, 2)
             assert one.powers == [0.0, 0.0]
@@ -895,14 +915,14 @@ class TestEntryKeys:
         grouping = initial_grouping(gains, scenario)
         grouping = grouping.with_moves([(n, 0) for n in scenario.users_of_bs(0)])
         memo = ChannelTotals(gains, scenario)
-        totals = memo.lookup(memo.keys(grouping))
+        totals = memo.lookup(grouping, memo.keys(grouping))
         assert totals[0] == math.inf and min(totals) < math.inf
         lookups = []
         lookup = ChannelTotals.lookup
 
-        def recording_lookup(memo, keys):
+        def recording_lookup(memo, grouping, keys, *moves):
             lookups.append(keys)
-            return lookup(memo, keys)
+            return lookup(memo, grouping, keys, *moves)
 
         monkeypatch.setattr(ChannelTotals, "lookup", recording_lookup)
         high_bit = False

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -255,6 +255,78 @@ class TestSolveChannelPowers:
         b = [-1.0, -1.0]
         solve_coupling(a, b)
         assert a == [[-1.0, 0.5], [0.5, -1.0]] and b == [-1.0, -1.0]
+
+
+# Spectral radii the coupling draws are scaled to, on both sides of 1.
+_RHO_TARGETS = (0.0, 0.01, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.001, 1.1, 3.0, 1e3)
+
+
+@st.composite
+def _coupling_draws(draw):
+    """1-8 systems (C, c) of one size M = 1-6: C >= 0 and c > 0.
+
+    The entries span 12 decades, some of C's are exactly 0, and C is
+    scaled to a drawn spectral radius, so both verdicts occur.
+    """
+    size = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 8))
+    zero_share = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    systems = []
+    for _ in range(count):
+        coupling = 10.0 ** rng.uniform(-12.0, 0.0, (size, size))
+        coupling[rng.random((size, size)) < zero_share] = 0.0
+        rho = max(abs(np.linalg.eigvals(coupling)))
+        if rho > 0.0:
+            coupling *= rng.choice(_RHO_TARGETS) / rho
+        systems.append((coupling, 10.0 ** rng.uniform(-12.0, 0.0, size)))
+    return systems
+
+
+def _refined_solve(matrix, rhs):
+    """numpy.linalg.solve plus one refinement step on a long double residual.
+
+    numpy's pivoting LU alone is accurate in norm only: on entries over 12
+    decades its smallest components can be off by 1e-8 relative.
+    """
+    x = np.linalg.solve(matrix, rhs)
+    residual = rhs.astype(np.longdouble) - matrix.astype(np.longdouble) @ x
+    return x + np.linalg.solve(matrix, residual.astype(float))
+
+
+class TestCouplingVerdict:
+    """The pivot-free elimination's verdict against an eigenvalue oracle.
+
+    I - C is a Z-matrix, a nonsingular M-matrix exactly when rho(C) < 1,
+    and then (I - C)P = c has the unique solution P >= 0. So solve_coupling
+    must return None exactly when rho(C) >= 1, and otherwise numpy's
+    solution; the batch path must give its bits.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_coupling_draws())
+    def test_none_exactly_when_the_spectral_radius_reaches_one(self, systems):
+        # too close to 1 for eigvals to tell
+        systems = [(c, v) for c, v in systems if abs(max(abs(np.linalg.eigvals(c))) - 1.0) >= 1e-9]
+        assume(systems)
+        size = systems[0][1].size
+        aug = np.zeros((size, size + 1, len(systems)))
+        results = []
+        for k, (coupling, noise) in enumerate(systems):
+            a = coupling - np.eye(size)
+            aug[:, :size, k], aug[:, size, k] = a, -noise
+            x = solve_coupling(a.tolist(), (-noise).tolist())
+            assert (x is None) == (max(abs(np.linalg.eigvals(coupling))) >= 1.0)
+            if x is not None:
+                assert min(x) >= 0.0
+                assert_close(x, _refined_solve(-a, noise), rel=1e-9, floor=0.0)
+            results.append(x)
+        with np.errstate(all="ignore"):
+            powers, ok = power._solve_coupling_batch(aug)
+        assert ok.tolist() == [x is not None for x in results]
+        for k, x in enumerate(results):
+            if x is not None:
+                assert [v.hex() for v in powers[:, k].tolist()] == [v.hex() for v in x]
 
 
 class TestSolveAllPowers:

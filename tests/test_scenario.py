@@ -60,6 +60,18 @@ class TestNoisePower:
         with pytest.raises(ValueError):
             noise_power_w(0.0, -174.0)
 
+    @pytest.mark.parametrize("psd", [-4000.0, -3300.0])
+    def test_psd_whose_noise_power_underflows_rejected_at_set_up(self, psd):
+        # sigma^2 was 0.0, and solve_all_powers raised ZeroDivisionError
+        with pytest.raises(ValueError, match="underflows to 0.0 W"):
+            noise_power_w(200e3, psd)
+        config = default_config(num_users=12, num_channels=3, num_bs=2, seed=1)
+        config.noise_psd_dbm_per_hz = psd
+        with pytest.raises(ValueError, match="underflows"):
+            generate_scenario(config, seed=1)
+        # the lowest PSDs with a denormal sigma^2 still pass
+        assert 0.0 < noise_power_w(200e3, -3200.0) < 1e-300
+
 
 class TestGenerateScenario:
     def test_deterministic(self):
