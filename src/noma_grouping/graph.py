@@ -213,11 +213,12 @@ class ChannelTotals:
         at a time; both give the same bits.
         """
         totals = self.totals
-        missing = [e for e, key in enumerate(keys) if key not in totals]
+        found = list(map(totals.get, keys))
+        missing = [e for e, total in enumerate(found) if total is None]
         misses = dict(zip(map(keys.__getitem__, missing), missing))  # one entry per distinct key
         self.hits += len(keys) - len(misses)
         if not misses:
-            return [totals[key] for key in keys]
+            return found
         at = np.fromiter(misses.values(), dtype=np.intp, count=len(misses))
         if channels is None:
             channels, leavers = at, np.full(at.size, -1)
@@ -228,8 +229,10 @@ class ChannelTotals:
         sigma2 = self.scenario.noise_power_w
         if len(misses) >= BATCH_MIN_MISSES:
             res = solve_channel_batch(self.gains.gain, channels, members, self._pow2r, sigma2)
-            for key, powers, feasible in zip(misses, res.powers.tolist(), res.feasible.tolist()):
-                totals[key] = math.fsum(powers) if feasible else math.inf
+            powers = res.powers.tolist()
+            for k in np.flatnonzero(~res.feasible).tolist():
+                powers[k] = [math.inf]
+            totals.update(zip(misses, map(math.fsum, powers)))
             self.batch_solves += len(misses)
             self.batch_passes += int(res.iterations.max())
         else:
@@ -237,7 +240,9 @@ class ChannelTotals:
                 members_by_bs = [[n for n in row if n >= 0] for row in rows]
                 res = solve_one_channel(self.gains.as_lists(), h, members_by_bs, self._pow2r, sigma2)
                 totals[key] = math.fsum(res.powers) if res.feasible else math.inf
-        return [totals[key] for key in keys]
+        for e in missing:
+            found[e] = totals[keys[e]]
+        return found
 
     def _members(self, grouping: Grouping, channels, leavers, joiners) -> np.ndarray:
         """solve_channel_batch's members of the entries (channels[e], leavers[e], joiners[e]).

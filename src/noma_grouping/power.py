@@ -447,9 +447,10 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
             orders = np.argsort(s, axis=1, kind="stable")  # ties: the lower slot, so the lower id
             if solved is not None:
                 done = (orders == solved).all(axis=(0, 1)) & ~failed
-                iterations[act[done]] = it
-                feasible[act[done]] = True
-                powers[:, act[done]] = p_cur[:, done]
+                confirmed = act[done]
+                iterations[confirmed] = it
+                feasible[confirmed] = True
+                powers[:, confirmed] = p_cur[:, done]
                 keep = ~(done | failed)  # the one compaction of the pass
                 act, orders, p_cur = act[keep], orders[..., keep], p_cur[:, keep]
                 gg, own, ratio, f = gg[..., keep], own[..., keep], ratio[..., keep], f[..., keep]
@@ -458,8 +459,9 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
             p_new, ok = _solve_coupling_batch(_assemble_coupling_batch(gg, ratio, f, orders, sigma2))
             failed = ~ok
             if failed.any():
-                iterations[act[failed]] = it
-                powers[:, act[failed]] = p_cur[:, failed]
+                refuted = act[failed]
+                iterations[refuted] = it
+                powers[:, refuted] = p_cur[:, failed]
                 if failed.all():
                     break
             p_cur, solved = p_new, orders
@@ -502,22 +504,21 @@ def _solve_coupling_batch(aug):
     system whose pivot fails is eliminated to the end like the others,
     on values that no longer matter.
     """
-    n, _n1, num_sys = aug.shape
-    ok = np.ones(num_sys, dtype=bool)
-    for k in range(n):
-        ok &= aug[k, k] < 0.0
-        if k == n - 1:
-            break
+    n = aug.shape[0]
+    for k in range(n - 1):
         fac = aug[k + 1 :, k] / aug[k, k]
         sub = aug[k + 1 :, k + 1 :]
-        aug[k + 1 :, k + 1 :] = np.where((fac != 0.0)[:, None], sub - fac[:, None] * aug[k, None, k + 1 :], sub)
+        np.subtract(sub, fac[:, None] * aug[k, None, k + 1 :], out=sub, where=(fac != 0.0)[:, None])
+    # Elimination leaves pivot k at aug[k, k]; the scalar path tests each at its step.
+    diag = np.arange(n)
+    ok = (aug[diag, diag] < 0.0).all(axis=0)
     x = aug[:, n]
     for i in range(n - 1, -1, -1):
         acc = x[i]
         for j in range(i + 1, n):
             acc = acc - aug[i, j] * x[j]
         x[i] = acc / aug[i, i]
-    ok &= np.isfinite(x).all(axis=0) & ~(x < -ABS_FLOOR_W).any(axis=0)
+    ok &= ((x >= -ABS_FLOOR_W) & (x < np.inf)).all(axis=0)  # NaN fails both
     return np.where(x < 0.0, 0.0, x), ok
 
 
