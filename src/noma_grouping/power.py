@@ -40,18 +40,20 @@ and under the CCINR rule takes the CCINR table from each fixed point's
 confirming decode, which is the table ccinr() computes at the converged
 powers, bit for bit.
 
-The kernel has two paths with the same bits. solve_one_channel solves
-one system on nested lists. solve_channel_batch runs the same fixed
-point, under the CCINR rule, on K systems at once as numpy arrays, with
-every sum in the scalar order. It gathers the gains with one flat index,
-gives the pad slots of short rows own gain +inf (so they decode last and
-add exact zeros), takes each user's (2^r - 1)/|H_own|^2 once per call,
-decodes the first pass at zero power without summing interference,
-eliminates on the augmented [a | b], and compacts its arrays once per
-pass. Its numpy calls cost about the same for one system as for
-hundreds, so it is slower than the scalar path below about two dozen
-systems. graph.ChannelTotals.lookup picks the path by its number of
-misses (graph.BATCH_MIN_MISSES); solve_all_powers stays scalar.
+The kernel has two paths with the same bits. Both decode the first pass
+of every fixed point at zero power without summing interference: the
+gains are finite and >= 0, so every I_n there is exactly 0.0.
+solve_one_channel solves one system on nested lists. solve_channel_batch
+runs the same fixed point, under the CCINR rule, on K systems at once as
+numpy arrays, with every sum in the scalar order. It gathers the gains
+with one flat index, gives the pad slots of short rows own gain +inf (so
+they decode last and add exact zeros), takes each user's
+(2^r - 1)/|H_own|^2 once per call, eliminates on the augmented [a | b],
+and compacts its arrays once per pass. Its numpy calls cost about the
+same for one system as for hundreds, so it is slower than the scalar
+path below about two dozen systems. graph.ChannelTotals.lookup picks the
+path by its number of misses (graph.BATCH_MIN_MISSES); solve_all_powers
+stays scalar and builds each output array once.
 """
 
 from __future__ import annotations
@@ -83,15 +85,17 @@ class Grouping:
     """Per-user (BS, subchannel) assignment; the decision variable.
 
     bs_of is copied from the scenario association and never changes; only
-    channel_of is optimized.
+    channel_of is optimized. Both must be 1-D vectors of integer values of
+    equal length, else ValueError: a value that int64 does not hold as it
+    is (0.7, nan, 2**63) is refused, not truncated.
     """
 
     channel_of: np.ndarray
     bs_of: np.ndarray
 
     def __post_init__(self):
-        self.channel_of = np.asarray(self.channel_of, dtype=np.int64)
-        self.bs_of = np.asarray(self.bs_of, dtype=np.int64)
+        self.channel_of = _id_vector(self.channel_of, "channel_of")
+        self.bs_of = _id_vector(self.bs_of, "bs_of")
         if self.channel_of.shape != self.bs_of.shape:
             raise ValueError("channel_of and bs_of must have equal length")
 
@@ -118,6 +122,20 @@ class Grouping:
     def key(self) -> tuple:
         """Hashable snapshot of the assignment (for repeat detection)."""
         return tuple(self.channel_of.tolist())
+
+
+def _id_vector(values, name: str) -> np.ndarray:
+    """values as a 1-D int64 array; ValueError if the conversion changes a value."""
+    ids = np.asarray(values)
+    if ids.dtype != np.int64:
+        with np.errstate(invalid="ignore", over="ignore"):
+            cast = ids.astype(np.int64)
+        if not np.array_equal(cast, ids):
+            raise ValueError(f"{name} must hold integer ids, got {values!r}")
+        ids = cast
+    if ids.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {ids.shape}")
+    return ids
 
 
 @dataclass
@@ -165,7 +183,12 @@ def _member_ccinr(rows, members_by_bs, powers, sigma2: float) -> list[list[tuple
 
     rows[m][n] is BS m's gain to user n on the subchannel and powers[m] its
     group power there; I_n sums the other BSs' gains times their powers.
+    When every power is 0 (the first decode of every fixed point), each
+    I_n is exactly 0.0, since the gains are finite and >= 0, so the sums
+    are skipped with the same bits, as solve_channel_batch does.
     """
+    if not any(powers):
+        return [[(row[n] / sigma2, n, 0.0) for n in mem] for row, mem in zip(rows, members_by_bs)]
     num_bs = len(rows)
     out = []
     for m, mem in enumerate(members_by_bs):
@@ -247,7 +270,7 @@ def _ccinr_orders(groups) -> tuple:
     """Ascending-CCINR orders of _member_ccinr's groups, which it sorts in place."""
     for group in groups:
         group.sort()
-    return tuple(tuple([n for _s, n, _i in group]) for group in groups)
+    return tuple([tuple([n for _s, n, _i in group]) for group in groups])
 
 
 def assemble_coupling(rows, orders, pow2r, sigma2: float) -> tuple[list, list]:
@@ -256,27 +279,29 @@ def assemble_coupling(rows, orders, pow2r, sigma2: float) -> tuple[list, list]:
     Row m accumulates, over BS m's members in decode order, the weight
     w_n = (2^r_n - 1)/|H_own|^2 * prod(earlier 2^r_i); a has -1 on the
     diagonal, the off-diagonal entry (m, m') is sum_n w_n |H_m'|^2, and
-    b_m = -sigma^2 sum_n w_n. pow2r[n] = 2 ** spectral_rate[n]. A member
-    whose own-BS gain is 0 raises ZeroDivisionError.
+    b_m = -sigma^2 sum_n w_n. Each row sums over every BS, its own
+    included, and then sets its diagonal. pow2r[n] = 2 ** spectral_rate[n].
+    A member whose own-BS gain is 0 raises ZeroDivisionError.
     """
     num_bs = len(rows)
-    a = [[0.0] * num_bs for _ in range(num_bs)]
-    b = [0.0] * num_bs
-    for m in range(num_bs):
-        a[m][m] = -1.0
+    bs = range(num_bs)
+    a = []
+    b = []
+    for m in bs:
         row = rows[m]
-        arow = a[m]
+        arow = [0.0] * num_bs
         prod = 1.0
         wsum = 0.0
         for n in orders[m]:
             f = pow2r[n]
             w = (f - 1.0) / row[n] * prod
             wsum += w
-            for mp in range(num_bs):
-                if mp != m:
-                    arow[mp] += w * rows[mp][n]
+            for mp in bs:
+                arow[mp] += w * rows[mp][n]
             prod *= f
-        b[m] = -sigma2 * wsum
+        arow[m] = -1.0
+        a.append(arow)
+        b.append(-sigma2 * wsum)
     return a, b
 
 
@@ -353,26 +378,29 @@ def solve_one_channel(
     the orders those powers were solved for, the system (a function of the
     orders alone) is unchanged, so the powers are exact and are returned
     without solving again; the confirming decode counts as an iteration.
-    Otherwise the new orders are solved. A feasible result also carries
-    the CCINR values at the returned powers (see ChannelSolveResult):
-    under the CCINR rule those of the confirming decode, under the
-    fixed-order rules one decode more. A member whose own-BS gain is 0
-    cannot be powered: the subchannel is infeasible at iteration 1, with
-    zero powers, as in solve_channel_batch.
+    Otherwise the new orders are solved. The first decode, at zero power,
+    skips the interference sums, as solve_channel_batch's does. A
+    feasible result also carries the CCINR values at the returned powers
+    (see ChannelSolveResult): under the CCINR rule those of the
+    confirming decode, under the fixed-order rules one decode more. A
+    member whose own-BS gain is 0 cannot be powered: the subchannel is
+    infeasible at iteration 1, with zero powers, as in
+    solve_channel_batch.
     """
     rows = [gain_lists[m][channel] for m in range(len(members_by_bs))]
     p_cur = [0.0] * len(rows)
     orders = solved_orders = table = None
     iterations = 0
+    by_ccinr = order_rule == CCINR_ORDER
+    if not by_ccinr:
+        orders = decode_orders(rows, members_by_bs, pow2r, sigma2, p_cur, order_rule)
     for iterations in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
         # Only the CCINR orders depend on the powers.
-        if order_rule == CCINR_ORDER:
+        if by_ccinr:
             table = _member_ccinr(rows, members_by_bs, p_cur, sigma2)
             orders = _ccinr_orders(table)
-        elif orders is None:
-            orders = decode_orders(rows, members_by_bs, pow2r, sigma2, p_cur, order_rule)
         if orders == solved_orders:
-            if order_rule != CCINR_ORDER:
+            if not by_ccinr:
                 table = _member_ccinr(rows, members_by_bs, p_cur, sigma2)
             return ChannelSolveResult(p_cur, orders, iterations, True, table)
         try:
@@ -531,9 +559,10 @@ def check_grouping(grouping: Grouping, scenario: Scenario) -> None:
     cfg = scenario.config
     if grouping.num_users != cfg.num_users:
         raise ValueError(f"grouping has {grouping.num_users} users, the scenario {cfg.num_users}")
-    if np.any((grouping.channel_of < 0) | (grouping.channel_of >= cfg.num_channels)):
+    channel_of = grouping.channel_of
+    if channel_of.size and (channel_of.min() < 0 or channel_of.max() >= cfg.num_channels):
         raise ValueError(f"grouping uses a subchannel outside [0, {cfg.num_channels})")
-    if not np.array_equal(grouping.bs_of, scenario.association):
+    if not (grouping.bs_of == scenario.association).all():
         raise ValueError("grouping does not match the scenario association")
 
 
@@ -572,7 +601,7 @@ def solve_all_powers(
     lists = gains.as_lists()
     num_bs, num_ch, num_users = cfg.num_bs, cfg.num_channels, cfg.num_users
 
-    group_power = np.zeros((num_bs, num_ch))
+    columns = []  # group powers per subchannel, transposed once at the end
     s = [0.0] * num_users
     interference = [0.0] * num_users
     orders: dict = {}
@@ -589,18 +618,19 @@ def solve_all_powers(
                 feasible=False,
                 fixed_point_iterations=max_iters,
             )
-        group_power[:, g] = res.powers
+        columns.append(res.powers)
         _scatter_ccinr(res.ccinr, s, interference)
-        for m in range(num_bs):
-            orders[(m, g)] = res.orders[m]
+        for m, order in enumerate(res.orders):
+            orders[(m, g)] = order
 
     p = [0.0] * num_users
     for order in orders.values():
-        for n, p_n in user_powers(order, s, pow2r).items():
-            p[n] = p_n
+        if order:
+            for n, p_n in user_powers(order, s, pow2r).items():
+                p[n] = p_n
     return PowerSolution(
         p=np.array(p),
-        group_power=group_power,
+        group_power=np.array(columns).T.copy(),
         ccinr=CcinrTable(s=np.array(s), interference=np.array(interference)),
         sic_order=orders,
         feasible=True,

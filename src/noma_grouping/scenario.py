@@ -8,6 +8,7 @@ can share one geometry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,16 +132,21 @@ def path_loss_db(distance_m):
 def noise_power_w(bandwidth_hz: float, noise_psd_dbm_per_hz: float) -> float:
     """Thermal noise power sigma^2 = B * N0 in watts.
 
-    ValueError unless it is > 0: every CCINR divides by it, so a PSD so
-    low that sigma^2 underflows to 0 is refused here.
+    ValueError unless it is finite and > 0: every CCINR divides by it, so
+    a PSD so low that sigma^2 underflows to 0, or a PSD and bandwidth so
+    high that it overflows, is refused here.
     """
     if bandwidth_hz <= 0:
         raise ValueError("bandwidth must be > 0")
-    psd_w_per_hz = 10.0 ** ((noise_psd_dbm_per_hz - 30.0) / 10.0)
+    try:
+        psd_w_per_hz = 10.0 ** ((noise_psd_dbm_per_hz - 30.0) / 10.0)
+    except OverflowError:
+        psd_w_per_hz = math.inf
     sigma2 = psd_w_per_hz * bandwidth_hz
-    if not sigma2 > 0.0:
+    if not 0.0 < sigma2 < math.inf:
+        outcome = "underflows to" if sigma2 == 0.0 else "is not finite:"
         raise ValueError(
-            f"noise power of {noise_psd_dbm_per_hz!r} dBm/Hz over {bandwidth_hz!r} Hz underflows to {sigma2!r} W"
+            f"noise power of {noise_psd_dbm_per_hz!r} dBm/Hz over {bandwidth_hz!r} Hz {outcome} {sigma2!r} W"
         )
     return sigma2
 

@@ -85,3 +85,38 @@ def test_gain_needs_ten_pairs():
     ops = bench_pairs.summarize(runs, END_TO_END)["metrics"]["ops_per_s"]
     assert (ops["wins"], ops["pairs"]) == (9, 9)
     assert not ops["gain_holds"]
+
+
+def test_bound_is_a_share_of_the_parent_median():
+    parent = [100.0 + i for i in range(10)]  # median 104.5, quartiles 102.25-106.75
+    for change, within in ((90.0, True), (79.0, True), (78.0, False), (70.0, False)):
+        # 25% of 104.5 is 26.125: 78.375 is the lowest median within the bound
+        runs = {"parent": [_run(v, 0.2) for v in parent], "change": [_run(change, 0.2) for _ in parent]}
+        ops = bench_pairs.summarize(runs, END_TO_END)["metrics"]["ops_per_s"]
+        assert (ops["bound"], ops["within_bound"]) == (0.25, within), change
+
+
+def test_bound_lower_is_better():
+    runs = {
+        "parent": [_run(100.0, 0.200) for _ in range(10)],
+        "change": [_run(100.0, 0.240) for _ in range(10)],
+    }
+    assert bench_pairs.summarize(runs, END_TO_END)["metrics"]["setup_s"]["within_bound"] is True
+    runs["change"] = [_run(100.0, 0.260) for _ in range(10)]
+    report = bench_pairs.summarize(runs, END_TO_END)
+    assert report["metrics"]["setup_s"]["within_bound"] is False
+    assert "within bound 0.25: no" in bench_pairs.format_report(report)
+    assert report["metrics"]["ops_per_s"]["within_bound"] is True
+
+
+def test_bound_unresolved_when_the_parent_spreads_wider():
+    parent = [50.0, 150.0] * 5  # quartiles 50-150 around a median of 100: spread 1.0 > 0.25
+    for change, within in ((100.0, None), (60.0, None), (151.0, True)):
+        runs = {"parent": [_run(v, 0.2) for v in parent], "change": [_run(change, 0.2) for _ in parent]}
+        report = bench_pairs.summarize(runs, END_TO_END)
+        assert report["metrics"]["ops_per_s"]["within_bound"] is within, change
+    # 151 beats every parent run, so the bound holds however wide the spread
+    runs["change"][0] = _run(149.0, 0.2)
+    report = bench_pairs.summarize(runs, END_TO_END)
+    assert report["metrics"]["ops_per_s"]["within_bound"] is None
+    assert "within bound 0.25: unresolved" in bench_pairs.format_report(report)

@@ -22,7 +22,10 @@ from noma_grouping import (
     achieved_rates,
     ccinr,
     decode_orders,
+    default_config,
+    draw_channel_gains,
     gale_shapley_grouping,
+    generate_scenario,
     initial_grouping,
     sccd_grouping,
     solve_all_powers,
@@ -869,3 +872,81 @@ class TestKernelContract:
     @given(_kernel_inputs())
     def test_paths_agree_on_random_systems(self, inputs):
         _assert_batch_matches_scalar(*inputs)
+
+
+class TestGroupingIds:
+    @pytest.mark.parametrize(
+        "channel_of, bs_of",
+        [
+            ([0.7, 1.9], [0, 0]),  # used to become channels [0, 1]
+            ([0, 1], [0.0, 0.5]),
+            ([np.nan, 0], [0, 0]),
+            ([1e30, 0], [0, 0]),
+            (np.array([2**63, 0], dtype=np.uint64), [0, 0]),
+            ([[0, 1]], [[0, 0]]),  # used to be accepted with num_users 1
+            ([0, 1], [[0], [0]]),
+            (0, 0),
+        ],
+        ids=["fractional-channels", "fractional-bs", "nan", "huge-float", "beyond-int64", "2-d", "2-d-bs", "scalars"],
+    )
+    def test_rejects_what_is_not_a_vector_of_integer_ids(self, channel_of, bs_of):
+        with pytest.raises(ValueError, match="integer ids|1-D vector"):
+            Grouping(channel_of=channel_of, bs_of=bs_of)
+
+    def test_integer_values_of_any_dtype_convert(self):
+        grouping = Grouping(channel_of=[2.0, -0.0, 1.0], bs_of=np.array([1, 0, 1], dtype=np.int32))
+        assert grouping.channel_of.dtype == grouping.bs_of.dtype == np.int64
+        assert grouping.channel_of.tolist() == [2, 0, 1]
+        empty = Grouping(channel_of=[], bs_of=[])
+        assert empty.num_users == 0 and empty.channel_of.dtype == np.int64
+        ids = np.array([1, 0], dtype=np.int64)
+        assert Grouping(channel_of=ids, bs_of=ids).channel_of is ids  # no copy
+
+
+class TestSolveAllPowersOutputs:
+    def test_no_users_on_three_subchannels(self):
+        config = default_config(num_users=0, num_channels=3, num_bs=2, seed=1)
+        scenario = generate_scenario(config, 1)
+        gains = draw_channel_gains(scenario, 1)
+        solution = solve_all_powers(gains, initial_grouping(gains, scenario), scenario)
+        assert solution.feasible
+        assert solution.p.shape == (0,)
+        gp = solution.group_power
+        assert gp.shape == (2, 3) and gp.flags["C_CONTIGUOUS"]
+        assert gp.tolist() == [[0.0] * 3] * 2 and not np.signbit(gp).any()
+        assert list(solution.sic_order.items()) == [((m, g), ()) for g in range(3) for m in range(2)]
+        assert solution.fixed_point_iterations == 2
+
+    def test_group_power_is_bs_by_subchannel_in_c_order(self):
+        # a pinned power-solve case that both the package and the
+        # fixed-point oracle call feasible (bench/seeds.json power_reference)
+        scenario, gains = make_instance(50, 10, 4, 90000)
+        grouping = gale_shapley_grouping(gains, scenario)
+        solution = solve_all_powers(gains, grouping, scenario)
+        assert solution.feasible
+        gp = solution.group_power
+        assert gp.shape == (4, 10) and gp.dtype == np.float64 and gp.flags["C_CONTIGUOUS"]
+        p = solution.p
+        for (m, g), order in solution.sic_order.items():
+            assert_close(gp[m, g], sum(p[n] for n in order), rel=1e-9)
+
+    def test_zero_power_decode_has_the_bits_of_the_interference_sums(self):
+        rng = np.random.default_rng(5)
+        rows = (10.0 ** rng.uniform(-14.0, -4.0, (3, 9))).tolist()
+        rows[1][4] = 0.0
+        members = [[0, 4, 7], [1, 2], [3, 5, 6, 8]]
+        sigma2 = 7.962143411069939e-16
+        for powers in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
+            expected = []
+            for m, mem in enumerate(members):
+                group = []
+                for n in mem:
+                    i_n = 0.0
+                    for mp in range(3):
+                        if mp != m:
+                            i_n += rows[mp][n] * powers[mp]
+                    group.append((rows[m][n] / (i_n + sigma2), n, i_n))
+                expected.append(group)
+            got = power._member_ccinr(rows, members, powers, sigma2)
+            assert repr(got) == repr(expected)
+            assert all(math.copysign(1.0, i_n) == 1.0 for group in got for _s, _n, i_n in group)

@@ -72,6 +72,25 @@ class TestNoisePower:
         # the lowest PSDs with a denormal sigma^2 still pass
         assert 0.0 < noise_power_w(200e3, -3200.0) < 1e-300
 
+    @pytest.mark.parametrize(
+        "bandwidth_hz, psd",
+        [(200e3, 3100.0), (200e3, 3200.0), (200e3, 4000.0), (1e300, 2800.0)],
+    )
+    def test_noise_power_that_overflows_rejected_at_set_up(self, bandwidth_hz, psd):
+        # 3,100 dBm/Hz and B = 1e300 Hz gave sigma^2 = inf; 3,200 and
+        # 4,000 dBm/Hz raised OverflowError from the power of ten
+        with pytest.raises(ValueError, match="is not finite: inf W"):
+            noise_power_w(bandwidth_hz, psd)
+        config = default_config(num_users=12, num_channels=3, num_bs=2, seed=1)
+        config.bandwidth_hz = bandwidth_hz
+        config.noise_psd_dbm_per_hz = psd
+        with pytest.raises(ValueError, match="is not finite"):
+            generate_scenario(config, seed=1)
+
+    def test_highest_finite_noise_power_still_passes(self):
+        assert noise_power_w(200e3, 3000.0) == pytest.approx(2e302, rel=1e-9)
+        assert noise_power_w(1e300, 100.0) == pytest.approx(1e307, rel=1e-9)
+
 
 class TestGenerateScenario:
     def test_deterministic(self):

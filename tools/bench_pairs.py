@@ -16,8 +16,13 @@ For every end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the pairs the change wins (ties count for neither side) and
 whether a gain holds: there are at least ten pairs, the change wins at
 least nine tenths of them, and its median is better than the parent's by more than the distance
-between the parent's quartiles. It also prints each side's `correct`
-verdicts and failed share of the attempted operations.
+between the parent's quartiles. It also prints whether the metric stays
+within its bound, a share of the parent's median (bench/README.md): "no"
+when the change's median is worse than the parent's by more than that
+share, and "unresolved" when the parent's quartiles are further apart
+than that share, unless every change run reads better than every parent
+run. Last come each side's `correct` verdicts and failed share of the
+attempted operations.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+BOUND_WORDS = {True: "yes", False: "no", None: "unresolved"}
 
 
 def export(rev: str, dest: Path) -> None:
@@ -66,7 +72,8 @@ def summarize(runs: dict, end_to_end: list) -> dict:
     runs maps "parent" and "change" to equally long lists of bench/run.py
     results, pair i at index i; end_to_end is BENCHMARK.json's list of
     {"name", "better", ...}. Returns {"metrics": {name: {...}}, "sides":
-    {side: {"correct", "failed_share"}}}.
+    {side: {"correct", "failed_share"}}}. A metric's "within_bound" is
+    True, False, or None when unresolved.
     """
     pairs = len(runs["parent"])
     metrics = {}
@@ -78,6 +85,13 @@ def summarize(runs: dict, end_to_end: list) -> dict:
         wins = sum(sign * (c - p) > 0.0 for p, c in zip(values["parent"], values["change"]))
         q1, median, q3 = stats["parent"]
         gain = sign * (stats["change"][1] - median)
+        allowed = spec["bound"] * abs(median)
+        if min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"]):
+            within_bound = True  # every change run is better than every parent run
+        elif q3 - q1 > allowed:
+            within_bound = None  # the parent's own runs spread wider than the bound
+        else:
+            within_bound = gain >= -allowed
         metrics[name] = {
             "better": spec["better"],
             "parent": stats["parent"],
@@ -85,6 +99,8 @@ def summarize(runs: dict, end_to_end: list) -> dict:
             "wins": wins,
             "pairs": pairs,
             "gain_holds": pairs >= PAIRS and wins >= 0.9 * pairs and gain > q3 - q1,
+            "bound": spec["bound"],
+            "within_bound": within_bound,
         }
     sides = {}
     for side in SIDES:
@@ -106,6 +122,7 @@ def format_report(report: dict) -> str:
                 for side in SIDES
             )
             + f"  change wins {m['wins']}/{m['pairs']}  gain holds: {'yes' if m['gain_holds'] else 'no'}"
+            + f"  within bound {m['bound']:g}: {BOUND_WORDS[m['within_bound']]}"
         )
     for side, s in report["sides"].items():
         lines.append(f"{side}: correct={s['correct']} failed_share={s['failed_share']:.4f}")
