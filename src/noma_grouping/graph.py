@@ -12,11 +12,12 @@ Two detectors are provided, each proposing at most one cycle: an exact,
 budget-bounded extension of Bellman-Ford over group-disjoint paths, and a
 fast greedy search seeded from the most negative edges that keeps the
 most negative closure it meets. The exact one starts at path length 2,
-whose paths are the edges themselves, and runs each longer length as one
-array sweep over the (subset, start) rows of the last that hold a finite
-distance; its relaxation budget stops a level after a prefix of its
-(state, group) pairs, in a fixed order, so an exhausted search is
-deterministic.
+whose paths are the edges themselves, so its 2-cycle closures are read
+off one w + w.T; it runs each longer length as one array sweep over the
+(subset, start) rows of the last that hold a finite distance, sorted by
+that key, and reads a level's states off those sorted rows. Its
+relaxation budget stops a level after a prefix of its (state, group)
+pairs, in a fixed order, so an exhausted search is deterministic.
 
 A weight is a difference of two subchannel totals, each a function of
 that subchannel's membership alone. A game keeps them in one
@@ -382,9 +383,9 @@ def _relaxed_prefix(subs: np.ndarray, units: np.ndarray, used: int, budget: int)
     num_groups = units.size
     pair_units = np.where((subs[:, None] >> np.arange(num_groups)) & 1 == 0, units, 0)
     spent = used + np.cumsum(pair_units)
-    over = np.flatnonzero(spent > budget)
-    exhausted = over.size > 0
-    last = int(over[0]) if exhausted else spent.size - 1
+    over = int(spent.searchsorted(budget, side="right"))  # the first count above budget; spent never decreases
+    exhausted = over < spent.size
+    last = min(over, spent.size - 1)
     relaxed = pair_units.ravel() > 0
     relaxed[last + 1:] = False
     return relaxed.reshape(pair_units.shape)[: last // num_groups + 1], int(spent[last]), exhausted
@@ -398,7 +399,8 @@ def _sweep(dist: np.ndarray, mids: np.ndarray, w: np.ndarray):
     under a strict <, so the first minimizing mid is the parent (-1 where
     no path is finite).
     """
-    src = np.take_along_axis(dist, mids, axis=1)
+    v = dist.shape[1]
+    src = dist.ravel()[np.arange(0, dist.size, v)[:, None] + mids]
     best = np.full(dist.shape, np.inf)
     arg = np.full(dist.shape, -1, dtype=np.int16)
     cand = np.empty_like(best)
@@ -426,10 +428,14 @@ def find_negative_loop_eba(graph: LeagueGraph):
     hold a finite distance: dist[row, end] is the least weight of a path
     from start to end through one node of each group in the subset, and
     parent[row, end] the node before end, whose row is the subset without
-    end's group. The search starts at level 2, whose path start -> k is
-    the edge itself (parent start, start < k). Each later level is one
-    sweep over the rows of the last: step j takes every row's j-th node of
-    its own groups as mid, in ascending order, and keeps the least
+    end's group. The rows are sorted by subset, so the level's states,
+    its distinct subsets, are read where the subset changes. The search
+    starts at level 2, whose path start -> k is the edge itself (parent
+    start, start < k), so its closures w[start, k] + w[k, start] are read
+    off one w + w.T masked to the level's relaxed pairs; its cells are
+    gathered only when none improves. Each later level is one sweep over
+    the rows of the last: step j takes every row's j-th node of its own
+    groups as mid, in ascending order, and keeps the least
     dist[row, mid] + w[mid, k] under a strict < (the first minimizing mid
     is the parent), for k above start and outside the subset. A level's
     closures back to the start are scanned before its table is built.
@@ -473,28 +479,40 @@ def find_negative_loop_eba(graph: LeagueGraph):
     # only seeds level 2, so it has no dist or table.
     row_start = np.argsort(groups, kind="stable")
     row_sub = bits[row_start]
+    flat_w = w.ravel()
     dist = None
     used = 0
     for _level in range(2, num_groups + 1):
-        subs, state = np.unique(row_sub, return_inverse=True)
+        # The rows are sorted by subset, so a state starts where the subset changes.
+        first = np.concatenate(([True], row_sub[1:] != row_sub[:-1]))
+        subs, state = row_sub[first], np.cumsum(first) - 1
         relaxed, used, exhausted = _relaxed_prefix(subs, units, used, budget)
         graph.eba_relaxations = used
         rows = int(np.searchsorted(state, len(relaxed)))  # the rows of states with a relaxed pair
         starts = row_start[:rows]
+        pairs = relaxed[:, groups][state[:rows]] & above[starts]
         if dist is None:  # level 2: the path start -> k is the edge itself
-            best = w[starts]
-            arg = np.broadcast_to(starts[:, None], best.shape)
+            # The least closure start -> k -> start, first in (subset, start, k) order on ties.
+            closure = np.where(pairs, (w + w.T)[starts], np.inf)
+            delta = float(closure.min())
+            if is_improvement(delta):
+                r, k = np.nonzero(closure == delta)
+                at = np.lexsort((k, starts[r], row_sub[r] | bits[k]))[0]
+                return _make_league(graph, [int(starts[r[at]]), int(k[at])], delta)
+            best, arg = w[starts], None
         else:
             outside = (subs[: len(relaxed), None] >> groups) & 1 == 0
             width = v - int(outside.sum(axis=1).min())
             own = np.argsort(outside, axis=1, kind="stable")[:, :width]
             best, arg = _sweep(dist[:rows], own[state[:rows]], w)
-        r, k = np.nonzero(np.isfinite(best) & above[starts] & relaxed[state[:rows]][:, groups])
-        sub, start, value, parent = row_sub[r] | bits[k], starts[r], best[r, k], arg[r, k]
+        cells = np.flatnonzero(pairs & np.isfinite(best))
+        r, k = np.divmod(cells, v)
+        sub, start, value = row_sub[r] | bits[k], starts[r], best.ravel()[cells]
+        parent = start if arg is None else arg.ravel()[cells]  # level 2's parents are the starts
 
         # The least closure back to the start, first in (subset, start, end) order on ties.
-        if value.size:
-            closure = value + w[k, start]
+        if arg is not None and value.size:
+            closure = value + flat_w[k * v + start]
             delta = float(closure.min())
             if is_improvement(delta):
                 ties = np.flatnonzero(closure == delta)
@@ -509,9 +527,10 @@ def find_negative_loop_eba(graph: LeagueGraph):
         keys, row = np.unique(sub * v + start, return_inverse=True)
         row_sub, row_start = np.divmod(keys, v)
         dist = np.full((keys.size, v), np.inf)
-        dist[row, k] = value
         parents = np.full(dist.shape, -1, dtype=np.int16)
-        parents[row, k] = parent
+        flat = row * v + k
+        dist.ravel()[flat] = value
+        parents.ravel()[flat] = parent
         tables.append((keys, parents))
     return None
 

@@ -111,9 +111,15 @@ class Grouping:
         return out
 
     def with_moves(self, moves) -> "Grouping":
-        """New grouping with each (user, channel) move applied; ValueError for a user outside [0, N)."""
+        """New grouping with each (user, channel) move applied.
+
+        ValueError for a user or channel that int64 does not hold as it is
+        (as in Grouping) and for a user outside [0, N); the channel's range
+        is check_grouping's.
+        """
         ch = self.channel_of.copy()
-        for n, g in moves:
+        for move in moves:
+            n, g = _id_vector(move, "a move")
             if not 0 <= n < ch.size:
                 raise ValueError(f"user {n} is outside [0, {ch.size})")
             ch[n] = g

@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py's report on fixed numbers, with no benchmark run."""
+"""tools/bench_pairs.py's command line, and its report on fixed numbers, with no benchmark run."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -120,3 +122,15 @@ def test_bound_unresolved_when_the_parent_spreads_wider():
     report = bench_pairs.summarize(runs, END_TO_END)
     assert report["metrics"]["ops_per_s"]["within_bound"] is None
     assert "within bound 0.25: unresolved" in bench_pairs.format_report(report)
+
+
+def test_workload_may_be_given_more_than_once():
+    args = bench_pairs.parse_args(["abc", "HEAD", "--workload", "game-eba", "--workload", "game-fga", "--seed", "7000"])
+    assert (args.parent, args.change, args.workload, args.seed) == ("abc", "HEAD", ["game-eba", "game-fga"], 7000)
+    assert bench_pairs.parse_args(["abc", "HEAD", "--workload", "power-solve"]).workload == ["power-solve"]
+    assert bench_pairs.parse_args(["abc", "HEAD", "--workload", "power-solve"]).seed == 0
+
+
+def test_workload_is_required():
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["abc", "HEAD"])

@@ -509,6 +509,25 @@ class TestEbaMatchesReference:
         found = [f for f, _used in outcomes]
         assert found.count("exhausted") > 100 and None in found and any(isinstance(f, tuple) for f in found)
 
+    @pytest.mark.parametrize("planted", [(0, 1), (8, 9)], ids=["relaxed-two-cycle", "cut-two-cycle"])
+    def test_level_two_cut_by_the_default_budget(self, planted):
+        # 60 nodes in 10 groups cost V^3 (G - 1) = 1.94e6 units at level 2,
+        # so EBA_DEFAULT_BUDGET stops inside it. The negative 2-cycle
+        # between groups 0 and 1 is among the relaxed pairs; the one between
+        # groups 8 and 9 is not.
+        rng = np.random.default_rng(84)
+        groups = rng.integers(0, 10, 60)
+        assert np.unique(groups).size == 10
+        weights = rng.uniform(0.5, 2.0, (60, 60))
+        a, b = (int(np.flatnonzero(groups == g)[0]) for g in planted)
+        weights[a, b], weights[b, a] = -2.0, 1.0
+        found, used = _assert_eba_matches_reference(_fake_graph(weights, groups.tolist()))
+        assert graph_module.EBA_DEFAULT_BUDGET < used < 60 ** 3 * 9
+        if planted == (0, 1):
+            assert found == (sorted([a, b]), tuple(groups[sorted([a, b])].tolist()), (-1.0).hex())
+        else:
+            assert found == "exhausted"
+
 
 class TestEbaBudget:
     def test_deep_cycle_needs_the_budget(self, monkeypatch):

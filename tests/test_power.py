@@ -902,6 +902,18 @@ class TestGroupingIds:
         ids = np.array([1, 0], dtype=np.int64)
         assert Grouping(channel_of=ids, bs_of=ids).channel_of is ids  # no copy
 
+    @pytest.mark.parametrize(
+        "move",
+        [(0, 2.5), (0.5, 1), (0, np.nan), (np.nan, 1), (0, 1e30), (1e30, 1)],
+        ids=["fractional-channel", "fractional-user", "nan-channel", "nan-user", "huge-channel", "huge-user"],
+    )
+    def test_move_that_is_not_an_integer_id_rejected(self, move):
+        grouping = Grouping(channel_of=[0, 1, 2], bs_of=[0, 0, 1])
+        with pytest.raises(ValueError, match="integer ids"):
+            grouping.with_moves([move])  # (0, 2.5) used to give channels [2, 1, 2]
+        moved = grouping.with_moves([(0, 2.0), (np.int32(1), 99)])
+        assert moved.channel_of.tolist() == [2, 99, 2]  # the channel's range is check_grouping's
+
 
 class TestSolveAllPowersOutputs:
     def test_no_users_on_three_subchannels(self):

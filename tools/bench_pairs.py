@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of two git revisions, with the gain rule applied.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--seed S]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...] [--seed S]
 
 PARENT and CHANGE are git revisions of the repository holding this script
 (`git stash create` names an uncommitted working tree). Each is exported
 with `git archive | tar -x` into its own temporary directory, so neither
 side reuses a __pycache__ that the other or an earlier run left behind;
-the exports are removed on exit. Pair i of ten runs
+the exports are removed on exit. The workloads run one after the other,
+in the order given, each with its own report. Pair i of ten runs
 `bench/run.py --workload W --seed S+i --trace 0` in both exports, at the
 benchmark's own run length, the parent first in even pairs and the
 change first in odd ones.
 
-For every end-to-end metric of BENCHMARK.json it prints each side's median
+For every end-to-end metric of BENCHMARK.json each report prints each side's median
 and quartiles, the pairs the change wins (ties count for neither side) and
 whether a gain holds: there are at least ten pairs, the change wins at
 least nine tenths of them, and its median is better than the parent's by more than the distance
@@ -129,32 +130,40 @@ def format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line; --workload may be given more than once."""
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="repeat to run several workloads")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
+
+def run_pairs(trees: dict, workload: str, first_seed: int) -> dict:
+    """PAIRS alternating pairs of runs of one workload; {side: [result, ...]}."""
     runs = {side: [] for side in SIDES}
+    for i in range(PAIRS):
+        seed = first_seed + i
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_bench(trees[side], workload, seed))
+        values = "  ".join(f"{side} {runs[side][-1]['metrics']['ops_per_s']['value']:.6g}" for side in SIDES)
+        print(f"{workload} pair {i} seed {seed}: ops_per_s {values}", file=sys.stderr, flush=True)
+    return runs
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side, rev in zip(SIDES, (args.parent, args.change)):
             export(rev, trees[side])
         end_to_end = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
-        for i in range(PAIRS):
-            seed = args.seed + i
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                runs[side].append(run_bench(trees[side], args.workload, seed))
-            values = "  ".join(
-                f"{side} {runs[side][-1]['metrics']['ops_per_s']['value']:.6g}" for side in SIDES
-            )
-            print(f"pair {i} seed {seed}: ops_per_s {values}", file=sys.stderr, flush=True)
-    print(f"workload {args.workload}: {PAIRS} pairs from seed {args.seed}")
-    print(format_report(summarize(runs, end_to_end)))
+        for workload in args.workload:
+            runs = run_pairs(trees, workload, args.seed)
+            print(f"workload {workload}: {PAIRS} pairs from seed {args.seed}")
+            print(format_report(summarize(runs, end_to_end)), flush=True)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
