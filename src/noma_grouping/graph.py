@@ -383,7 +383,7 @@ def _relaxed_prefix(subs: np.ndarray, units: np.ndarray, used: int, budget: int)
     num_groups = units.size
     pair_units = np.where((subs[:, None] >> np.arange(num_groups)) & 1 == 0, units, 0)
     spent = used + np.cumsum(pair_units)
-    over = int(spent.searchsorted(budget, side="right"))  # the first count above budget; spent never decreases
+    over = int(spent.searchsorted(budget, side="right"))  # spent never decreases
     exhausted = over < spent.size
     last = min(over, spent.size - 1)
     relaxed = pair_units.ravel() > 0
