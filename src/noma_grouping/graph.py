@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .power import ABS_FLOOR_W, Grouping, check_gains, check_grouping, solve_channel_batch, solve_one_channel
+from .power import Grouping, check_gains, check_grouping, solve_channel_batch, solve_one_channel
 from .scenario import ChannelGains, Scenario
 
 EBA_DEFAULT_BUDGET = 10 ** 6
@@ -62,7 +62,7 @@ BATCH_MIN_MISSES = 24
 
 # A league is "improving" only below this; keeps the finders, the game's
 # acceptance guard and the enumeration oracle in exact agreement.
-NEG_DELTA_FLOOR_W = ABS_FLOOR_W
+NEG_DELTA_FLOOR_W = 1e-18
 
 
 def is_improvement(delta_w: float) -> bool:

@@ -28,10 +28,15 @@ nonsingular M-matrix, that is, when rho(C) < 1, and then its inverse is
 Sciences, SIAM 1994, ch. 6). When rho(C) >= 1, no powers >= 0 meet the
 targets under those orders. So the solve eliminates without pivoting,
 and a pivot of a that is not < 0 is the orders' infeasibility verdict.
+The right side b = -sigma^2 * (weight sums) is <= 0. While the pivots
+are < 0, each Schur update adds a term >= 0, so the off-diagonals stay
+>= 0 and b <= 0; back-substitution divides a sum <= 0 by a negative
+pivot, so every power is >= +0.0, and past the pivots only an overflow
+(a non-finite power) refutes a solve.
 
 Every caller runs the same kernel, one function per layer: decode_orders
 (the order rules), assemble_coupling (the linear system), solve_coupling
-(pivot-free elimination and the nonnegativity check) and user_powers
+(pivot-free elimination and the finiteness check) and user_powers
 (the recursion); solve_one_channel iterates the first three, and
 solve_all_powers ends with the fourth. solve_all_powers is one pass over
 a grouping: it sorts the users into (subchannel, BS) groups once
@@ -66,7 +71,6 @@ import numpy as np
 
 from .scenario import ChannelGains, Scenario
 
-ABS_FLOOR_W = 1e-18
 MAX_FIXED_POINT_ITERATIONS = 100
 
 # Decode-order rules. CCINR_ORDER is the power-minimizing rule; the other
@@ -314,13 +318,14 @@ def assemble_coupling(rows, orders, pow2r, sigma2: float) -> tuple[list, list]:
 def solve_coupling(a_rows: list, b_vec: list):
     """Group powers P >= 0 with a @ P = b, or None when infeasible.
 
-    Gaussian elimination without pivoting on nested lists. For a = C - I
-    with C >= 0, every pivot is < 0 exactly when rho(C) < 1 (see the
-    module docstring), so a pivot that is not < 0 (zero, positive or NaN)
-    returns None at its step. A non-finite component of the result, or
-    one below -ABS_FLOOR_W, also returns None; one in [-ABS_FLOOR_W, 0) is
-    set to 0. None means the grouping cannot be powered on this
-    subchannel; it is not an error.
+    The domain is the one assemble_coupling builds: a = C - I with C >= 0
+    and b <= 0. Gaussian elimination without pivoting on nested lists;
+    every pivot is < 0 exactly when rho(C) < 1, and then P >= +0.0 (see
+    the module docstring). So a pivot that is not < 0 (zero, positive or
+    NaN) returns None at its step, and so does a result that is not
+    finite. None means the grouping cannot be powered on this subchannel;
+    it is not an error. A component < 0, which only a system outside the
+    domain can give, also returns None.
     """
     n = len(b_vec)
     a = [row[:] for row in a_rows]
@@ -331,25 +336,20 @@ def solve_coupling(a_rows: list, b_vec: list):
         if not akk < 0.0:  # zero, positive or NaN: rho(C) >= 1
             return None
         for i in range(k + 1, n):
-            f = a[i][k] / akk
-            if f != 0.0:
-                ai = a[i]
-                for j in range(k + 1, n):
-                    ai[j] -= f * ak[j]
-                x[i] -= f * x[k]
+            ai = a[i]
+            f = ai[k] / akk
+            for j in range(k + 1, n):
+                ai[j] -= f * ak[j]
+            x[i] -= f * x[k]
     for i in range(n - 1, -1, -1):
         ai = a[i]
         acc = x[i]
         for j in range(i + 1, n):
             acc -= ai[j] * x[j]
         x[i] = acc / ai[i]
-    for i, v in enumerate(x):
-        if not math.isfinite(v):
+    for v in x:
+        if not 0.0 <= v < math.inf:  # negative, overflowed or NaN
             return None
-        if v < 0.0:
-            if v < -ABS_FLOOR_W:
-                return None
-            x[i] = 0.0
     return x
 
 
@@ -434,11 +434,11 @@ def solve_channel_batch(gain, channels, members, pow2r, sigma2: float) -> Channe
     the end with -1. pow2r[n] = 2 ** spectral_rate[n]. System k's powers,
     iterations and verdict equal solve_one_channel's bit for bit: every
     sum runs in the scalar order (a loop over BSs, over decode positions
-    and over elimination columns), the elimination keeps the pivot < 0
-    test and the f != 0 skip, and the result check is the same. A system
-    whose solve fails gets its verdict, iteration and powers at once and
-    leaves the arrays at the next pass's one compaction, with those whose
-    orders repeated; it stays out of the write-back at the iteration cap.
+    and over elimination columns), and the elimination and its checks are
+    the same. A system whose solve fails gets its verdict, iteration and
+    powers at once and leaves the arrays at the next pass's one
+    compaction, with those whose orders repeated; it stays out of the
+    write-back at the iteration cap.
 
     The system index is the last axis of every working array, so each
     step is a few numpy operations on contiguous (..., K) blocks. A pad
@@ -541,8 +541,7 @@ def _solve_coupling_batch(aug):
     n = aug.shape[0]
     for k in range(n - 1):
         fac = aug[k + 1 :, k] / aug[k, k]
-        sub = aug[k + 1 :, k + 1 :]
-        np.subtract(sub, fac[:, None] * aug[k, None, k + 1 :], out=sub, where=(fac != 0.0)[:, None])
+        aug[k + 1 :, k + 1 :] -= fac[:, None] * aug[k, None, k + 1 :]
     # Elimination leaves pivot k at aug[k, k]; the scalar path tests each at its step.
     diag = np.arange(n)
     ok = (aug[diag, diag] < 0.0).all(axis=0)
@@ -552,8 +551,8 @@ def _solve_coupling_batch(aug):
         for j in range(i + 1, n):
             acc = acc - aug[i, j] * x[j]
         x[i] = acc / aug[i, i]
-    ok &= ((x >= -ABS_FLOOR_W) & (x < np.inf)).all(axis=0)  # NaN fails both
-    return np.where(x < 0.0, 0.0, x), ok
+    ok &= np.isfinite(x).all(axis=0)
+    return x, ok
 
 
 def check_grouping(grouping: Grouping, scenario: Scenario) -> None:
@@ -594,10 +593,10 @@ def solve_all_powers(
     rule, the fixed point's confirming decode; under the fixed-order
     rules, one more decode at those powers. Per-user powers are then
     recovered by the recursion. feasible is False when any channel's
-    solve is singular, negative, or fails to converge; the channels after
-    the first such one are not solved. A grouping or gain table that does
-    not fit the scenario raises ValueError (see check_grouping and
-    check_gains).
+    solve has a pivot that is not < 0 or a non-finite power, or fails to
+    converge; the channels after the first such one are not solved. A
+    grouping or gain table that does not fit the scenario raises
+    ValueError (see check_grouping and check_gains).
     """
     check_grouping(grouping, scenario)
     check_gains(gains, scenario)

@@ -12,6 +12,7 @@ from conftest import (
 )
 from noma_grouping import (
     Grouping,
+    InfeasibleSolutionError,
     InstanceTooLargeError,
     decode_orders,
     enumerate_leagues,
@@ -199,6 +200,10 @@ class TestExhaustive:
                 solution = solve_all_powers(gains, grouping, scenario)
                 if solution.feasible:
                     assert total <= total_power(solution) * (1 + 1e-12)
+        gain = gains.gain.copy()
+        gain[:, :, 0] = 0.0  # user 0 cannot be powered on any subchannel
+        with pytest.raises(InfeasibleSolutionError, match="no feasible grouping"):
+            exhaustive_best_grouping(ChannelGains(gain=gain), scenario)
 
     def test_size_guard(self):
         scenario, gains = make_instance(30, 4, 2, seed=10)
@@ -252,6 +257,10 @@ class TestEnumerateLeagues:
         assert leagues and len(applied) > len(leagues)
         assert solved[0] is grouping
         assert [id(g) for g in solved[1:]] == [id(g) for g in applied]
+        assert enumerate_leagues(gains, scenario, grouping, 7) == leagues  # max_len is cut to G = 3
+        monkeypatch.setattr(baselines_module, "LEAGUE_ENUM_BUDGET", 10)
+        with pytest.raises(InstanceTooLargeError, match="more than 10 candidate cycles"):
+            enumerate_leagues(gains, scenario, grouping, 3)
 
     def test_empty_after_eba_convergence(self):
         done = 0

@@ -1035,6 +1035,9 @@ class TestApplyLeague:
             league = League(cycle=cycle, predicted_delta_w=-1.0, groups=groups)
             with pytest.raises(ValueError, match="distinct groups"):
                 apply_league(grouping, league)
+        unsnapped = League(cycle=[own, VirtualUser(g_foreign)], predicted_delta_w=-1.0)
+        with pytest.raises(ValueError, match="missing its group snapshot"):
+            apply_league(grouping, unsnapped)
 
     def test_applied_league_delta_matches_prediction_single_cell(self):
         for scenario, gains, grouping, base in feasible_instances(4, 10, 3, 1, start_seed=50):

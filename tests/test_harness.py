@@ -173,6 +173,8 @@ class TestExperimentSpec:
             with pytest.raises(ValueError, match="more than once"):
                 _tiny_spec(strategies=strategies)
         _tiny_spec(strategies=[StrategyKind("fga", 2.0), StrategyKind("fga", 10.0)])
+        with pytest.raises(ValueError, match="at least one strategy"):
+            _tiny_spec(strategies=[])
 
     @pytest.mark.parametrize("field", ["num_users_list", "num_channels_list", "num_bs_list"])
     def test_count_below_one_rejected(self, field):
@@ -180,6 +182,8 @@ class TestExperimentSpec:
         for counts in ([0], [4, -1]):
             with pytest.raises(ValueError, match=rf"{field} holds counts below 1: \[{counts[-1]}\]"):
                 _tiny_spec(**{field: counts})
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            _tiny_spec(trials=0)
 
     def test_cli_rejects_repeated_strategy_before_running(self, tmp_path, capsys):
         out = tmp_path / "res.csv"

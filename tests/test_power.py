@@ -243,6 +243,8 @@ class TestChannelSystem:
 class TestSolveChannelPowers:
     def test_single_cell(self):
         assert_close(solve_coupling([[-1.0]], [-0.4]), [0.4], rel=1e-12)
+        # b > 0 is outside the domain assemble_coupling builds: P = -0.4
+        assert solve_coupling([[-1.0]], [0.4]) is None
 
     def test_two_cell_symmetric(self):
         assert_close(solve_coupling([[-1.0, 0.5], [0.5, -1.0]], [-1.0, -1.0]), [2.0, 2.0], rel=1e-12)
@@ -322,11 +324,13 @@ class TestCouplingVerdict:
             assert (x is None) == (max(abs(np.linalg.eigvals(coupling))) >= 1.0)
             if x is not None:
                 assert min(x) >= 0.0
+                assert not np.signbit(x).any()  # no -0.0 either
                 assert_close(x, _refined_solve(-a, noise), rel=1e-9, floor=0.0)
             results.append(x)
         with np.errstate(all="ignore"):
             powers, ok = power._solve_coupling_batch(aug)
         assert ok.tolist() == [x is not None for x in results]
+        assert not np.signbit(powers[:, ok]).any()
         for k, x in enumerate(results):
             if x is not None:
                 assert [v.hex() for v in powers[:, k].tolist()] == [v.hex() for v in x]
@@ -343,6 +347,8 @@ class TestSolveAllPowers:
         short = Grouping(channel_of=grouping.channel_of[:-1], bs_of=grouping.bs_of[:-1])
         with pytest.raises(ValueError, match="11 users, the scenario 12"):
             solve_all_powers(gains, short, scenario)
+        with pytest.raises(ValueError, match="equal length"):
+            Grouping(channel_of=grouping.channel_of[:-1], bs_of=grouping.bs_of)
         other_bs = grouping.bs_of.copy()
         other_bs[0] = 1 - other_bs[0]
         with pytest.raises(ValueError, match="association"):
@@ -871,7 +877,9 @@ class TestKernelContract:
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(_kernel_inputs())
     def test_paths_agree_on_random_systems(self, inputs):
-        _assert_batch_matches_scalar(*inputs)
+        res = _assert_batch_matches_scalar(*inputs)
+        # the scalar powers have the same bits: no feasible power is < 0 or -0.0
+        assert not np.signbit(res.powers[res.feasible]).any()
 
 
 class TestGroupingIds:

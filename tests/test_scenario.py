@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,10 @@ class TestGenerateScenario:
         assert np.array_equal(a.user_positions, b.user_positions)
         assert np.array_equal(a.target_rates_bps, b.target_rates_bps)
         assert np.array_equal(a.association, b.association)
+        c = generate_scenario(cfg)  # the seed defaults to cfg.seed
+        assert np.array_equal(a.user_positions, c.user_positions)
+        assert np.array_equal(a.target_rates_bps, c.target_rates_bps)
+        assert np.array_equal(a.association, c.association)
 
     def test_single_bs_gets_everyone(self):
         cfg = default_config(num_users=15, num_channels=3, num_bs=1, seed=2)
@@ -153,6 +158,15 @@ class TestGenerateScenario:
             with pytest.raises(ValueError, match="low must be >= 0"):
                 default_config(num_users=6, num_channels=2, num_bs=1, rate_range_bps=rates)
         assert default_config(num_users=6, num_channels=2, num_bs=1, rate_range_bps=(0.0, 1e5))
+        cfg = default_config(num_users=6, num_channels=2, num_bs=1)
+        for field, value, message in (
+            ("min_user_bs_distance", 0, "min_user_bs_distance must be > 0"),
+            ("bandwidth_hz", 0, "bandwidth_hz must be > 0"),
+            ("rate_range_bps", (2e5, 1e5), "low must be <= high"),
+            ("area", (0.0, 0.0, 0.0, 1000.0), "positive extent"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(cfg, **{field: value})
 
     def test_non_finite_fields_rejected(self):
         # each would otherwise fail late: a NaN clearance spins every
