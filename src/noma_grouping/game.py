@@ -29,6 +29,7 @@ from .graph import (
     apply_league,
     build_graph,
     check_alpha,
+    check_eba_keys,
     fga_candidates,
     find_negative_loop_eba,
     is_improvement,
@@ -125,7 +126,9 @@ def run_game(
     its budget is exhausted) or "fga" (greedy with restart factor alpha).
     An unknown finder and an alpha that is not finite and > 0
     (graph.check_alpha) raise ValueError, and so do a gain table and a
-    start_grouping that do not fit the scenario, before any solve.
+    start_grouping that do not fit the scenario and, with "eba", a BS
+    whose league graph is too large for the exact search's keys
+    (graph.check_eba_keys), before any solve.
     start_grouping resumes the game from a caller-supplied state, e.g.
     after users connect or disconnect; by default every user starts on
     its strongest own-BS subchannel.
@@ -152,6 +155,10 @@ def run_game(
     if finder not in ("eba", "fga"):
         raise ValueError(f"unknown finder {finder!r}")
     check_alpha(alpha)
+    if finder == "eba":  # every BS's league graph: its users plus G virtual nodes
+        num_channels = scenario.config.num_channels
+        for users in np.bincount(scenario.association, minlength=scenario.config.num_bs).tolist():
+            check_eba_keys(users + num_channels, num_channels)
     memo = ChannelTotals(gains, scenario)
     grouping = start_grouping if start_grouping is not None else initial_grouping(gains, scenario)
     trace = GameTrace()

@@ -45,7 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .power import Grouping, check_gains, check_grouping, solve_channel_batch, solve_one_channel
+from .power import (
+    Grouping,
+    check_gains,
+    check_grouping,
+    pow2_rates,
+    solve_channel_batch,
+    solve_one_channel,
+)
 from .scenario import ChannelGains, Scenario
 
 EBA_DEFAULT_BUDGET = 10 ** 6
@@ -162,7 +169,7 @@ class ChannelTotals:
         self.hits = 0
         self.batch_solves = 0
         self.batch_passes = 0
-        self._pow2r = np.exp2(scenario.spectral_rates()).tolist()
+        self._pow2r = pow2_rates(scenario.spectral_rates())
         num_users = scenario.config.num_users
         users = np.arange(num_users)
         # Row n holds user n's bit as mask words; the last row, all zero,
@@ -414,6 +421,16 @@ def _sweep(dist: np.ndarray, mids: np.ndarray, w: np.ndarray):
     return best, arg
 
 
+def check_eba_keys(num_nodes: int, num_groups: int) -> None:
+    """Raise ValueError unless the exact search's keys fit in int64.
+
+    A league graph of num_nodes nodes in num_groups groups has
+    num_nodes * 2^num_groups (subset, start) keys, from 0 up.
+    """
+    if num_nodes << num_groups > 1 << 63:
+        raise ValueError(f"{num_nodes} nodes in {num_groups} groups: (subset, start) keys overflow int64")
+
+
 def find_negative_loop_eba(graph: LeagueGraph):
     """Exact search for a negative differ-group cycle.
 
@@ -449,14 +466,13 @@ def find_negative_loop_eba(graph: LeagueGraph):
     Returning None is a proof that no negative differ-group cycle of
     length <= G exists. The count reached is left in
     graph.eba_relaxations, also when the search raises. A graph whose
-    (subset, start) keys, V * 2^G of them, do not fit in int64 raises
+    (subset, start) keys do not fit in int64 (check_eba_keys) raises
     ValueError before any search.
     """
     budget = EBA_DEFAULT_BUDGET
     v, num_groups = graph.num_nodes, graph.num_channels
     graph.eba_relaxations = 0
-    if v << num_groups > 1 << 63:
-        raise ValueError(f"{v} nodes in {num_groups} groups: (subset, start) keys overflow int64")
+    check_eba_keys(v, num_groups)
     w = graph.full_adjacency()
     groups = np.asarray(graph.node_groups, dtype=np.int64)
     bits = np.left_shift(1, groups)

@@ -39,11 +39,15 @@ Every caller runs the same kernel, one function per layer: decode_orders
 (pivot-free elimination and the finiteness check) and user_powers
 (the recursion); solve_one_channel iterates the first three, and
 solve_all_powers ends with the fourth. solve_all_powers is one pass over
-a grouping: it sorts the users into (subchannel, BS) groups once
-(Grouping.members_by_channel), calls solve_one_channel per subchannel,
-and under the CCINR rule takes the CCINR table from each fixed point's
-confirming decode, which is the table ccinr() computes at the converged
-powers, bit for bit.
+the subchannels: it sorts the users into (subchannel, BS) groups once
+(Grouping.members_by_channel) and calls solve_one_channel per
+subchannel, highest total target rate first, up to the first infeasible
+one. The subchannels are orthogonal, so the order changes no verdict and
+no feasible result; it only lets an infeasible grouping meet its refuting
+subchannel, most often a crowded high-rate one, before the feasible ones
+are solved. The outputs are then assembled in subchannel order. Under the CCINR rule the CCINR
+table is each fixed point's confirming decode, which is the table
+ccinr() computes at the converged powers, bit for bit.
 
 The kernel has two paths with the same bits. Both decode the first pass
 of every fixed point at zero power without summing interference: the
@@ -161,7 +165,10 @@ class PowerSolution:
     """Converged allocation for one grouping.
 
     sic_order maps (bs, channel) to the decode order (first decoded first).
-    When feasible is False the remaining fields are not meaningful.
+    When feasible is False the remaining fields are not meaningful, except
+    fixed_point_iterations: the highest iteration count among the
+    subchannels solved, which for an infeasible result are those that
+    solve_all_powers solved before the verdict (see its order there).
     """
 
     p: np.ndarray
@@ -256,6 +263,17 @@ def ccinr(gains: ChannelGains, grouping: Grouping, group_power_table, noise_powe
 # ----------------------------------------------------------------------
 # The channel kernel: decode orders -> assembly -> solve -> recursion
 # ----------------------------------------------------------------------
+def pow2_rates(spectral_rates) -> list[float]:
+    """2 ** r of every spectral target rate r (bit/s/Hz), as a list of floats.
+
+    A rate of 1024 or more gives inf, without an overflow warning: a
+    member with 2^r = inf makes its subchannel's first solve non-finite,
+    so the subchannel is infeasible, as such a target is.
+    """
+    with np.errstate(over="ignore"):
+        return np.exp2(spectral_rates).tolist()
+
+
 def decode_orders(rows, members_by_bs, pow2r, sigma2: float, powers, order_rule: str) -> tuple:
     """Decode order of every BS's group on one subchannel, first decoded first.
 
@@ -588,31 +606,37 @@ def solve_all_powers(
     """Coupled power allocation across all cells and subchannels.
 
     Subchannels are orthogonal, so each one is solved by its own fixed
-    point (started from zero power), in one pass over the subchannels.
-    The CCINR table is the one at the converged powers: under the CCINR
-    rule, the fixed point's confirming decode; under the fixed-order
-    rules, one more decode at those powers. Per-user powers are then
-    recovered by the recursion. feasible is False when any channel's
-    solve has a pivot that is not < 0 or a non-finite power, or fails to
-    converge; the channels after the first such one are not solved. A
-    grouping or gain table that does not fit the scenario raises
-    ValueError (see check_grouping and check_gains).
+    point (started from zero power), in one pass over the subchannels, in
+    descending order of their members' total target rate (ties: the lower
+    index first). feasible is False when any channel's solve has a pivot
+    that is not < 0 or a non-finite power, or fails to converge; the
+    channels after the first such one are not solved. The most loaded
+    subchannel is the likeliest to fail, so this order refutes an
+    infeasible grouping after fewer solves than index order. A feasible
+    result does not depend on the order: group_power, the CCINR table,
+    sic_order (keyed in subchannel order) and p are assembled in
+    subchannel order. The CCINR table is the one at the converged powers:
+    under the CCINR rule, the fixed point's confirming decode; under the
+    fixed-order rules, one more decode at those powers. Per-user powers
+    are then recovered by the recursion. A grouping or gain table that
+    does not fit the scenario raises ValueError (see check_grouping and
+    check_gains).
     """
     check_grouping(grouping, scenario)
     check_gains(gains, scenario)
     cfg = scenario.config
     sigma2 = scenario.noise_power_w
-    pow2r = np.exp2(scenario.spectral_rates()).tolist()
+    rates = scenario.spectral_rates()
+    pow2r = pow2_rates(rates)
     lists = gains.as_lists()
     num_bs, num_ch, num_users = cfg.num_bs, cfg.num_channels, cfg.num_users
 
-    columns = []  # group powers per subchannel, transposed once at the end
-    s = [0.0] * num_users
-    interference = [0.0] * num_users
-    orders: dict = {}
+    members = grouping.members_by_channel(num_ch, num_bs)
+    load = np.bincount(grouping.channel_of, weights=rates, minlength=num_ch)
+    results = [None] * num_ch
     max_iters = 0
-    for g, members in enumerate(grouping.members_by_channel(num_ch, num_bs)):
-        res = solve_one_channel(lists, g, members, pow2r, sigma2, order_rule=order_rule)
+    for g in np.argsort(-load, kind="stable").tolist():  # highest total rate first
+        res = solve_one_channel(lists, g, members[g], pow2r, sigma2, order_rule=order_rule)
         max_iters = max(max_iters, res.iterations)
         if not res.feasible:
             return PowerSolution(
@@ -623,7 +647,12 @@ def solve_all_powers(
                 feasible=False,
                 fixed_point_iterations=max_iters,
             )
-        columns.append(res.powers)
+        results[g] = res
+
+    s = [0.0] * num_users
+    interference = [0.0] * num_users
+    orders: dict = {}
+    for g, res in enumerate(results):
         _scatter_ccinr(res.ccinr, s, interference)
         for m, order in enumerate(res.orders):
             orders[(m, g)] = order
@@ -635,7 +664,7 @@ def solve_all_powers(
                 p[n] = p_n
     return PowerSolution(
         p=np.array(p),
-        group_power=np.array(columns).T.copy(),
+        group_power=np.array([res.powers for res in results]).T.copy(),
         ccinr=CcinrTable(s=np.array(s), interference=np.array(interference)),
         sic_order=orders,
         feasible=True,

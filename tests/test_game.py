@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from conftest import assert_close, feasible_instances, make_instance, memo_key, record_game_graphs
 from noma_grouping import (
     apply_league,
+    default_config,
+    draw_channel_gains,
     enumerate_leagues,
+    generate_scenario,
     initial_grouping,
     is_improvement,
     is_nash_equilibrium,
@@ -191,6 +195,31 @@ class TestRunGame:
         monkeypatch.setattr(graph_module, "solve_channel_batch", _no_solve)
         with pytest.raises(ValueError, match=f"shape \\(2, 3, {num_users}\\), the scenario \\(2, 3, 12\\)"):
             run_game(ChannelGains(gain=table), scenario)
+
+    def test_eba_keys_that_overflow_int64_rejected_before_any_solve(self, monkeypatch):
+        # Each BS's league graph has its share of the 70 users plus 64 virtual nodes,
+        # so its (subset, start) keys overflow int64. The game used to
+        # solve the start grouping and raise only at its first search.
+        config = default_config(num_users=70, num_channels=64, num_bs=2)
+        scenario = generate_scenario(config, config.seed)
+        gains = draw_channel_gains(scenario, 1)
+        monkeypatch.setattr(graph_module, "solve_one_channel", _no_solve)
+        monkeypatch.setattr(graph_module, "solve_channel_batch", _no_solve)
+        monkeypatch.setattr(game_module, "solve_all_powers", _no_solve)
+        with pytest.raises(ValueError, match="overflow int64"):
+            run_game(gains, scenario, finder="eba")
+        with pytest.raises(AssertionError, match="a channel was solved"):
+            run_game(gains, scenario, finder="fga")  # the greedy finder has no such keys
+
+    @pytest.mark.parametrize("finder", ["fga", "eba"])
+    def test_a_rate_too_high_for_a_float_warns_nothing(self, finder):
+        # 1e9 bit/s over 200 kHz: 2^r overflows to inf, and the start is infeasible
+        scenario, gains = make_instance(12, 3, 2, seed=1, rate_range=(1e9, 1e9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _final, solution, trace = run_game(gains, scenario, finder=finder)
+        assert not solution.feasible and trace.iterations == []
+        assert trace.final_total_power_w == math.inf
 
     def test_unknown_finder_rejected(self):
         scenario, gains = make_instance(4, 2, 1, seed=7)

@@ -491,6 +491,14 @@ class TestEbaMatchesReference:
         with pytest.raises(ValueError, match="overflow int64"):
             find_negative_loop_eba(graph)
 
+    def test_key_bound_is_v_times_two_to_the_g(self):
+        # keys run from 0 to V * 2^G - 1, so V * 2^G = 2^63 still fits
+        graph_module.check_eba_keys(64, 57)
+        graph_module.check_eba_keys(1, 63)
+        for num_nodes, num_groups in ((65, 57), (2, 63), (1, 64)):
+            with pytest.raises(ValueError, match=f"{num_nodes} nodes in {num_groups} groups"):
+                graph_module.check_eba_keys(num_nodes, num_groups)
+
     def test_edge_cases(self):
         inf = math.inf
         one_group = _fake_graph([[inf, -2.0, 1.0], [-1.0, inf, 3.0], [0.5, -4.0, inf]], [0, 0, 0])

@@ -62,6 +62,9 @@ def test_parity_dump_runs():
     assert any(" cycle=" in lines[k + 1] for k in graphs)
     for rule in ("ccinr", "channel_gain", "rate_descending"):
         assert any(line.startswith("power N=") and f" rule={rule} " in line for line in lines)
+    # every solve_all_powers line counts the channel solves it made
+    powers = [line for line in lines if line.startswith("power N=")]
+    assert powers and all(re.search(r" iterations=\d+ solves=\d+$", line) for line in powers)
     # each drawn instance is followed by its two groupings under both fadings
     instances = [k for k, line in enumerate(lines) if line.startswith("instance ")]
     assert len(instances) == 10 * 20

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,8 @@ from noma_grouping.power import (
     CCINR_ORDER,
     CHANNEL_GAIN_ORDER,
     RATE_DESCENDING_ORDER,
+    CcinrTable,
+    PowerSolution,
     assemble_coupling,
     solve_channel_batch,
     solve_one_channel,
@@ -498,6 +501,82 @@ class TestSolveAllPowers:
                 assert decodes[0] == (iterations[0] if order_rule == CCINR_ORDER else 4)
         assert checked > 0
 
+    @pytest.mark.parametrize("num_users", [50, 55, 60, 65])
+    def test_solve_order_changes_no_result(self, num_users):
+        # the power-solve benchmark's instances, every rule: solved highest
+        # total rate first, each output equals an index-order loop's
+        verdicts = set()
+        for seed in range(90000, 90010):
+            scenario, gains = make_instance(num_users, 10, 4, seed)
+            for grouping in (
+                initial_grouping(gains, scenario),
+                sccd_grouping(gains, scenario),
+                gale_shapley_grouping(gains, scenario),
+            ):
+                for rule in ORDER_RULES:
+                    solution = solve_all_powers(gains, grouping, scenario, order_rule=rule)
+                    _assert_same_solution(solution, _index_order_solve(gains, grouping, scenario, rule))
+                    verdicts.add(solution.feasible)
+        assert verdicts == {True, False}
+
+    def test_a_refuting_subchannel_of_the_highest_rate_is_solved_alone(self, monkeypatch):
+        # subchannel 2, the last, holds one user of each BS at 20 bit/s/Hz
+        # and cannot be powered; index order solved 0 and 1 first
+        scenario, gains = make_instance(6, 3, 2, seed=3)
+        assert scenario.association.tolist() == [1, 1, 0, 0, 0, 1]
+        scenario.target_rates_bps = scenario.target_rates_bps.copy()
+        scenario.target_rates_bps[[4, 5]] = 20 * scenario.config.bandwidth_hz
+        grouping = Grouping(channel_of=np.array([0, 1, 0, 1, 2, 2]), bs_of=scenario.association)
+        members = grouping.members_by_channel(3, 2)
+        pow2r = np.exp2(scenario.spectral_rates()).tolist()
+        verdicts = [
+            solve_one_channel(gains.as_lists(), g, members[g], pow2r, scenario.noise_power_w).feasible
+            for g in range(3)
+        ]
+        assert verdicts == [True, True, False]
+        channels = []
+
+        def recording(gain_lists, channel, *args, **kwargs):
+            channels.append(channel)
+            return solve_one_channel(gain_lists, channel, *args, **kwargs)
+
+        monkeypatch.setattr(power, "solve_one_channel", recording)
+        for rule in ORDER_RULES:
+            channels.clear()
+            assert not solve_all_powers(gains, grouping, scenario, order_rule=rule).feasible
+            assert channels == [2]
+
+    @pytest.mark.parametrize("order_rule", ORDER_RULES)
+    def test_a_feasible_grouping_solves_each_subchannel_once(self, monkeypatch, order_rule):
+        channels = []
+
+        def recording(gain_lists, channel, *args, **kwargs):
+            channels.append(channel)
+            return solve_one_channel(gain_lists, channel, *args, **kwargs)
+
+        monkeypatch.setattr(power, "solve_one_channel", recording)
+        checked = 0
+        for scenario, gains, grouping, _sol in feasible_instances(3, 20, 4, 4, start_seed=300):
+            channels.clear()
+            if not solve_all_powers(gains, grouping, scenario, order_rule=order_rule).feasible:
+                continue
+            checked += 1
+            load = np.bincount(grouping.channel_of, weights=scenario.spectral_rates(), minlength=4)
+            assert channels == sorted(range(4), key=lambda g: (-load[g], g))
+        assert checked > 0
+
+    def test_a_rate_too_high_for_a_float_is_infeasible_without_a_warning(self):
+        # 1e9 bit/s over 200 kHz is 5000 bit/s/Hz: 2^r overflows to inf,
+        # which refutes the first solve
+        scenario, gains = make_instance(12, 3, 2, seed=1, rate_range=(1e9, 1e9))
+        grouping = initial_grouping(gains, scenario)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert power.pow2_rates(scenario.spectral_rates()) == [math.inf] * 12
+            for rule in ORDER_RULES:
+                solution = solve_all_powers(gains, grouping, scenario, order_rule=rule)
+                assert not solution.feasible and solution.fixed_point_iterations == 1
+
     def test_public_forms_with_empty_subchannel_and_empty_group(self):
         scenario, gains = make_instance(5, 3, 2, seed=2)
         bs_of = scenario.association
@@ -524,6 +603,56 @@ class TestSolveAllPowers:
             bumped = solve_all_powers(gains, grouping, scenario)
             if bumped.feasible:
                 assert total_power(bumped) >= base * (1 - 1e-9)
+
+
+def _index_order_solve(gains, grouping, scenario, order_rule) -> PowerSolution:
+    """solve_all_powers as a plain loop over the subchannels in index order."""
+    cfg = scenario.config
+    num_users = cfg.num_users
+    pow2r = np.exp2(scenario.spectral_rates()).tolist()
+    p = np.full(num_users, np.nan)
+    group_power = np.zeros((cfg.num_bs, cfg.num_channels))
+    s = np.zeros(num_users)
+    interference = np.zeros(num_users)
+    orders = {}
+    iterations = 0
+    members = grouping.members_by_channel(cfg.num_channels, cfg.num_bs)
+    for g in range(cfg.num_channels):
+        res = solve_one_channel(
+            gains.as_lists(), g, members[g], pow2r, scenario.noise_power_w, order_rule=order_rule
+        )
+        iterations = max(iterations, res.iterations)
+        if not res.feasible:
+            return PowerSolution(p, np.full(group_power.shape, np.nan), None, {}, False, iterations)
+        group_power[:, g] = res.powers
+        for group in res.ccinr:
+            for s_n, n, i_n in group:
+                s[n], interference[n] = s_n, i_n
+        for m, order in enumerate(res.orders):
+            orders[(m, g)] = order
+    for order in orders.values():
+        for n, p_n in user_powers(order, s, pow2r).items():
+            p[n] = p_n
+    return PowerSolution(p, group_power, CcinrTable(s, interference), orders, True, iterations)
+
+
+def _assert_same_solution(got: PowerSolution, want: PowerSolution) -> None:
+    """The same verdict and bytes, and the same sic_order items in the same order.
+
+    fixed_point_iterations is compared when feasible: an infeasible one
+    counts only the subchannels solved before the verdict.
+    """
+    assert got.feasible == want.feasible
+    for name in ("p", "group_power"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+    assert list(got.sic_order.items()) == list(want.sic_order.items())
+    if want.feasible:
+        assert got.ccinr.s.tobytes() == want.ccinr.s.tobytes()
+        assert got.ccinr.interference.tobytes() == want.ccinr.interference.tobytes()
+        assert got.fixed_point_iterations == want.fixed_point_iterations
+    else:
+        assert got.ccinr is None
 
 
 def _assert_public_forms(gains, grouping, scenario, order_rule) -> bool:

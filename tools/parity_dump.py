@@ -24,9 +24,9 @@ Two trees print the same bytes when they make the same decisions:
   of make_instance(10, 3, 1, seed) for seeds 0-59;
 - solve_all_powers on the initial, SCCD and Gale-Shapley groupings of
   every pinned power instance, under each decode-order rule (ccinr,
-  channel_gain, rate_descending): feasible, fixed_point_iterations,
-  sic_order and the SHA-256 of p, group_power and the CCINR s and
-  interference;
+  channel_gain, rate_descending): feasible, fixed_point_iterations, the
+  number of solve_one_channel calls the solve made, sic_order and the
+  SHA-256 of p, group_power and the CCINR s and interference;
 - the CLI's CSV and --trace-dir logs for eba, fga and sccd at N = 12 and
   16, G = 3, M = 2, 3 trials, seed 7;
 - generate_scenario for seeds 0-19 on the default layouts with M = 1, 2
@@ -152,6 +152,13 @@ def dump_oracles(pkg, out) -> None:
 def dump_powers(pkg, out) -> None:
     with open(SEEDS_FILE) as fh:
         power_seeds = json.load(fh)["power"]
+    solve_one_channel = pkg.power.solve_one_channel
+    solves = [0]
+
+    def counting_solve(*args, **kwargs):
+        solves[0] += 1
+        return solve_one_channel(*args, **kwargs)
+
     for num_users, seed in power_seeds:
         scenario, gains = make_instance(pkg, num_users, GAME_CHANNELS, GAME_BS, seed)
         groupings = {
@@ -161,7 +168,12 @@ def dump_powers(pkg, out) -> None:
         }
         for name, grouping in groupings.items():
             for rule in ORDER_RULES:
-                solution = pkg.solve_all_powers(gains, grouping, scenario, order_rule=rule)
+                solves[0] = 0
+                pkg.power.solve_one_channel = counting_solve
+                try:
+                    solution = pkg.solve_all_powers(gains, grouping, scenario, order_rule=rule)
+                finally:
+                    pkg.power.solve_one_channel = solve_one_channel
                 table = solution.ccinr
                 ccinr_sha = (
                     "none" if table is None
@@ -174,7 +186,7 @@ def dump_powers(pkg, out) -> None:
                 out.write(
                     f"power N={num_users} seed={seed} grouping={name} rule={rule} "
                     f"feasible={solution.feasible} "
-                    f"iterations={solution.fixed_point_iterations}\n"
+                    f"iterations={solution.fixed_point_iterations} solves={solves[0]}\n"
                     f"  sic_order={orders}\n"
                     f"  p_sha256={sha(solution.p.tobytes())} "
                     f"group_power_sha256={sha(solution.group_power.tobytes())}\n"
