@@ -45,9 +45,9 @@ subchannel, highest total target rate first, up to the first infeasible
 one. The subchannels are orthogonal, so the order changes no verdict and
 no feasible result; it only lets an infeasible grouping meet its refuting
 subchannel, most often a crowded high-rate one, before the feasible ones
-are solved. The outputs are then assembled in subchannel order. Under the CCINR rule the CCINR
-table is each fixed point's confirming decode, which is the table
-ccinr() computes at the converged powers, bit for bit.
+are solved. The outputs are then assembled in subchannel order. Under
+the CCINR rule the CCINR table is each fixed point's confirming decode,
+which is the table ccinr() computes at the converged powers, bit for bit.
 
 The kernel has two paths with the same bits. Both decode the first pass
 of every fixed point at zero power without summing interference: the

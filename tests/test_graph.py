@@ -490,8 +490,6 @@ class TestEbaMatchesReference:
         graph = _fake_graph(weights, list(range(64)))
         with pytest.raises(ValueError, match="overflow int64"):
             find_negative_loop_eba(graph)
-
-    def test_key_bound_is_v_times_two_to_the_g(self):
         # keys run from 0 to V * 2^G - 1, so V * 2^G = 2^63 still fits
         graph_module.check_eba_keys(64, 57)
         graph_module.check_eba_keys(1, 63)

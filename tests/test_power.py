@@ -534,13 +534,7 @@ class TestSolveAllPowers:
             for g in range(3)
         ]
         assert verdicts == [True, True, False]
-        channels = []
-
-        def recording(gain_lists, channel, *args, **kwargs):
-            channels.append(channel)
-            return solve_one_channel(gain_lists, channel, *args, **kwargs)
-
-        monkeypatch.setattr(power, "solve_one_channel", recording)
+        channels = _record_solved_channels(monkeypatch)
         for rule in ORDER_RULES:
             channels.clear()
             assert not solve_all_powers(gains, grouping, scenario, order_rule=rule).feasible
@@ -548,13 +542,7 @@ class TestSolveAllPowers:
 
     @pytest.mark.parametrize("order_rule", ORDER_RULES)
     def test_a_feasible_grouping_solves_each_subchannel_once(self, monkeypatch, order_rule):
-        channels = []
-
-        def recording(gain_lists, channel, *args, **kwargs):
-            channels.append(channel)
-            return solve_one_channel(gain_lists, channel, *args, **kwargs)
-
-        monkeypatch.setattr(power, "solve_one_channel", recording)
+        channels = _record_solved_channels(monkeypatch)
         checked = 0
         for scenario, gains, grouping, _sol in feasible_instances(3, 20, 4, 4, start_seed=300):
             channels.clear()
@@ -603,6 +591,18 @@ class TestSolveAllPowers:
             bumped = solve_all_powers(gains, grouping, scenario)
             if bumped.feasible:
                 assert total_power(bumped) >= base * (1 - 1e-9)
+
+
+def _record_solved_channels(monkeypatch) -> list:
+    """A list that records the subchannel of every solve_one_channel call solve_all_powers makes."""
+    channels = []
+
+    def recording(gain_lists, channel, *args, **kwargs):
+        channels.append(channel)
+        return solve_one_channel(gain_lists, channel, *args, **kwargs)
+
+    monkeypatch.setattr(power, "solve_one_channel", recording)
+    return channels
 
 
 def _index_order_solve(gains, grouping, scenario, order_rule) -> PowerSolution:
