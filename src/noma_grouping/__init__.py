@@ -22,7 +22,6 @@ from .power import (
     PowerSolution,
     achieved_rates,
     assemble_coupling,
-    ccinr,
     decode_orders,
     solve_all_powers,
     solve_coupling,

@@ -3,7 +3,8 @@
 A run is a pure function of its spec: every (sweep point, trial) derives
 its scenario and fading seeds from (base_seed, sweep index, trial) only,
 so all strategies see identical instances and reruns reproduce the table
-byte for byte (wallclock is kept in memory but never written).
+byte for byte. A TrialResult is one row of that table: its fields are the
+columns, in order.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import csv
 import io
 import json
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -33,24 +33,6 @@ from .scenario import (
 
 # Keys of a --config file: the sweep defaults the CLI reads.
 CONFIG_KEYS = ("num_users", "num_channels", "num_bs", "rate_range_bps")
-
-CSV_COLUMNS = [
-    "sweep_index",
-    "num_bs",
-    "num_users",
-    "num_channels",
-    "rate_low_bps",
-    "rate_high_bps",
-    "trial",
-    "strategy",
-    "seed",
-    "feasible",
-    "total_power_w",
-    "total_power_dbm",
-    "avg_interference_w",
-    "game_iterations",
-]
-
 
 def watts_to_dbm(power_w: float) -> float:
     if power_w <= 0.0 or not math.isfinite(power_w):
@@ -99,16 +81,25 @@ class SweepPoint:
 
 @dataclass
 class TrialResult:
-    sweep: SweepPoint
+    """One row of the results CSV; the fields are its columns, in order."""
+
+    sweep_index: int
+    num_bs: int
+    num_users: int
+    num_channels: int
+    rate_low_bps: float
+    rate_high_bps: float
     trial: int
     strategy: str
     seed: int
     feasible: bool
     total_power_w: float
     total_power_dbm: float
-    avg_intercell_interference_w: float
+    avg_interference_w: float
     game_iterations: int
-    wallclock_ms: float
+
+
+CSV_COLUMNS = [field.name for field in fields(TrialResult)]
 
 
 @dataclass
@@ -199,10 +190,9 @@ def run_experiment(spec: ExperimentSpec, trace_dir: str | None = None) -> list[T
         for trial in range(spec.trials):
             scen_seed, gain_seed = trial_seeds(spec.base_seed, point.index, trial)
             scenario, gains = make_instance(point, scen_seed, gain_seed)
+            rate_low, rate_high = point.rate_range_bps
             for strategy in spec.strategies:
-                start = time.perf_counter()
                 _grouping, solution, trace = run_strategy(gains, scenario, strategy)
-                elapsed_ms = (time.perf_counter() - start) * 1e3
                 feasible = solution.feasible
                 total_w = total_power(solution) if feasible else math.nan
                 avg_i = (
@@ -210,16 +200,20 @@ def run_experiment(spec: ExperimentSpec, trace_dir: str | None = None) -> list[T
                 )
                 results.append(
                     TrialResult(
-                        sweep=point,
+                        sweep_index=point.index,
+                        num_bs=point.num_bs,
+                        num_users=point.num_users,
+                        num_channels=point.num_channels,
+                        rate_low_bps=float(rate_low),
+                        rate_high_bps=float(rate_high),
                         trial=trial,
                         strategy=strategy.label(),
                         seed=scen_seed,
                         feasible=feasible,
                         total_power_w=total_w,
                         total_power_dbm=watts_to_dbm(total_w) if feasible else math.nan,
-                        avg_intercell_interference_w=avg_i,
+                        avg_interference_w=avg_i,
                         game_iterations=len(trace.iterations) if trace else 0,
-                        wallclock_ms=elapsed_ms,
                     )
                 )
                 if trace_dir is not None and trace is not None:
@@ -233,29 +227,13 @@ def run_experiment(spec: ExperimentSpec, trace_dir: str | None = None) -> list[T
 
 
 def results_csv(results: list[TrialResult]) -> str:
-    """Deterministic CSV of the results (full-precision floats)."""
+    """Deterministic CSV of the results: one row per TrialResult, floats at
+    full precision (the csv module writes repr of a float), bools as 0/1."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in results:
-        writer.writerow(
-            [
-                r.sweep.index,
-                r.sweep.num_bs,
-                r.sweep.num_users,
-                r.sweep.num_channels,
-                repr(float(r.sweep.rate_range_bps[0])),
-                repr(float(r.sweep.rate_range_bps[1])),
-                r.trial,
-                r.strategy,
-                r.seed,
-                int(r.feasible),
-                repr(r.total_power_w),
-                repr(r.total_power_dbm),
-                repr(r.avg_intercell_interference_w),
-                r.game_iterations,
-            ]
-        )
+        writer.writerow([int(v) if type(v) is bool else v for v in astuple(r)])
     return buf.getvalue()
 
 
@@ -281,13 +259,18 @@ def summarize(results: list[TrialResult]) -> dict:
     if not results:
         raise ValueError("no results to summarize")
     by_key: dict = {}
+    # (sweep, strategy, trial) -> total power, +inf when infeasible
+    power: dict = {}
+    trials_by_sweep: dict = {}
     for r in results:
-        by_key.setdefault((r.sweep.index, r.strategy), []).append(r)
+        by_key.setdefault((r.sweep_index, r.strategy), []).append(r)
+        power[(r.sweep_index, r.strategy, r.trial)] = r.total_power_w if r.feasible else math.inf
+        trials_by_sweep.setdefault(r.sweep_index, set()).add(r.trial)
 
     stats = []
     for (sweep_idx, strategy), rows in sorted(by_key.items()):
         powers = [r.total_power_w for r in rows if r.feasible]
-        interf = [r.avg_intercell_interference_w for r in rows if r.feasible]
+        interf = [r.avg_interference_w for r in rows if r.feasible]
         stats.append(
             {
                 "sweep_index": sweep_idx,
@@ -302,16 +285,9 @@ def summarize(results: list[TrialResult]) -> dict:
         )
 
     strategies = sorted({r.strategy for r in results})
-    sweeps = sorted({r.sweep.index for r in results})
     win_rates = []
-    for sweep_idx in sweeps:
-        table: dict = {}
-        for r in results:
-            if r.sweep.index == sweep_idx:
-                table[(r.strategy, r.trial)] = (
-                    r.total_power_w if r.feasible else math.inf
-                )
-        trials = sorted({t for (_s, t) in table})
+    for sweep_idx, trial_set in sorted(trials_by_sweep.items()):
+        trials = sorted(trial_set)
         for a in strategies:
             for b in strategies:
                 if a == b:
@@ -319,14 +295,14 @@ def summarize(results: list[TrialResult]) -> dict:
                 wins = sum(
                     1
                     for t in trials
-                    if table.get((a, t), math.inf) <= table.get((b, t), math.inf)
+                    if power.get((sweep_idx, a, t), math.inf) <= power.get((sweep_idx, b, t), math.inf)
                 )
                 win_rates.append(
                     {
                         "sweep_index": sweep_idx,
                         "strategy": a,
                         "versus": b,
-                        "win_or_tie_rate": wins / len(trials) if trials else math.nan,
+                        "win_or_tie_rate": wins / len(trials),
                     }
                 )
     return {"stats": stats, "win_rates": win_rates}

@@ -45,9 +45,10 @@ subchannel, highest total target rate first, up to the first infeasible
 one. The subchannels are orthogonal, so the order changes no verdict and
 no feasible result; it only lets an infeasible grouping meet its refuting
 subchannel, most often a crowded high-rate one, before the feasible ones
-are solved. The outputs are then assembled in subchannel order. Under
-the CCINR rule the CCINR table is each fixed point's confirming decode,
-which is the table ccinr() computes at the converged powers, bit for bit.
+are solved. The outputs are then assembled in subchannel order. The
+solution's CCINR table (PowerSolution.ccinr) has no other producer: under
+the CCINR rule it is each fixed point's confirming decode, under the
+fixed-order rules one more decode at the converged powers.
 
 The kernel has two paths with the same bits. Both decode the first pass
 of every fixed point at zero power without summing interference: the
@@ -219,45 +220,6 @@ def _member_ccinr(rows, members_by_bs, powers, sigma2: float) -> list[list[tuple
             group.append((row[n] / (i_n + sigma2), n, i_n))
         out.append(group)
     return out
-
-
-def _scatter_ccinr(groups, s, interference) -> None:
-    """Write _member_ccinr's (S_n, n, I_n) into s[n] and interference[n]."""
-    for group in groups:
-        for s_n, n, i_n in group:
-            s[n] = s_n
-            interference[n] = i_n
-
-
-def ccinr(gains: ChannelGains, grouping: Grouping, group_power_table, noise_power_w: float) -> CcinrTable:
-    """CCINR table at the given per-group power levels.
-
-    I_n sums, over the other BSs, their gain to user n on n's subchannel
-    times their group power on that subchannel. group_power_table is
-    (M, G) with finite entries >= 0; another shape, a negative or
-    non-finite entry, more users than the gain table, or a subchannel or
-    BS index outside it raises ValueError.
-    """
-    num_bs, num_ch, num_users = gains.gain.shape
-    gp = np.asarray(group_power_table, dtype=float)
-    if gp.shape != (num_bs, num_ch):
-        raise ValueError(f"group_power_table has shape {gp.shape}, not {(num_bs, num_ch)}")
-    if not np.isfinite(gp).all() or (gp < 0.0).any():
-        raise ValueError("group_power_table has a negative or non-finite entry")
-    if grouping.num_users > num_users:
-        raise ValueError(f"grouping has {grouping.num_users} users, the gain table {num_users}")
-    for name, ids, bound in (("subchannel", grouping.channel_of, num_ch), ("BS", grouping.bs_of, num_bs)):
-        if np.any((ids < 0) | (ids >= bound)):
-            raise ValueError(f"grouping uses a {name} outside [0, {bound})")
-    gain_lists = gains.as_lists()
-    gp = gp.tolist()
-    s = [0.0] * grouping.num_users
-    interference = [0.0] * grouping.num_users
-    for g, members_by_bs in enumerate(grouping.members_by_channel(num_ch, num_bs)):
-        rows = [gain_lists[m][g] for m in range(num_bs)]
-        powers = [gp_m[g] for gp_m in gp]
-        _scatter_ccinr(_member_ccinr(rows, members_by_bs, powers, noise_power_w), s, interference)
-    return CcinrTable(s=np.array(s), interference=np.array(interference))
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +615,10 @@ def solve_all_powers(
     interference = [0.0] * num_users
     orders: dict = {}
     for g, res in enumerate(results):
-        _scatter_ccinr(res.ccinr, s, interference)
+        for group in res.ccinr:
+            for s_n, n, i_n in group:
+                s[n] = s_n
+                interference[n] = i_n
         for m, order in enumerate(res.orders):
             orders[(m, g)] = order
 

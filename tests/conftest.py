@@ -1,21 +1,30 @@
-"""Shared builders, tolerance helpers and oracles for the test suite."""
+"""Shared builders, tolerance helpers and oracles for the test suite.
+
+bench/oracles.py, which imports nothing from the package, is importable
+as `oracles`: the references below that must not share the package's
+code are built on it.
+"""
 
 import math
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+
+import oracles
+
 from noma_grouping import (
     assemble_coupling,
-    ccinr,
     decode_orders,
     draw_channel_gains,
     generate_scenario,
     initial_grouping,
     default_config,
     solve_all_powers,
-    user_powers,
 )
 from noma_grouping import Grouping, ScenarioGenerationError
 from noma_grouping import game as game_module
@@ -106,27 +115,25 @@ def channel_system(gains, grouping, pow2r, sigma2, group_power, g):
 
 
 def jacobi_group_power(gains, grouping, scenario, max_sweeps):
-    """Group powers by Jacobi iteration of the per-group recursion, from zero.
+    """Group powers by Jacobi iteration of the per-group closed form, from zero.
 
-    An independent path to the coupled solution: every sweep recomputes the
-    CCINR table at the current group powers, then each group's power as the
-    recursion sum in ascending-CCINR order. Returns the powers and whether
-    two successive sweeps agreed to 1e-13 relative.
+    An independent path to the coupled solution, on bench/oracles.py
+    alone: every sweep applies oracles.ccinr_step (the group powers under
+    the ascending-CCINR orders at the current powers) to each subchannel.
+    Returns the powers and whether two successive sweeps agreed to 1e-13
+    relative.
     """
     cfg = scenario.config
     sigma2 = scenario.noise_power_w
     pow2r = np.exp2(scenario.spectral_rates()).tolist()
-    lists = gains.as_lists()
-    members = grouping.members_by_channel(cfg.num_channels, cfg.num_bs)
+    channel_of, bs_of = grouping.channel_of.tolist(), grouping.bs_of.tolist()
+    rows = [gains.gain[:, g, :].tolist() for g in range(cfg.num_channels)]
+    members = [oracles.members_by_bs(channel_of, bs_of, cfg.num_bs, g) for g in range(cfg.num_channels)]
     gp = np.zeros((cfg.num_bs, cfg.num_channels))
     for _ in range(max_sweeps):
-        table = ccinr(gains, grouping, gp, sigma2)
         new = np.zeros_like(gp)
         for g in range(cfg.num_channels):
-            rows = [lists[m][g] for m in range(cfg.num_bs)]
-            orders = decode_orders(rows, members[g], pow2r, sigma2, gp[:, g].tolist(), CCINR_ORDER)
-            for m, order in enumerate(orders):
-                new[m, g] = sum(user_powers(order, table.s, pow2r).values())
+            new[:, g], _orders = oracles.ccinr_step(rows[g], members[g], pow2r, sigma2, gp[:, g].tolist())
         done = np.all(np.abs(new - gp) <= np.maximum(1e-13 * np.abs(new), 1e-22))
         gp = new
         if done:

@@ -71,7 +71,7 @@ class TestRunExperiment:
         spec = _tiny_spec(num_users_list=[6, 8])
         results = run_experiment(spec)
         assert len(results) == 2 * 2 * 2  # sweeps x trials x strategies
-        keys = [(r.sweep.index, r.trial, r.strategy) for r in results]
+        keys = [(r.sweep_index, r.trial, r.strategy) for r in results]
         assert keys == sorted(keys, key=lambda k: (k[0], k[1], keys.index(k)))
 
     def test_deterministic_csv(self):
@@ -86,7 +86,7 @@ class TestRunExperiment:
         results = run_experiment(spec)
         by_trial = {}
         for r in results:
-            by_trial.setdefault((r.sweep.index, r.trial), set()).add(r.seed)
+            by_trial.setdefault((r.sweep_index, r.trial), set()).add(r.seed)
         for seeds in by_trial.values():
             assert len(seeds) == 1
 
@@ -351,6 +351,23 @@ class TestCli:
         )
         assert rc == 0
         assert out.exists()
+
+    def test_config_integer_rates_are_written_as_floats(self, tmp_path):
+        # the CSV row is TrialResult's fields: an int rate bound and the
+        # bool feasible must still be written as 60000.0 and 0/1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_users": 6, "num_channels": 2, "num_bs": 2, "rate_range_bps": [60000, 200000]}))
+        out = tmp_path / "res.csv"
+        rc = cli_main(
+            ["--config", str(cfg), "--strategy", "sccd", "--strategy", "gale_shapley", "--trials", "2", "--out", str(out)]
+        )
+        assert rc == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            assert (row["rate_low_bps"], row["rate_high_bps"]) == ("60000.0", "200000.0")
+            assert row["feasible"] in ("0", "1")
 
     def test_argument_errors_exit_with_usage(self, tmp_path, capsys, monkeypatch):
         # each is refused by the parser, before the first trial would run

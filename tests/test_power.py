@@ -15,13 +15,13 @@ from conftest import (
     feasible_instances,
     jacobi_group_power,
     make_instance,
+    oracles,
     single_cell_group,
 )
 from noma_grouping import (
     Grouping,
     InfeasibleSolutionError,
     achieved_rates,
-    ccinr,
     decode_orders,
     default_config,
     draw_channel_gains,
@@ -61,61 +61,36 @@ def _toy_gains(gain_array):
 
 
 class TestCcinr:
+    # power._member_ccinr is the one producer of CCINR values: the fixed
+    # point's decodes and, through them, PowerSolution.ccinr.
     def test_single_cell_no_interference(self):
-        gains = _toy_gains(np.full((1, 2, 3), 2e-10))
-        grouping = Grouping(channel_of=[0, 1, 0], bs_of=[0, 0, 0])
-        table = ccinr(gains, grouping, np.ones((1, 2)), 1e-15)
-        assert np.all(table.interference == 0.0)
-        assert_close(table.s, 2e-10 / 1e-15)
+        rows = [[2e-10] * 3]
+        groups = power._member_ccinr(rows, [[0, 2]], [1.0], 1e-15)
+        assert [[(n, i_n) for _s, n, i_n in group] for group in groups] == [[(0, 0.0), (2, 0.0)]]
+        assert_close([s_n for s_n, _n, _i in groups[0]], 2e-10 / 1e-15)
 
     def test_two_cell_hand_case(self):
         # own gain 1e-10, other cell gain 1e-12 at 1 W -> I = 1e-12
-        gain = np.zeros((2, 1, 1))
-        gain[0, 0, 0] = 1e-10
-        gain[1, 0, 0] = 1e-12
-        grouping = Grouping(channel_of=[0], bs_of=[0])
-        table = ccinr(_toy_gains(gain), grouping, [[0.0], [1.0]], 1e-15)
-        assert table.interference[0] == pytest.approx(1e-12, rel=1e-12)
-        assert table.s[0] == pytest.approx(1e-10 / 1.001e-12, rel=1e-12)
-
-    def test_rejects_indices_outside_the_gain_table(self):
-        gains = _toy_gains(np.full((2, 2, 3), 2e-10))
-        for channel_of, bs_of, message in (
-            ([0, 1, -1], [0, 1, 0], "subchannel outside"),
-            ([0, 1, 2], [0, 1, 0], "subchannel outside"),
-            ([0, 1, 1], [0, -1, 0], "BS outside"),
-            ([0, 1, 1], [0, 2, 0], "BS outside"),
-        ):
-            with pytest.raises(ValueError, match=message):
-                ccinr(gains, Grouping(channel_of=channel_of, bs_of=bs_of), np.ones((2, 2)), 1e-15)
-
-    def test_rejects_a_power_table_that_is_not_m_by_g(self):
-        gains = _toy_gains(np.full((2, 2, 3), 2e-10))
-        grouping = Grouping(channel_of=[0, 1, 1], bs_of=[0, 1, 0])
-        for table in (np.ones((1, 1)), np.ones((2, 1)), np.ones((1, 2)), np.ones((2, 2, 1)), [1.0, 1.0]):
-            with pytest.raises(ValueError, match=r"shape .* not \(2, 2\)"):
-                ccinr(gains, grouping, table, 1e-15)
-
-    def test_rejects_more_users_than_the_gain_table(self):
-        gains = _toy_gains(np.full((2, 2, 3), 2e-10))
-        grouping = Grouping(channel_of=[0, 1, 1, 0], bs_of=[0, 1, 0, 1])
-        with pytest.raises(ValueError, match="4 users, the gain table 3"):
-            ccinr(gains, grouping, np.ones((2, 2)), 1e-15)
-
-    @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.inf, math.nan])
-    def test_rejects_a_negative_or_non_finite_power(self, bad):
-        gains = _toy_gains(np.full((2, 2, 3), 2e-10))
-        grouping = Grouping(channel_of=[0, 1, 1], bs_of=[0, 1, 0])
-        table = np.ones((2, 2))
-        table[1, 0] = bad
-        with pytest.raises(ValueError, match="negative or non-finite"):
-            ccinr(gains, grouping, table, 1e-15)
+        rows = [[1e-10], [1e-12]]
+        [(s_n, n, i_n)], other = power._member_ccinr(rows, [[0], []], [0.0, 1.0], 1e-15)
+        assert n == 0 and other == []
+        assert i_n == pytest.approx(1e-12, rel=1e-12)
+        assert s_n == pytest.approx(1e-10 / 1.001e-12, rel=1e-12)
 
     def test_zero_other_powers_reduce_to_single_cell(self):
+        # only BS m transmits: its members see no interference, at zero
+        # power (the skipped sums) and at a positive one (the summed path)
         scenario, gains = make_instance(8, 2, 2, seed=1)
         grouping = initial_grouping(gains, scenario)
-        table = ccinr(gains, grouping, np.zeros((2, 2)), scenario.noise_power_w)
-        assert np.all(table.interference == 0.0)
+        sigma2 = scenario.noise_power_w
+        for g, members in enumerate(grouping.members_by_channel(2, 2)):
+            rows = [gains.as_lists()[m][g] for m in range(2)]
+            for m in range(2):
+                for own_power in (0.0, 1.0):
+                    powers = [0.0, 0.0]
+                    powers[m] = own_power
+                    group = power._member_ccinr(rows, members, powers, sigma2)[m]
+                    assert group == [(rows[m][n] / sigma2, n, 0.0) for n in members[m]]
 
 
 class TestSicOrder:
@@ -215,12 +190,13 @@ class TestChannelSystem:
         gains = _toy_gains(np.full((1, 1, 2), 1e-10))
         grouping = Grouping(channel_of=[0, 0], bs_of=[0, 0])
         sigma2 = 1e-15
-        table = ccinr(gains, grouping, np.zeros((1, 1)), sigma2)
+        rows = gains.gain[:, 0, :].tolist()
+        s = [oracles._ccinr(rows, [0.0], 0, n, sigma2) for n in range(2)]
         pow2r = [2.0, 2.0]
         a, b = channel_system(gains, grouping, pow2r, sigma2, np.zeros((1, 1)), 0)
         assert a == [[-1.0]]
         # equal CCINR: the tie decodes user 0 first
-        expected = sum(user_powers((0, 1), table.s, pow2r).values())
+        expected = sum(user_powers((0, 1), s, pow2r).values())
         assert_close(-b[0], expected, rel=1e-12)
         assert_close(solve_coupling(a, b)[0], expected, rel=1e-12)
 
@@ -656,14 +632,33 @@ def _assert_same_solution(got: PowerSolution, want: PowerSolution) -> None:
 
 
 def _assert_public_forms(gains, grouping, scenario, order_rule) -> bool:
-    """A feasible solve's CCINR table is ccinr() at its group powers, and its p
-    the user_powers recursion over its orders, bit for bit. Returns feasible."""
+    """A feasible solve's CCINR table is the oracle's at its group powers, and
+    its p the user_powers recursion over its orders, bit for bit.
+
+    S_n is oracles._ccinr at solution.group_power; I_n is summed in the
+    same order (over the other BSs m' ascending, from 0.0). Returns
+    feasible.
+    """
     solution = solve_all_powers(gains, grouping, scenario, order_rule=order_rule)
     if not solution.feasible:
         return False
-    table = ccinr(gains, grouping, solution.group_power, scenario.noise_power_w)
-    assert np.array_equal(solution.ccinr.s.view(np.int64), table.s.view(np.int64))
-    assert np.array_equal(solution.ccinr.interference.view(np.int64), table.interference.view(np.int64))
+    sigma2 = scenario.noise_power_w
+    gain = gains.gain.tolist()
+    group_power = solution.group_power.tolist()
+    num_bs = len(gain)
+    s = np.full(grouping.num_users, np.nan)
+    interference = np.full(grouping.num_users, np.nan)
+    for n, (g, m) in enumerate(zip(grouping.channel_of.tolist(), grouping.bs_of.tolist())):
+        rows = [gain[mp][g] for mp in range(num_bs)]
+        powers = [row[g] for row in group_power]
+        i_n = 0.0
+        for mp in range(num_bs):
+            if mp != m:
+                i_n += rows[mp][n] * powers[mp]
+        s[n] = oracles._ccinr(rows, powers, m, n, sigma2)
+        interference[n] = i_n
+    assert np.array_equal(solution.ccinr.s.view(np.int64), s.view(np.int64))
+    assert np.array_equal(solution.ccinr.interference.view(np.int64), interference.view(np.int64))
     pow2r = np.exp2(scenario.spectral_rates()).tolist()
     p = np.full(grouping.num_users, np.nan)
     for order in solution.sic_order.values():
