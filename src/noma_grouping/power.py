@@ -34,18 +34,35 @@ are < 0, each Schur update adds a term >= 0, so the off-diagonals stay
 pivot, so every power is >= +0.0, and past the pivots only an overflow
 (a non-finite power) refutes a solve.
 
+The first iteration of every fixed point, the zero-power screen, is the
+only one that can refute a subchannel in exact arithmetic. Say the
+screen solved orders O1 to powers p1 >= 0, so p1 = C_O1 p1 + c_O1, and
+the CCINR orders at p1 are O2. Drop the BSs whose group has no member
+with a positive rate: their rows and columns of C and their c are 0.
+On the others c > 0, so p1 > 0. At the interference of p1 the CCINR
+order needs no more power than any other (Yates, IEEE JSAC 13(7), 1995),
+so C_O2 p1 + c_O2 <= C_O1 p1 + c_O1 = p1, hence C_O2 p1 < p1 and
+rho(C_O2) < 1 by Collatz-Wielandt; the solve for O2 passes its pivots,
+and p2 = (I - C_O2)^-1 c_O2 <= p1 because the inverse is >= 0. The same
+step repeats from p2, so the iterates descend and every later solve
+passes. Under the fixed-order rules the orders never change, so a passed
+screen is confirmed at iteration 2.
+
 Every caller runs the same kernel, one function per layer: decode_orders
 (the order rules), assemble_coupling (the linear system), solve_coupling
 (pivot-free elimination and the finiteness check) and user_powers
-(the recursion); solve_one_channel iterates the first three, and
-solve_all_powers ends with the fourth. solve_all_powers is one pass over
-the subchannels: it sorts the users into (subchannel, BS) groups once
-(Grouping.members_by_channel) and calls solve_one_channel per
-subchannel, highest total target rate first, up to the first infeasible
-one. The subchannels are orthogonal, so the order changes no verdict and
-no feasible result; it only lets an infeasible grouping meet its refuting
-subchannel, most often a crowded high-rate one, before the feasible ones
-are solved. The outputs are then assembled in subchannel order. The
+(the recursion). screen_channel runs the first three once at zero power,
+continue_channel iterates them from the screen's powers, and
+solve_one_channel composes the two; solve_all_powers ends with the
+fourth. solve_all_powers sorts the users into (subchannel, BS) groups
+once (Grouping.members_by_channel), screens every subchannel, highest
+total target rate first, up to the first refuted one, and only when all
+pass continues their fixed points in the same order. The subchannels are
+orthogonal, so the order changes no verdict and no feasible result; it
+only lets an infeasible grouping meet its refuting subchannel, most
+often a crowded high-rate one, before the others are screened, and no
+fixed point is run to the end for a grouping that a later screen
+refutes. The outputs are then assembled in subchannel order. The
 solution's CCINR table (PowerSolution.ccinr) has no other producer: under
 the CCINR rule it is each fixed point's confirming decode, under the
 fixed-order rules one more decode at the converged powers.
@@ -166,10 +183,13 @@ class PowerSolution:
     """Converged allocation for one grouping.
 
     sic_order maps (bs, channel) to the decode order (first decoded first).
-    When feasible is False the remaining fields are not meaningful, except
-    fixed_point_iterations: the highest iteration count among the
-    subchannels solved, which for an infeasible result are those that
-    solve_all_powers solved before the verdict (see its order there).
+    fixed_point_iterations is the highest iteration count among the
+    subchannels' fixed points. When feasible is False, refuted_channel
+    names the subchannel that refuted the grouping (it is None when
+    feasible), and the other fields are not meaningful, except
+    fixed_point_iterations: 1 when a zero-power screen refuted it, else
+    the highest count among the fixed points continued up to the verdict
+    (see solve_all_powers).
     """
 
     p: np.ndarray
@@ -178,6 +198,7 @@ class PowerSolution:
     sic_order: dict
     feasible: bool
     fixed_point_iterations: int
+    refuted_channel: int | None = None
 
 
 class ChannelSolveResult(NamedTuple):
@@ -348,6 +369,80 @@ def user_powers(order, s, pow2r) -> dict[int, float]:
     return powers
 
 
+class ChannelScreen(NamedTuple):
+    """A subchannel's zero-power screen: the first iteration of its fixed point.
+
+    orders are the decode orders at zero power and powers the exact solve
+    for them, or None when that solve refuted the subchannel.
+    """
+
+    powers: list[float] | None
+    orders: tuple
+
+
+def screen_channel(
+    gain_lists,
+    channel: int,
+    members_by_bs,
+    pow2r,
+    sigma2: float,
+    order_rule: str = CCINR_ORDER,
+) -> ChannelScreen:
+    """The zero-power screen of one subchannel: decode at zero power, assemble, solve.
+
+    The decode skips the interference sums, as solve_channel_batch's
+    first does. The screen refutes the subchannel (powers None) when the
+    solve has a pivot that is not < 0 or a non-finite power, or when a
+    member's own-BS gain is 0. A passed screen is feasible in exact
+    arithmetic (see the module docstring).
+    """
+    rows = [gain_lists[m][channel] for m in range(len(members_by_bs))]
+    orders = decode_orders(rows, members_by_bs, pow2r, sigma2, [0.0] * len(rows), order_rule)
+    try:
+        system = assemble_coupling(rows, orders, pow2r, sigma2)
+    except ZeroDivisionError:
+        return ChannelScreen(None, orders)
+    return ChannelScreen(solve_coupling(*system), orders)
+
+
+def continue_channel(
+    gain_lists,
+    channel: int,
+    members_by_bs,
+    pow2r,
+    sigma2: float,
+    screen: ChannelScreen,
+    order_rule: str = CCINR_ORDER,
+) -> ChannelSolveResult:
+    """The fixed point of one subchannel from iteration 2, after a passed screen.
+
+    It resumes from the screen's powers and the orders they were solved
+    for, and runs solve_one_channel's iterations 2 onwards with the same
+    bits. A later pivot, an overflow or the iteration cap still refutes
+    the subchannel; in exact arithmetic none can (see the module
+    docstring), but rounding near rho(C) = 1 can.
+    """
+    rows = [gain_lists[m][channel] for m in range(len(members_by_bs))]
+    p_cur, solved_orders = screen
+    iterations = 1
+    by_ccinr = order_rule == CCINR_ORDER
+    orders = solved_orders  # only the CCINR orders depend on the powers
+    for iterations in range(2, MAX_FIXED_POINT_ITERATIONS + 1):
+        if by_ccinr:
+            table = _member_ccinr(rows, members_by_bs, p_cur, sigma2)
+            orders = _ccinr_orders(table)
+        if orders == solved_orders:
+            if not by_ccinr:
+                table = _member_ccinr(rows, members_by_bs, p_cur, sigma2)
+            return ChannelSolveResult(p_cur, orders, iterations, True, table)
+        # the screen assembled every member, so no own-BS gain is 0 here
+        p_new = solve_coupling(*assemble_coupling(rows, orders, pow2r, sigma2))
+        if p_new is None:
+            return ChannelSolveResult(p_cur, orders, iterations, False)
+        p_cur, solved_orders = p_new, orders
+    return ChannelSolveResult(p_cur, solved_orders, iterations, False)
+
+
 def solve_one_channel(
     gain_lists,
     channel: int,
@@ -364,40 +459,18 @@ def solve_one_channel(
     the orders those powers were solved for, the system (a function of the
     orders alone) is unchanged, so the powers are exact and are returned
     without solving again; the confirming decode counts as an iteration.
-    Otherwise the new orders are solved. The first decode, at zero power,
-    skips the interference sums, as solve_channel_batch's does. A
-    feasible result also carries the CCINR values at the returned powers
-    (see ChannelSolveResult): under the CCINR rule those of the
-    confirming decode, under the fixed-order rules one decode more. A
-    member whose own-BS gain is 0 cannot be powered: the subchannel is
-    infeasible at iteration 1, with zero powers, as in
-    solve_channel_batch.
+    Otherwise the new orders are solved. Iteration 1 is screen_channel,
+    the rest continue_channel. A feasible result also carries the CCINR
+    values at the returned powers (see ChannelSolveResult): under the
+    CCINR rule those of the confirming decode, under the fixed-order
+    rules one decode more. A subchannel the screen refutes (a member whose
+    own-BS gain is 0 among the causes) is infeasible at iteration 1, with
+    zero powers, as in solve_channel_batch.
     """
-    rows = [gain_lists[m][channel] for m in range(len(members_by_bs))]
-    p_cur = [0.0] * len(rows)
-    orders = solved_orders = table = None
-    iterations = 0
-    by_ccinr = order_rule == CCINR_ORDER
-    if not by_ccinr:
-        orders = decode_orders(rows, members_by_bs, pow2r, sigma2, p_cur, order_rule)
-    for iterations in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
-        # Only the CCINR orders depend on the powers.
-        if by_ccinr:
-            table = _member_ccinr(rows, members_by_bs, p_cur, sigma2)
-            orders = _ccinr_orders(table)
-        if orders == solved_orders:
-            if not by_ccinr:
-                table = _member_ccinr(rows, members_by_bs, p_cur, sigma2)
-            return ChannelSolveResult(p_cur, orders, iterations, True, table)
-        try:
-            system = assemble_coupling(rows, orders, pow2r, sigma2)
-        except ZeroDivisionError:
-            return ChannelSolveResult(p_cur, orders, iterations, False)
-        p_new = solve_coupling(*system)
-        if p_new is None:
-            return ChannelSolveResult(p_cur, orders, iterations, False)
-        p_cur, solved_orders = p_new, orders
-    return ChannelSolveResult(p_cur, solved_orders, iterations, False)
+    screen = screen_channel(gain_lists, channel, members_by_bs, pow2r, sigma2, order_rule)
+    if screen.powers is None:
+        return ChannelSolveResult([0.0] * len(members_by_bs), screen.orders, 1, False)
+    return continue_channel(gain_lists, channel, members_by_bs, pow2r, sigma2, screen, order_rule)
 
 
 class ChannelBatchResult(NamedTuple):
@@ -568,14 +641,22 @@ def solve_all_powers(
     """Coupled power allocation across all cells and subchannels.
 
     Subchannels are orthogonal, so each one is solved by its own fixed
-    point (started from zero power), in one pass over the subchannels, in
-    descending order of their members' total target rate (ties: the lower
-    index first). feasible is False when any channel's solve has a pivot
-    that is not < 0 or a non-finite power, or fails to converge; the
-    channels after the first such one are not solved. The most loaded
-    subchannel is the likeliest to fail, so this order refutes an
-    infeasible grouping after fewer solves than index order. A feasible
-    result does not depend on the order: group_power, the CCINR table,
+    point (started from zero power), split in two passes over the
+    subchannels, each in descending order of their members' total target
+    rate (ties: the lower index first). The first runs every
+    subchannel's zero-power screen (screen_channel) and stops at the
+    first that refutes its subchannel: the result is infeasible, with
+    fixed_point_iterations 1 and that subchannel as refuted_channel. A
+    passed screen is feasible in exact arithmetic, so only when all pass
+    does the second pass continue each fixed point from its screen
+    (continue_channel), without solving the screen again; a later pivot
+    that is not < 0, a non-finite power or the iteration cap, which only
+    rounding can bring about, still refutes its subchannel there. The
+    most loaded subchannel is the likeliest to fail, so this order
+    refutes an infeasible grouping after fewer screens than index order,
+    and no fixed point is run to the end for a grouping that a later
+    screen refutes. A feasible result does not depend on the order:
+    group_power, the CCINR table,
     sic_order (keyed in subchannel order) and p are assembled in
     subchannel order. The CCINR table is the one at the converged powers:
     under the CCINR rule, the fixed point's confirming decode; under the
@@ -593,22 +674,33 @@ def solve_all_powers(
     lists = gains.as_lists()
     num_bs, num_ch, num_users = cfg.num_bs, cfg.num_channels, cfg.num_users
 
+    def infeasible(channel: int, iterations: int) -> PowerSolution:
+        return PowerSolution(
+            p=np.full(num_users, np.nan),
+            group_power=np.full((num_bs, num_ch), np.nan),
+            ccinr=None,
+            sic_order={},
+            feasible=False,
+            fixed_point_iterations=iterations,
+            refuted_channel=channel,
+        )
+
     members = grouping.members_by_channel(num_ch, num_bs)
     load = np.bincount(grouping.channel_of, weights=rates, minlength=num_ch)
+    solve_order = np.argsort(-load, kind="stable").tolist()  # highest total rate first
+    screens = []
+    for g in solve_order:
+        screen = screen_channel(lists, g, members[g], pow2r, sigma2, order_rule)
+        if screen.powers is None:
+            return infeasible(g, 1)
+        screens.append(screen)
     results = [None] * num_ch
     max_iters = 0
-    for g in np.argsort(-load, kind="stable").tolist():  # highest total rate first
-        res = solve_one_channel(lists, g, members[g], pow2r, sigma2, order_rule=order_rule)
+    for g, screen in zip(solve_order, screens):
+        res = continue_channel(lists, g, members[g], pow2r, sigma2, screen, order_rule)
         max_iters = max(max_iters, res.iterations)
         if not res.feasible:
-            return PowerSolution(
-                p=np.full(num_users, np.nan),
-                group_power=np.full((num_bs, num_ch), np.nan),
-                ccinr=None,
-                sic_order={},
-                feasible=False,
-                fixed_point_iterations=max_iters,
-            )
+            return infeasible(g, max_iters)
         results[g] = res
 
     s = [0.0] * num_users

@@ -452,6 +452,28 @@ class TestBatchPasses:
         # a batch solves, then confirms; a straggler costs its whole batch a pass
         assert len(passes) * 2 < trace.memo_batch_passes
 
+    @pytest.mark.parametrize("finder, refuted_count", [("fga", 770), ("eba", 1479)])
+    def test_every_refuted_system_is_refuted_by_its_zero_power_screen(self, monkeypatch, finder, refuted_count):
+        # The batch path's verdicts on the pinned games: a system it
+        # refutes has failed its first solve, at zero power, never a later one.
+        results = []
+        batch = graph_module.solve_channel_batch
+
+        def recording_batch(*args):
+            res = batch(*args)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(graph_module, "solve_channel_batch", recording_batch)
+        with open(SEEDS_FILE) as fh:
+            instances = json.load(fh)["game"]
+        for num_users, seed in instances:
+            scenario, gains = make_instance(num_users, 10, 4, seed)
+            run_game(gains, scenario, finder=finder)
+        refuted = np.concatenate([res.iterations[~res.feasible] for res in results])
+        assert refuted.size == refuted_count
+        assert (refuted == 1).all()
+
     def test_scalar_solves_run_no_batch_pass(self, monkeypatch):
         monkeypatch.setattr(graph_module, "BATCH_MIN_MISSES", math.inf)
         scenario, gains = make_instance(12, 3, 2, seed=1)

@@ -338,7 +338,8 @@ class TestSolveAllPowers:
         # to solve on the wrong gains
         scenario, gains = make_instance(12, 3, 2, seed=1)
         grouping = initial_grouping(gains, scenario)
-        monkeypatch.setattr(power, "solve_one_channel", _no_solve)
+        monkeypatch.setattr(power, "screen_channel", _no_solve)
+        monkeypatch.setattr(power, "continue_channel", _no_solve)
         for table in (gains.gain[:, :, :10], np.concatenate([gains.gain, gains.gain[:, :, :2]], axis=2)):
             with pytest.raises(ValueError, match=r"shape \(2, 3, 1[04]\), the scenario \(2, 3, 12\)"):
                 solve_all_powers(ChannelGains(gain=table), grouping, scenario)
@@ -445,9 +446,10 @@ class TestSolveAllPowers:
         # Under the CCINR rule the table is the fixed points' last decodes:
         # no CCINR decode beyond the solves' own; the fixed-order rules
         # decode once per subchannel at the converged powers. The users are
-        # split into (subchannel, BS) groups once per solve.
+        # split into (subchannel, BS) groups once per solve. A continued
+        # fixed point's iterations include its screen's.
         decodes, iterations, splits = [0], [0], [0]
-        member_ccinr, solve = power._member_ccinr, power.solve_one_channel
+        member_ccinr, solve = power._member_ccinr, power.continue_channel
         members_by_channel = Grouping.members_by_channel
 
         def counting_decode(*args):
@@ -467,7 +469,7 @@ class TestSolveAllPowers:
         for scenario, gains, grouping, _sol in feasible_instances(3, 20, 4, 4, start_seed=300):
             with monkeypatch.context() as patch:
                 patch.setattr(power, "_member_ccinr", counting_decode)
-                patch.setattr(power, "solve_one_channel", counting_solve)
+                patch.setattr(power, "continue_channel", counting_solve)
                 patch.setattr(Grouping, "members_by_channel", counting_split)
                 decodes[0] = iterations[0] = splits[0] = 0
                 solution = solve_all_powers(gains, grouping, scenario, order_rule=order_rule)
@@ -495,6 +497,41 @@ class TestSolveAllPowers:
                     verdicts.add(solution.feasible)
         assert verdicts == {True, False}
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(60e3, 600e3), (200e3, 1.2e6), (0.6e6, 2e6)]),
+        st.data(),
+    )
+    def test_screens_first_changes_no_result(self, num_users, num_channels, num_bs, seed, rate_range, data):
+        # random groupings of small instances, a third to a half infeasible:
+        # the screens-first order gives the index-order loop's result, and
+        # the first subchannel in solve order whose screen fails refutes
+        # every infeasible one
+        scenario, gains = make_instance(num_users, num_channels, num_bs, seed, rate_range=rate_range)
+        channel_of = data.draw(st.lists(st.integers(0, num_channels - 1), min_size=num_users, max_size=num_users))
+        grouping = Grouping(channel_of=channel_of, bs_of=scenario.association)
+        members = grouping.members_by_channel(num_channels, num_bs)
+        load = np.bincount(grouping.channel_of, weights=scenario.spectral_rates(), minlength=num_channels)
+        solve_order = sorted(range(num_channels), key=lambda g: (-load[g], g))
+        pow2r = np.exp2(scenario.spectral_rates()).tolist()
+        for rule in ORDER_RULES:
+            solution = solve_all_powers(gains, grouping, scenario, order_rule=rule)
+            _assert_same_solution(solution, _index_order_solve(gains, grouping, scenario, rule))
+            if solution.feasible:
+                assert solution.refuted_channel is None
+                continue
+            assert solution.fixed_point_iterations == 1
+            passed = [
+                power.screen_channel(gains.as_lists(), g, members[g], pow2r, scenario.noise_power_w, rule).powers
+                is not None
+                for g in solve_order
+            ]
+            assert solve_order[passed.index(False)] == solution.refuted_channel
+
     def test_a_refuting_subchannel_of_the_highest_rate_is_solved_alone(self, monkeypatch):
         # subchannel 2, the last, holds one user of each BS at 20 bit/s/Hz
         # and cannot be powered; index order solved 0 and 1 first
@@ -510,23 +547,28 @@ class TestSolveAllPowers:
             for g in range(3)
         ]
         assert verdicts == [True, True, False]
-        channels = _record_solved_channels(monkeypatch)
+        screened, continued = _record_solved_channels(monkeypatch)
         for rule in ORDER_RULES:
-            channels.clear()
-            assert not solve_all_powers(gains, grouping, scenario, order_rule=rule).feasible
-            assert channels == [2]
+            screened.clear()
+            solution = solve_all_powers(gains, grouping, scenario, order_rule=rule)
+            assert not solution.feasible
+            assert (solution.refuted_channel, solution.fixed_point_iterations) == (2, 1)
+            assert (screened, continued) == ([2], [])
 
     @pytest.mark.parametrize("order_rule", ORDER_RULES)
     def test_a_feasible_grouping_solves_each_subchannel_once(self, monkeypatch, order_rule):
-        channels = _record_solved_channels(monkeypatch)
+        screened, continued = _record_solved_channels(monkeypatch)
         checked = 0
         for scenario, gains, grouping, _sol in feasible_instances(3, 20, 4, 4, start_seed=300):
-            channels.clear()
-            if not solve_all_powers(gains, grouping, scenario, order_rule=order_rule).feasible:
+            screened.clear()
+            continued.clear()
+            solution = solve_all_powers(gains, grouping, scenario, order_rule=order_rule)
+            if not solution.feasible:
                 continue
             checked += 1
+            assert solution.refuted_channel is None
             load = np.bincount(grouping.channel_of, weights=scenario.spectral_rates(), minlength=4)
-            assert channels == sorted(range(4), key=lambda g: (-load[g], g))
+            assert screened == continued == sorted(range(4), key=lambda g: (-load[g], g))
         assert checked > 0
 
     def test_a_rate_too_high_for_a_float_is_infeasible_without_a_warning(self):
@@ -569,16 +611,21 @@ class TestSolveAllPowers:
                 assert total_power(bumped) >= base * (1 - 1e-9)
 
 
-def _record_solved_channels(monkeypatch) -> list:
-    """A list that records the subchannel of every solve_one_channel call solve_all_powers makes."""
-    channels = []
+def _record_solved_channels(monkeypatch) -> tuple[list, list]:
+    """Two lists that record the subchannel of every screen_channel and every
+    continue_channel call solve_all_powers makes."""
+    screened, continued = [], []
 
-    def recording(gain_lists, channel, *args, **kwargs):
-        channels.append(channel)
-        return solve_one_channel(gain_lists, channel, *args, **kwargs)
+    def recorder(calls, fn):
+        def recording(gain_lists, channel, *args, **kwargs):
+            calls.append(channel)
+            return fn(gain_lists, channel, *args, **kwargs)
 
-    monkeypatch.setattr(power, "solve_one_channel", recording)
-    return channels
+        return recording
+
+    monkeypatch.setattr(power, "screen_channel", recorder(screened, power.screen_channel))
+    monkeypatch.setattr(power, "continue_channel", recorder(continued, power.continue_channel))
+    return screened, continued
 
 
 def _index_order_solve(gains, grouping, scenario, order_rule) -> PowerSolution:

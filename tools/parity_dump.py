@@ -26,8 +26,11 @@ Two trees print the same bytes when they make the same decisions:
 - solve_all_powers on the initial, SCCD and Gale-Shapley groupings of
   every pinned power instance, under each decode-order rule (ccinr,
   channel_gain, rate_descending): feasible, fixed_point_iterations, the
-  number of solve_one_channel calls the solve made, sic_order and the
-  SHA-256 of p, group_power and the CCINR s and interference;
+  number of zero-power screens and of fixed-point continuations the solve
+  ran (on a tree without power.screen_channel, each solve_one_channel
+  call is one screen, and one continuation too unless it was refuted at
+  iteration 1), sic_order and the SHA-256 of p, group_power and the CCINR
+  s and interference;
 - the CLI's CSV and --trace-dir logs for eba, fga and sccd at N = 12 and
   16, G = 3, M = 2, 3 trials, seed 7;
 - generate_scenario for seeds 0-19 on the default layouts with M = 1, 2
@@ -153,12 +156,30 @@ def dump_oracles(pkg, out) -> None:
 def dump_powers(pkg, out) -> None:
     with open(SEEDS_FILE) as fh:
         power_seeds = json.load(fh)["power"]
-    solve_one_channel = pkg.power.solve_one_channel
-    solves = [0]
+    power = pkg.power
+    counts = {"screens": 0, "continuations": 0}
 
-    def counting_solve(*args, **kwargs):
-        solves[0] += 1
-        return solve_one_channel(*args, **kwargs)
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def counting_fixed_point(*args, **kwargs):
+        res = originals["solve_one_channel"](*args, **kwargs)
+        counts["screens"] += 1
+        counts["continuations"] += res.feasible or res.iterations > 1
+        return res
+
+    if hasattr(power, "screen_channel"):
+        wrappers = {
+            "screen_channel": counting(power.screen_channel, "screens"),
+            "continue_channel": counting(power.continue_channel, "continuations"),
+        }
+    else:
+        wrappers = {"solve_one_channel": counting_fixed_point}
+    originals = {attr: getattr(power, attr) for attr in wrappers}
 
     for num_users, seed in power_seeds:
         scenario, gains = make_instance(pkg, num_users, GAME_CHANNELS, GAME_BS, seed)
@@ -169,12 +190,14 @@ def dump_powers(pkg, out) -> None:
         }
         for name, grouping in groupings.items():
             for rule in ORDER_RULES:
-                solves[0] = 0
-                pkg.power.solve_one_channel = counting_solve
+                counts.update(screens=0, continuations=0)
+                for attr, wrapper in wrappers.items():
+                    setattr(power, attr, wrapper)
                 try:
                     solution = pkg.solve_all_powers(gains, grouping, scenario, order_rule=rule)
                 finally:
-                    pkg.power.solve_one_channel = solve_one_channel
+                    for attr, original in originals.items():
+                        setattr(power, attr, original)
                 table = solution.ccinr
                 ccinr_sha = (
                     "none" if table is None
@@ -187,7 +210,8 @@ def dump_powers(pkg, out) -> None:
                 out.write(
                     f"power N={num_users} seed={seed} grouping={name} rule={rule} "
                     f"feasible={solution.feasible} "
-                    f"iterations={solution.fixed_point_iterations} solves={solves[0]}\n"
+                    f"iterations={solution.fixed_point_iterations} "
+                    f"screens={counts['screens']} continuations={counts['continuations']}\n"
                     f"  sic_order={orders}\n"
                     f"  p_sha256={sha(solution.p.tobytes())} "
                     f"group_power_sha256={sha(solution.group_power.tobytes())}\n"
