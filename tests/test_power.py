@@ -507,10 +507,10 @@ class TestSolveAllPowers:
         st.data(),
     )
     def test_screens_first_changes_no_result(self, num_users, num_channels, num_bs, seed, rate_range, data):
-        # random groupings of small instances, a third to a half infeasible:
-        # the screens-first order gives the index-order loop's result, and
-        # the first subchannel in solve order whose screen fails refutes
-        # every infeasible one
+        # random groupings of small instances, at rates high enough that
+        # many are infeasible: the screens-first order gives the
+        # index-order loop's result, and the first subchannel in solve
+        # order whose screen fails refutes every infeasible one
         scenario, gains = make_instance(num_users, num_channels, num_bs, seed, rate_range=rate_range)
         channel_of = data.draw(st.lists(st.integers(0, num_channels - 1), min_size=num_users, max_size=num_users))
         grouping = Grouping(channel_of=channel_of, bs_of=scenario.association)

@@ -166,18 +166,20 @@ def dump_powers(pkg, out) -> None:
 
         return wrapper
 
-    def counting_fixed_point(*args, **kwargs):
-        res = originals["solve_one_channel"](*args, **kwargs)
-        counts["screens"] += 1
-        counts["continuations"] += res.feasible or res.iterations > 1
-        return res
-
     if hasattr(power, "screen_channel"):
         wrappers = {
             "screen_channel": counting(power.screen_channel, "screens"),
             "continue_channel": counting(power.continue_channel, "continuations"),
         }
-    else:
+    else:  # a tree from before the split: count each fixed point's parts
+        solve_one_channel = power.solve_one_channel
+
+        def counting_fixed_point(*args, **kwargs):
+            res = solve_one_channel(*args, **kwargs)
+            counts["screens"] += 1
+            counts["continuations"] += res.feasible or res.iterations > 1
+            return res
+
         wrappers = {"solve_one_channel": counting_fixed_point}
     originals = {attr: getattr(power, attr) for attr in wrappers}
 
